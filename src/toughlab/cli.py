@@ -22,6 +22,7 @@ from .classes import CLASS_PREDICATES
 from .families import make_named, parse_family_spec
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .mintough import (
+    CrossCheckError,
     MinToughStatus,
     is_minimally_tough_by_criterion,
     is_minimally_tough_by_definition,
@@ -86,11 +87,12 @@ def _line_mintough(fmt: str, method: str, line: str) -> str:
         verdict, witnesses = is_minimally_tough_by_criterion(g)
         if method == "both":
             ref = is_minimally_tough_by_definition(g)
-            assert (ref.status, ref.toughness, ref.failing_edge) == (
+            if (ref.status, ref.toughness, ref.failing_edge) != (
                 verdict.status,
                 verdict.toughness,
                 verdict.failing_edge,
-            ), f"deciders disagree on {write_graph6(g)}"
+            ):
+                raise CrossCheckError(f"deciders disagree on {write_graph6(g)}")
     if fmt == "json":
         return json.dumps(verdict_to_json(g, verdict, witnesses))
     status = _STATUS_TEXT[verdict.status]

@@ -18,38 +18,33 @@ from .graphs import Graph, VertexSet, _bits, delete_edge
 # -- components --------------------------------------------------------------
 
 
+def _flood(adj: tuple[int, ...], seed: int, allowed: int) -> int:
+    """Mask of the vertices reachable from ``seed`` inside ``allowed``."""
+    comp = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & allowed & ~comp
+        comp |= new
+        frontier |= new
+    return comp
+
+
 def _component_count(adj: tuple[int, ...], mask: int) -> int:
     """Number of connected components of the subgraph induced on ``mask``."""
     count = 0
-    rem = mask
-    while rem:
+    while mask:
         count += 1
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & rem & ~comp
-            comp |= new
-            frontier |= new
-        rem &= ~comp
+        mask &= ~_flood(adj, mask & -mask, mask)
     return count
 
 
 def _component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
     out = []
-    rem = mask
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = adj[low.bit_length() - 1] & rem & ~comp
-            comp |= new
-            frontier |= new
+    while mask:
+        comp = _flood(adj, mask & -mask, mask)
         out.append(comp)
-        rem &= ~comp
+        mask &= ~comp
     return out
 
 

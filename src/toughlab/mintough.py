@@ -13,6 +13,11 @@ Two independent deciders:
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
   The graph is minimally tough iff every edge meets cond1 or cond2.
 
+Neither c(G-S) nor the cond2 bound depends on the edge, so the criterion
+computes the separators that meet the bound once per graph, ascending by
+(size, bitmask), and each edge takes the first of them that avoids u and v
+and separates them in G-uv.
+
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
 """
@@ -22,18 +27,22 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .connectivity import _component_count, co_diameter, distances, local_connectivity
+from .connectivity import _flood, co_diameter, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
-from .graphs import Graph, VertexSet, _bits, complement, delete_edge
+from .graphs import Graph, VertexSet, complement, delete_edge
 from .toughness import (
     Toughness,
-    _masks_of_popcount,
+    _sweep,
     format_toughness,
     iterate_separators,
     toughness,
 )
+
+
+class CrossCheckError(AssertionError):
+    """Two routes that must agree on a graph gave different answers."""
 
 
 class MinToughStatus(Enum):
@@ -78,40 +87,27 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
 # -- edge criterion -----------------------------------------------------------
 
 
-def _cond2_scan(g: Graph, t: Fraction, u: int, v: int) -> tuple[int, int] | None:
-    """First (size, bitmask)-ascending S with: S separates G, S separates u
-    from v in G-uv, and |S| < t*(c(G-S)+1).  Returns (mask, components)."""
-    n, adj, full = g.n, g.adj, g.full_mask
-    avoid = (1 << u) | (1 << v)
-    adj_cut = list(adj)
-    adj_cut[u] &= ~(1 << v)
-    adj_cut[v] &= ~(1 << u)
-    for size in range(0, max(n - 1, 0)):
-        if size >= t * (n - size + 1):  # even n-size components cannot satisfy the bound
-            break
-        for mask in _masks_of_popcount(n, size):
-            if mask & avoid:
-                continue
-            keep = full & ~mask
-            c = _component_count(adj, keep)
-            if c < 2 or size >= t * (c + 1):
-                continue
-            # is S a u-v separator of G - uv?  flood from u without the edge
-            comp = 1 << u
-            frontier = comp
-            reached = False
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = adj_cut[low.bit_length() - 1] & keep & ~comp
-                if new >> v & 1:
-                    reached = True
-                    break
-                comp |= new
-                frontier |= new
-            if not reached:
-                return mask, c
-    return None
+def _cond2_separators(g: Graph, t: Fraction) -> list[int]:
+    """Masks of every S with c(G-S) >= 2 and |S| < t*(c(G-S)+1), ascending
+    (size, bitmask).  A witness avoids u and v, so it leaves at most n-|S|
+    components; the sweep stops once even that many miss the bound."""
+    n = g.n
+    return [
+        mask
+        for size, mask, c in _sweep(g, stop=lambda size: size >= t * (n - size + 1))
+        if size < t * (c + 1)
+    ]
+
+
+def _uv_separators(g: Graph, masks: Iterable[int], u: int, v: int) -> Iterator[int]:
+    """The masks that avoid u and v and separate them in G-uv."""
+    avoid, full = (1 << u) | (1 << v), g.full_mask
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    for mask in masks:
+        if not mask & avoid and not _flood(adj, 1 << u, full & ~mask) >> v & 1:
+            yield mask
 
 
 def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
@@ -122,32 +118,9 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
     """
     if not g.has_edge(u, v):
         raise ValueError("cond2 candidates are defined for edges")
-    n, adj, full = g.n, g.adj, g.full_mask
-    avoid = (1 << u) | (1 << v)
-    adj_cut = list(adj)
-    adj_cut[u] &= ~(1 << v)
-    adj_cut[v] &= ~(1 << u)
-    for size in range(0, max(n - 1, 0)):
-        for mask in _masks_of_popcount(n, size):
-            if mask & avoid:
-                continue
-            keep = full & ~mask
-            if _component_count(adj, keep) < 2:
-                continue
-            comp = 1 << u
-            frontier = comp
-            reached = False
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = adj_cut[low.bit_length() - 1] & keep & ~comp
-                if new >> v & 1:
-                    reached = True
-                    break
-                comp |= new
-                frontier |= new
-            if not reached:
-                yield VertexSet(mask, n)
+    masks = (mask for _, mask, _ in _sweep(g, avoid=(1 << u) | (1 << v)))
+    for mask in _uv_separators(g, masks, u, v):
+        yield VertexSet(mask, g.n)
 
 
 def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[EdgeWitness]]:
@@ -156,15 +129,16 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
     t = toughness(g)
     threshold = 2 * t + 1
+    separators = _cond2_separators(g, t)
     witnesses = []
     failing: tuple[int, int] | None = None
     for u, v in g.edges():
         kappa = local_connectivity(g, u, v)
         cond1 = kappa < threshold
-        hit = _cond2_scan(g, t, u, v)
+        hit = next(_uv_separators(g, separators, u, v), None)
         cond2 = hit is not None
         witnesses.append(
-            EdgeWitness((u, v), kappa, cond1, cond2, VertexSet(hit[0], g.n) if hit else None)
+            EdgeWitness((u, v), kappa, cond1, cond2, VertexSet(hit, g.n) if cond2 else None)
         )
         if not cond1 and not cond2 and failing is None:
             failing = (u, v)
@@ -176,8 +150,8 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
 def is_nontrivially_minimally_tough(g: Graph, method: str = "criterion") -> bool:
     """Fast boolean: connected, non-complete, minimally tough.
 
-    The criterion route short-circuits on the first failing edge and skips
-    the cond2 sweep whenever cond1 already holds.
+    The criterion route short-circuits on the first failing edge, and
+    computes the cond2 separators only once some edge misses cond1.
     """
     if g.is_complete() or g.is_edgeless():
         return False
@@ -189,10 +163,13 @@ def is_nontrivially_minimally_tough(g: Graph, method: str = "criterion") -> bool
     if method != "criterion":
         raise ValueError(f"unknown method {method!r}")
     threshold = 2 * t + 1
+    separators: list[int] | None = None
     for u, v in g.edges():
         if local_connectivity(g, u, v) < threshold:
             continue
-        if _cond2_scan(g, t, u, v) is None:
+        if separators is None:
+            separators = _cond2_separators(g, t)
+        if next(_uv_separators(g, separators, u, v), None) is None:
             return False
     return True
 
@@ -212,7 +189,8 @@ class DominatingEdgeReport:
 
 def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
     """All dominating edges; the three detection routes are evaluated
-    independently for every edge and asserted equal."""
+    independently for every edge, and CrossCheckError is raised if they
+    differ."""
     full = g.full_mask
     sep_masks = [s.bits for s in iterate_separators(g)]
     co_dist = distances(complement(g))
@@ -222,7 +200,8 @@ def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
         via_n = (g.adj[u] | g.adj[v]) == full
         via_s = all(mask & uv for mask in sep_masks)
         via_d = co_dist.distance(u, v) >= 3
-        assert via_n == via_s == via_d, f"dominating-edge routes disagree on {(u, v)}"
+        if not via_n == via_s == via_d:
+            raise CrossCheckError(f"dominating-edge routes disagree on {(u, v)}")
         if via_n:
             out.append(DominatingEdgeReport((u, v), via_n, via_s, via_d))
     return out

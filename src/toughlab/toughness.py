@@ -5,16 +5,19 @@ Fraction; math.inf for complete graphs (the minimum over an empty separator
 set), and Fraction(0) exactly when g is disconnected (the empty set is then
 a separator).  Values are never floats except the inf sentinel.
 
-The scan enumerates vertex subsets in ascending (size, bitmask) order.  Once
-a size s satisfies s/(n-s) >= best, no larger subset can improve the ratio
-(a deleted s-set leaves at most n-s components), so the sweep stops early.
+Every separator scan -- toughness, tough_separators, iterate_separators and
+the cond2 separators of mintough.py -- filters one sweep, ``_sweep``: subsets
+S in ascending (size, bitmask) order, skipping any that meet ``avoid``,
+yielding (|S|, mask, c(G - S)) when c(G - S) >= 2, and ending before the
+first size where the caller's ``stop(size)`` holds.  A deleted s-set leaves
+at most n-s components, so toughness stops once s/(n-s) >= best.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .connectivity import _component_count
 from .graphs import Graph, VertexSet
@@ -50,35 +53,51 @@ def _masks_of_popcount(n: int, k: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
+def _sweep(
+    g: Graph, avoid: int = 0, stop: Callable[[int], bool] | None = None
+) -> Iterator[tuple[int, int, int]]:
+    """(size, mask, c) for every S with c(G - S) >= 2, ascending (size, bitmask).
+
+    Masks meeting ``avoid`` are skipped; the sweep ends before the first size
+    for which ``stop(size)`` holds.
+    """
+    n, adj, full = g.n, g.adj, g.full_mask
+    for size in range(0, max(n - 1, 0)):
+        if stop is not None and stop(size):
+            return
+        for mask in _masks_of_popcount(n, size):
+            if mask & avoid:
+                continue
+            c = _component_count(adj, full & ~mask)
+            if c >= 2:
+                yield size, mask, c
+
+
 def iterate_separators(g: Graph) -> Iterator[VertexSet]:
     """All vertex sets S with c(G - S) >= 2, ascending by (size, bitmask).
 
     Yields the empty set first when g is disconnected.  Complete graphs
     (including K_0 and K_1) have no separators.
     """
-    n, adj, full = g.n, g.adj, g.full_mask
-    for size in range(0, max(n - 1, 0)):
-        for mask in _masks_of_popcount(n, size):
-            if _component_count(adj, full & ~mask) >= 2:
-                yield VertexSet(mask, n)
+    for _, mask, _ in _sweep(g):
+        yield VertexSet(mask, g.n)
 
 
 def toughness(g: Graph) -> Toughness:
     if g.is_complete():
         return INFINITE_TOUGHNESS
-    n, adj, full = g.n, g.adj, g.full_mask
-    if _component_count(adj, full) >= 2:
-        return Fraction(0)
+    n = g.n
     best: Fraction | None = None
-    for size in range(1, n - 1):
-        if best is not None and Fraction(size, n - size) >= best:
-            break
-        for mask in _masks_of_popcount(n, size):
-            c = _component_count(adj, full & ~mask)
-            if c >= 2:
-                ratio = Fraction(size, c)
-                if best is None or ratio < best:
-                    best = ratio
+
+    def stop(size: int) -> bool:
+        return best is not None and Fraction(size, n - size) >= best
+
+    for size, _, c in _sweep(g, stop=stop):
+        if size == 0:
+            return Fraction(0)
+        ratio = Fraction(size, c)
+        if best is None or ratio < best:
+            best = ratio
     assert best is not None  # non-complete connected graphs have a separator
     return best
 
@@ -97,16 +116,12 @@ def tough_separators(g: Graph) -> list[ToughWitness]:
     if g.is_complete():
         raise ValueError("complete graphs have no separators")
     t = toughness(g)
-    n, adj, full = g.n, g.adj, g.full_mask
-    out = []
-    for size in range(0, max(n - 1, 0)):
-        if Fraction(size, n - size) > t:
-            break
-        for mask in _masks_of_popcount(n, size):
-            c = _component_count(adj, full & ~mask)
-            if c >= 2 and Fraction(size, c) == t:
-                out.append(ToughWitness(VertexSet(mask, n), c, Fraction(size, c)))
-    return out
+    n = g.n
+    return [
+        ToughWitness(VertexSet(mask, n), c, Fraction(size, c))
+        for size, mask, c in _sweep(g, stop=lambda size: Fraction(size, n - size) > t)
+        if Fraction(size, c) == t
+    ]
 
 
 def is_t_tough(g: Graph, t: Toughness) -> bool:

@@ -115,6 +115,19 @@ def test_mintough_methods_agree(capsys, tmp_path):
     assert len(outputs) == 1
 
 
+def test_mintough_both_fails_when_deciders_disagree(monkeypatch, tmp_path):
+    import toughlab.cli as cli
+    from toughlab.mintough import CrossCheckError, MinToughStatus, MinToughVerdict
+
+    path = tmp_path / "in.g6"
+    path.write_text("Cq\n")
+    wrong = MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, toughlab.toughness(parse_graph6("Cq")), (0, 1))
+    monkeypatch.setattr(cli, "is_minimally_tough_by_definition", lambda g: wrong)
+    # an explicit check, not an assert statement that ``python -O`` would drop
+    with pytest.raises(CrossCheckError, match="deciders disagree on Cq"):
+        main(["mintough", "--method", "both", str(path)])
+
+
 def test_classify_net(capsys, monkeypatch):
     rc, out, _ = _run(capsys, ["classify"], stdin="E{O_\n", monkeypatch=monkeypatch)
     assert rc == 0

@@ -24,7 +24,7 @@ from toughlab.mintough import (
 )
 from toughlab.toughness import toughness
 
-from oracles import ref_is_minimally_tough
+from oracles import ref_is_minimally_tough, ref_toughness
 
 
 def _named(text: str) -> Graph:
@@ -192,6 +192,51 @@ def test_cond2_candidates_requires_an_edge():
         list(cond2_candidates(_named("path:4"), 0, 2))
 
 
+def _ref_first_cond2(g: Graph, t, u: int, v: int) -> frozenset[int] | None:
+    """Least S in (size, bitmask) order, among the oracle's separators, that
+    avoids u and v, separates them in G-uv and meets |S| < t*(c(G-S)+1)."""
+    from oracles import _component_count_after, normalize_edges, ref_components, ref_separators
+
+    edges = normalize_edges(g.edges())
+    hits = []
+    for s in ref_separators(g.n, edges):
+        if u in s or v in s:
+            continue
+        if not len(s) < t * (_component_count_after(g.n, edges, set(s)) + 1):
+            continue
+        rest = [(a, b) for a, b in edges if (a, b) != (u, v) and a not in s and b not in s]
+        if not any(u in comp and v in comp for comp in ref_components(g.n, rest)):
+            hits.append(s)
+    return min(hits, key=lambda s: (len(s), sum(1 << x for x in s)), default=None)
+
+
+#: connected, non-complete graphs on 9 and 10 vertices
+_WITNESS_ORDER_LARGE = (
+    "wheel:8",
+    "cycle:10",
+    "turan:10,3",
+    "doublestar:3,4",
+    "triplestar:2,2,2",
+    "multipartite:2,3,4",
+)
+
+
+def test_criterion_witness_is_the_least_cond2_separator():
+    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n, connected_only=True)]
+    graphs += [_named(text) for text in _WITNESS_ORDER_LARGE]
+    # a near-miss: a 10-cycle with one chord
+    graphs.append(Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)]))
+    for g in graphs:
+        if g.is_complete():
+            continue
+        t = ref_toughness(g.n, g.edges())
+        _, witnesses = is_minimally_tough_by_criterion(g)
+        for w in witnesses:
+            want = _ref_first_cond2(g, t, *w.edge)
+            got = frozenset(w.separator) if w.separator is not None else None
+            assert got == want, (g.edges(), w.edge)
+
+
 # -- dominating edges ----------------------------------------------------------------
 
 
@@ -212,6 +257,18 @@ def test_dominating_edges_three_routes_sweep():
         for g in enumerate_graphs(n):
             for report in dominating_edges(g):
                 assert report.via_neighborhoods and report.via_separators and report.via_co_distance
+
+
+def test_dominating_edges_route_disagreement_raises(monkeypatch):
+    import toughlab.mintough as mintough
+    from toughlab.connectivity import DistanceTable
+
+    # a co-distance table claiming every pair is far apart contradicts the
+    # neighbourhood route on the non-dominating edges of a 5-cycle
+    far = DistanceTable(tuple((math.inf,) * 5 for _ in range(5)))
+    monkeypatch.setattr(mintough, "distances", lambda g: far)
+    with pytest.raises(mintough.CrossCheckError, match="dominating-edge routes disagree"):
+        dominating_edges(_named("cycle:5"))
 
 
 def test_universal_vertices():
