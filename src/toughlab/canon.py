@@ -8,9 +8,17 @@ branch-and-bound over vertex placements: at depth j the candidate's column
 known code; worse prefixes are cut, and candidates that differ by a
 transposition automorphism of the whole graph are explored only once.
 
-Enumeration generates level n by augmenting every level n-1 representative
-with a new vertex over all neighbourhood masks (normalized modulo twin
-classes), deduplicating by canonical code.
+Enumeration is orderly (Read 1978; McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998).  The code is read column by column, so if
+a labelling of G is minimal, its first n-1 columns are the minimal code of
+G minus its last vertex.  Every class on n vertices thus has exactly one
+canonical parent on n-1 vertices and one neighbourhood mask of the new last
+vertex that give its minimal matrix verbatim.  Level n extends each level
+n-1 code, in its own (canonical) labelling, by every mask and keeps just the
+children whose own labelling is already minimal (``_is_canonical``), so
+each class is accepted once, from its parent, with no seen-set and no
+canonical search.  ``canonical_form`` and ``canonical_code`` stay
+independent of enumeration; the tests check each against the other.
 """
 from __future__ import annotations
 
@@ -106,54 +114,62 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _twin_classes(g: Graph) -> list[int]:
-    """Partition vertices into transposition-automorphism classes (bitmasks)."""
-    classes: list[tuple[int, int]] = []  # (representative, mask)
-    for v in range(g.n):
-        for i, (rep, mask) in enumerate(classes):
-            if _swap_equiv(g.adj, rep, v):
-                classes[i] = (rep, mask | (1 << v))
-                break
-        else:
-            classes.append((v, 1 << v))
-    return [mask for _, mask in classes]
+def _is_canonical(n: int, adj: tuple[int, ...]) -> bool:
+    """True iff the identity labelling of ``adj`` already gives the minimal code.
 
+    The branch and bound of ``_canonical_placement`` with the graph's own
+    columns as a fixed bound: it fails at the first candidate column that is
+    strictly smaller, and descends only on equal columns.  Position i of the
+    bound's column j is bit i of ``adj[j]``, so the candidates are narrowed
+    one placed vertex at a time with bitmasks.
+    """
+    placed: list[int] = []
 
-def _normalized_mask(mask: int, classes: list[int]) -> bool:
-    """Is mask the least representative modulo permuting within twin classes?"""
-    for cls in classes:
-        sel = mask & cls
-        k = sel.bit_count()
-        low = 0
-        m = cls
-        for _ in range(k):
-            bit = m & -m
-            low |= bit
-            m ^= bit
-        if sel != low:
-            return False
-    return True
+    def dfs(j: int, unused: int) -> bool:
+        if j == n:
+            return True
+        ties = unused  # candidates whose column equals the bound so far
+        own = adj[j]
+        for i, p in enumerate(placed):
+            if own >> i & 1:
+                if ties & ~adj[p]:
+                    return False  # a candidate has 0 where the bound has 1
+                ties &= adj[p]
+            else:
+                ties &= ~adj[p]
+        tried: list[int] = []
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
+            if tried and any(_swap_equiv(adj, t, v) for t in tried):
+                continue
+            tried.append(v)
+            placed.append(v)
+            if not dfs(j + 1, unused ^ low):
+                return False
+            placed.pop()
+        return True
+
+    return dfs(0, (1 << n) - 1)
 
 
 @lru_cache(maxsize=None)
 def _codes(n: int) -> tuple[CanonicalCode, ...]:
     if n == 0:
         return (write_graph6(Graph.empty(0)).encode("ascii"),)
-    if n == 1:
-        return (write_graph6(Graph.empty(1)).encode("ascii"),)
-    seen: set[CanonicalCode] = set()
+    codes: list[CanonicalCode] = []
     new_bit = 1 << (n - 1)
     for parent_code in _codes(n - 1):
-        parent = parse_graph6(parent_code.decode("ascii"))
-        classes = _twin_classes(parent)
-        prows = parent.adj
+        prows = parse_graph6(parent_code.decode("ascii")).adj
         for mask in range(1 << (n - 1)):
-            if not _normalized_mask(mask, classes):
-                continue
-            rows = [prows[i] | new_bit if mask >> i & 1 else prows[i] for i in range(n - 1)]
-            rows.append(mask)
-            seen.add(canonical_code(Graph(n, tuple(rows))))
-    return tuple(sorted(seen))
+            rows = tuple(
+                [prows[i] | new_bit if mask >> i & 1 else prows[i] for i in range(n - 1)]
+                + [mask]
+            )
+            if _is_canonical(n, rows):
+                codes.append(write_graph6(Graph(n, rows)).encode("ascii"))
+    return tuple(sorted(codes))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

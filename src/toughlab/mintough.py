@@ -78,7 +78,8 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
     t = toughness(g)
     for u, v in g.edges():
         t_minus = toughness(delete_edge(g, u, v))
-        assert t_minus <= t  # edge deletion can never raise toughness
+        if t_minus > t:  # edge deletion can never raise toughness
+            raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {t_minus}")
         if t_minus == t:
             return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, (u, v))
     return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t)
@@ -340,7 +341,8 @@ def classify_universal_vertex_graph(g: Graph) -> FamilySpec:
         raise ValueError(
             "no minimally tough graph with a universal vertex has toughness in (1/2, 1]"
         )
-    assert canonical_code(g) == canonical_code(make_named(spec))
+    if canonical_code(g) != canonical_code(make_named(spec)):
+        raise CrossCheckError(f"input is not isomorphic to {spec}")
     return spec
 
 

@@ -34,7 +34,7 @@ from .connectivity import co_diameter
 from .families import Family, FamilySpec, make_named
 from .graph6 import parse_graph6, write_graph6
 from .graphs import Graph
-from .mintough import is_nontrivially_minimally_tough, universal_vertices
+from .mintough import CrossCheckError, is_nontrivially_minimally_tough, universal_vertices
 from .toughness import Toughness, format_toughness, toughness
 
 DEFAULT_N_MAX = 8
@@ -619,7 +619,8 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
                 if code == _spec_code(FamilySpec(Family.TRIPLE_STAR, (l, l, l))):
                     size = l
             tau = _tau_of(code)
-            assert isinstance(tau, Fraction)
+            if not isinstance(tau, Fraction):
+                raise CrossCheckError(f"minimally tough {code.decode('ascii')} has toughness {tau}")
             hits.append(ProbeHit(code.decode("ascii"), tau, size))
         scanned.append((n, count))
     return ProbeReport(n_max, tuple(scanned), tuple(hits))

@@ -1,18 +1,33 @@
 """Canonical forms, isomorphism, and isomorphism-class enumeration."""
+import hashlib
 import random
 from itertools import combinations, permutations
 
 import pytest
 
-from toughlab.canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
+from toughlab.canon import _codes, are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from toughlab.connectivity import is_connected
 from toughlab.graphs import Graph, relabel
 
 from oracles import ref_canonical_key
 
 # classic counts: all / connected isomorphism classes on n vertices
-ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
+CONNECTED_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+#: sha256 of b"\n".join(_codes(n)), frozen from the enumeration that
+#: canonized every augmented child and deduplicated the codes in a set
+CENSUS_DIGESTS = {
+    0: "8a8de823d5ed3e12746a62ef169bcf372be0ca44f0a1236abc35df05d96928e1",
+    1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    2: "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    3: "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    4: "dab260d3a982994a03c9f8dd70c9abd8e47ba43abb270c1a9b8f982fb67c451e",
+    5: "978306f31045f9be78763583548ac8c32ffdd517ddccce984237ab3ec087ddb8",
+    6: "10598a4b41837b791c767d3042b58dc58a723ca5d99144fd8e24085c12a49acb",
+    7: "4a04fd789269433a870b8b1493182bfa0a73b637fd522eef4abcb1c7da75f9a1",
+    8: "ef42eb7e810e89b8a5facb660c97839506072a4c5333ff16c4e08e2605e71c69",
+}
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -83,8 +98,25 @@ def test_enumeration_counts(n):
     assert sum(1 for _ in enumerate_graphs(n, connected_only=True)) == CONNECTED_COUNTS[n]
 
 
+@pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+def test_census_codes_frozen(n):
+    assert hashlib.sha256(b"\n".join(_codes(n))).hexdigest() == CENSUS_DIGESTS[n]
+
+
+def test_enumeration_does_not_canonize(monkeypatch):
+    # canonical_form and canonical_code are the independent side of the checks
+    import toughlab.canon as canon
+
+    def refuse(*args):
+        raise AssertionError("enumeration called the canonical search")
+
+    for name in ("_canonical_placement", "canonical_form", "canonical_code", "relabel"):
+        monkeypatch.setattr(canon, name, refuse)
+    assert len(canon._codes.__wrapped__(7)) == ALL_COUNTS[7]
+
+
 def test_enumeration_yields_canonical_representatives_in_order():
-    for n in range(6):
+    for n in range(8):
         codes = [canonical_code(g) for g in enumerate_graphs(n)]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)

@@ -386,6 +386,26 @@ def test_classify_universal_vertex_graph_rejects():
         classify_universal_vertex_graph(diamond)  # not minimally tough
 
 
+def test_classify_universal_vertex_graph_checks_the_name(monkeypatch):
+    import toughlab.mintough as mintough
+
+    # a family builder that no longer matches the name the rule picked
+    monkeypatch.setattr(mintough, "make_named", lambda spec: Graph.complete(spec.params[0] + 1))
+    with pytest.raises(mintough.CrossCheckError, match="not isomorphic to wheel:5"):
+        classify_universal_vertex_graph(_named("wheel:5"))
+
+
+def test_definition_decider_rejects_toughness_rising_on_deletion(monkeypatch):
+    import toughlab.mintough as mintough
+
+    g = _named("cycle:5")
+    real = mintough.toughness
+    # a toughness that grows by one per deleted edge contradicts monotonicity
+    monkeypatch.setattr(mintough, "toughness", lambda h: real(h) + g.edge_count - h.edge_count)
+    with pytest.raises(mintough.CrossCheckError, match="raised toughness from 1 to 3/2"):
+        is_minimally_tough_by_definition(g)
+
+
 # -- serialization -----------------------------------------------------------------------
 
 

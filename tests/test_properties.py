@@ -1,16 +1,19 @@
-"""Property-based differential tests on graphs with 9-11 vertices.
+"""Property-based differential tests on random graphs.
 
-These orders lie past the enumerated census (n <= 8), so the checks here
-reach graphs no exhaustive test sees.  Examples are derandomized, so every
-run draws the same graphs.
+The deciders and toughness are checked on 9-11 vertices, orders past the
+enumerated census (n <= 8), so the checks here reach graphs no exhaustive
+test sees; canonical codes up to 10 vertices and graph6 up to 32.  Examples
+are derandomized, so every run draws the same graphs.
 """
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toughlab.canon import _is_canonical, canonical_code, canonical_form
 from toughlab.families import make_named, parse_family_spec
-from toughlab.graphs import Graph
+from toughlab.graph6 import HEADER, Graph6Error, parse_graph6, write_graph6
+from toughlab.graphs import MAX_VERTICES, Graph, relabel
 from toughlab.mintough import is_minimally_tough_by_criterion, is_minimally_tough_by_definition
 from toughlab.toughness import tough_separators, toughness
 
@@ -27,11 +30,11 @@ _FAMILIES = (
 
 
 @st.composite
-def random_graphs(draw, nmin: int = 9, nmax: int = 11) -> Graph:
-    """G(n, p) at one of three densities."""
+def random_graphs(draw, nmin: int = 9, nmax: int = 11, percents=(30, 50, 70)) -> Graph:
+    """G(n, p) at one of the given densities, in percent."""
     n = draw(st.integers(nmin, nmax))
     pairs = list(combinations(range(n), 2))
-    percent = draw(st.sampled_from((30, 50, 70)))
+    percent = draw(st.sampled_from(percents))
     rolls = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, roll in zip(pairs, rolls) if roll < percent])
 
@@ -84,3 +87,78 @@ def test_toughness_and_tough_separators_match_oracle(g):
     witnesses = tough_separators(g)
     assert [(len(w.separator), w.separator.bits, w.components_after) for w in witnesses] == sorted(want)
     assert all(w.ratio == t for w in witnesses)
+
+
+@st.composite
+def circulant_graphs(draw, nmin: int = 6, nmax: int = 9) -> Graph:
+    """Vertex i adjacent to i +- d for each drawn jump d: vertex-transitive,
+    so a canonical search meets ties that no transposition explains."""
+    n = draw(st.integers(nmin, nmax))
+    jumps = draw(st.sets(st.integers(1, n // 2), max_size=n // 2))
+    return Graph.from_edges(n, {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in jumps})
+
+
+@st.composite
+def relabellings(draw, graphs) -> tuple[Graph, list[int]]:
+    """A graph drawn from ``graphs`` and a permutation of its vertices."""
+    g = draw(graphs)
+    return g, draw(st.permutations(range(g.n)))
+
+
+# sparse and dense graphs too: their canonical searches meet the most ties
+@_SETTINGS
+@given(relabellings(st.one_of(random_graphs(6, 9, (5, 15, 30, 50, 70, 85, 95)), circulant_graphs())))
+def test_is_canonical_matches_canonical_form(case):
+    g, perm = case
+    c = canonical_form(g)
+    assert _is_canonical(c.n, c.adj)
+    # one transposition away from canonical is where a wrong accept hides
+    near = []
+    for a, b in combinations(range(g.n), 2):
+        swap = list(range(g.n))
+        swap[a], swap[b] = b, a
+        near.append(relabel(c, swap))
+    for h in [g, relabel(c, perm), *near]:
+        assert _is_canonical(h.n, h.adj) == (canonical_form(h) == h)
+
+
+@_SETTINGS
+@given(relabellings(st.one_of(random_graphs(2, 10), family_graphs(10))))
+def test_canonical_code_invariant_under_relabelling(case):
+    g, perm = case
+    assert canonical_code(relabel(g, perm)) == canonical_code(g)
+
+
+@st.composite
+def any_graphs(draw, nmax: int = MAX_VERTICES) -> Graph:
+    n = draw(st.integers(0, nmax))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+
+
+@st.composite
+def damaged_graph6(draw) -> str:
+    """A graph6 record, as written or with a few characters spliced in at
+    one place, replacing at most one."""
+    text = draw(st.sampled_from(("", HEADER))) + write_graph6(draw(any_graphs(12)))
+    cut = draw(st.integers(0, len(text)))
+    return text[:cut] + draw(st.text(max_size=3)) + text[cut + draw(st.integers(0, 1)) :]
+
+
+_GRAPH6_BYTES = "".join(map(chr, range(63, 127)))
+
+
+@_SETTINGS
+@given(st.one_of(st.text(), st.text(alphabet=_GRAPH6_BYTES, max_size=12), damaged_graph6()))
+def test_parse_graph6_raises_only_graph6_error(text):
+    try:
+        parse_graph6(text)
+    except Graph6Error:
+        pass
+
+
+@_SETTINGS
+@given(any_graphs())
+def test_graph6_round_trip(g):
+    assert parse_graph6(write_graph6(g)) == g
