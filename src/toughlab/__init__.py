@@ -37,7 +37,6 @@ from .connectivity import (
     Matching,
     co_diameter,
     components,
-    connectivity,
     diameter,
     distances,
     is_connected,
@@ -91,7 +90,6 @@ from .toughness import (
     is_t_tough,
     iterate_separators,
     tough_separators,
-    toughness,
     toughness_complete_multipartite,
     toughness_tree,
 )

@@ -5,7 +5,9 @@ matching.
 All distance values are either exact ints or math.inf (never a large finite
 stand-in).  Local connectivity of adjacent vertices follows Menger's
 convention: the edge itself counts as one internally disjoint path, so
-kappa(u,v) = 1 + kappa_{G-uv}(u,v).
+kappa(u,v) = 1 + kappa_{G-uv}(u,v).  ``local_connectivity`` builds the
+split digraph of G-uv straight from the adjacency masks, with no copy of
+the graph, and adds the edge when there is one.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, VertexSet, _bits, delete_edge
+from .graphs import Graph, VertexSet, _bits
 
 # -- components --------------------------------------------------------------
 
@@ -118,71 +120,55 @@ def co_diameter(g: Graph) -> int | float:
 # -- local connectivity via max-flow ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitFlowNetwork:
-    """Vertex-split digraph for internally disjoint u-v paths.
-
-    Node 2i is "v_in", node 2i+1 is "v_out"; interior vertices carry a
-    capacity-1 arc in->out, each edge xy contributes arcs x_out->y_in and
-    y_out->x_in.  Source is u_out, sink is v_in.
-    """
-
-    node_count: int
-    capacity: tuple[tuple[int, ...], ...]
-    source: int
-    sink: int
-
-
-def build_split_network(g: Graph, u: int, v: int) -> SplitFlowNetwork:
-    n2 = 2 * g.n
-    cap = [[0] * n2 for _ in range(n2)]
-    for w in range(g.n):
-        if w != u and w != v:
-            cap[2 * w][2 * w + 1] = 1
-    for x in range(g.n):
-        for y in _bits(g.adj[x]):
-            cap[2 * x + 1][2 * y] = 1
-    return SplitFlowNetwork(n2, tuple(tuple(r) for r in cap), 2 * u + 1, 2 * v)
-
-
-def _max_flow_unit(net: SplitFlowNetwork) -> int:
-    """Edmonds-Karp on the small dense residual matrix."""
-    n = net.node_count
-    residual = [list(row) for row in net.capacity]
+def _max_flow_unit(cap: list[list[int]], source: int, sink: int) -> int:
+    """Edmonds-Karp on a small dense 0/1 capacity matrix, which it turns
+    into the residual in place."""
+    n = len(cap)
     flow = 0
     while True:
         parent = [-1] * n
-        parent[net.source] = net.source
-        queue = [net.source]
-        while queue and parent[net.sink] == -1:
+        parent[source] = source
+        queue = [source]
+        while queue and parent[sink] == -1:
             nxt = []
             for x in queue:
-                row = residual[x]
-                for y in range(n):
-                    if row[y] and parent[y] == -1:
+                for y, c in enumerate(cap[x]):
+                    if c and parent[y] == -1:
                         parent[y] = x
                         nxt.append(y)
             queue = nxt
-        if parent[net.sink] == -1:
+        if parent[sink] == -1:
             return flow
-        y = net.sink
-        while y != net.source:
+        y = sink
+        while y != source:
             x = parent[y]
-            residual[x][y] -= 1
-            residual[y][x] += 1
+            cap[x][y] -= 1
+            cap[y][x] += 1
             y = x
         flow += 1
 
 
 def local_connectivity(g: Graph, u: int, v: int) -> int:
-    """Maximum number of internally vertex-disjoint u-v paths."""
+    """Maximum number of internally vertex-disjoint u-v paths.
+
+    A unit-capacity flow from u_out to v_in in the vertex-split digraph of
+    G-uv: node 2w is w_in and 2w+1 is w_out, each vertex other than u and v
+    has the arc w_in->w_out, each edge xy the arcs x_out->y_in and
+    y_out->x_in.  The edge uv itself adds one path.
+    """
     if u == v:
         raise ValueError("local connectivity needs two distinct vertices")
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("vertex out of range")
-    if g.has_edge(u, v):
-        return 1 + local_connectivity(delete_edge(g, u, v), u, v)
-    return _max_flow_unit(build_split_network(g, u, v))
+    cap = [[0] * (2 * g.n) for _ in range(2 * g.n)]
+    for x in range(g.n):
+        if x != u and x != v:
+            cap[2 * x][2 * x + 1] = 1
+        out = cap[2 * x + 1]
+        for y in _bits(g.adj[x]):
+            out[2 * y] = 1
+    cap[2 * u + 1][2 * v] = cap[2 * v + 1][2 * u] = 0
+    return g.has_edge(u, v) + _max_flow_unit(cap, 2 * u + 1, 2 * v)
 
 
 def connectivity(g: Graph) -> int:

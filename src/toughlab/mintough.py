@@ -13,10 +13,13 @@ Two independent deciders:
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
   The graph is minimally tough iff every edge meets cond1 or cond2.
 
-Neither c(G-S) nor the cond2 bound depends on the edge, so the criterion
-computes the separators that meet the bound once per graph, ascending by
-(size, bitmask), and each edge takes the first of them that avoids u and v
-and separates them in G-uv.
+The criterion is written once, as a generator of one EdgeWitness per edge
+in lexicographic order.  Neither c(G-S) nor the cond2 bound depends on the
+edge, so it computes the separators that meet the bound once per graph,
+ascending by (size, bitmask), and each edge takes the first of them that
+avoids u and v and separates them in G-uv.  The criterion decider lists
+every witness; the boolean ``is_nontrivially_minimally_tough`` reads the
+same generator and stops at the first edge that meets neither condition.
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -124,55 +127,38 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
         yield VertexSet(mask, g.n)
 
 
+def _edge_witnesses(g: Graph, t: Fraction) -> Iterator[EdgeWitness]:
+    """The criterion, edge by edge in lexicographic order: kappa(u,v) with
+    cond1, and the first cond2 separator that avoids u and v and separates
+    them in G-uv."""
+    threshold = 2 * t + 1
+    separators = _cond2_separators(g, t)
+    for u, v in g.edges():
+        kappa = local_connectivity(g, u, v)
+        hit = next(_uv_separators(g, separators, u, v), None)
+        separator = None if hit is None else VertexSet(hit, g.n)
+        yield EdgeWitness((u, v), kappa, kappa < threshold, hit is not None, separator)
+
+
 def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[EdgeWitness]]:
     """Decide via the per-edge criterion; returns full per-edge witnesses."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
     t = toughness(g)
-    threshold = 2 * t + 1
-    separators = _cond2_separators(g, t)
-    witnesses = []
-    failing: tuple[int, int] | None = None
-    for u, v in g.edges():
-        kappa = local_connectivity(g, u, v)
-        cond1 = kappa < threshold
-        hit = next(_uv_separators(g, separators, u, v), None)
-        cond2 = hit is not None
-        witnesses.append(
-            EdgeWitness((u, v), kappa, cond1, cond2, VertexSet(hit, g.n) if cond2 else None)
-        )
-        if not cond1 and not cond2 and failing is None:
-            failing = (u, v)
-    if failing is not None:
-        return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, failing), witnesses
-    return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses
+    witnesses = list(_edge_witnesses(g, t))
+    failing = next((w.edge for w in witnesses if not w.cond1 and not w.cond2), None)
+    if failing is None:
+        return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses
+    return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, failing), witnesses
 
 
-def is_nontrivially_minimally_tough(g: Graph, method: str = "criterion") -> bool:
-    """Fast boolean: connected, non-complete, minimally tough.
-
-    The criterion route short-circuits on the first failing edge, and
-    computes the cond2 separators only once some edge misses cond1.
-    """
+def is_nontrivially_minimally_tough(g: Graph) -> bool:
+    """Connected, non-complete and minimally tough: the criterion, stopping
+    at the first edge that meets neither condition."""
     if g.is_complete() or g.is_edgeless():
         return False
     t = toughness(g)
-    if t == 0:
-        return False
-    if method == "definition":
-        return all(toughness(delete_edge(g, u, v)) < t for u, v in g.edges())
-    if method != "criterion":
-        raise ValueError(f"unknown method {method!r}")
-    threshold = 2 * t + 1
-    separators: list[int] | None = None
-    for u, v in g.edges():
-        if local_connectivity(g, u, v) < threshold:
-            continue
-        if separators is None:
-            separators = _cond2_separators(g, t)
-        if next(_uv_separators(g, separators, u, v), None) is None:
-            return False
-    return True
+    return t != 0 and all(w.cond1 or w.cond2 for w in _edge_witnesses(g, t))
 
 
 # -- dominating edges ----------------------------------------------------------

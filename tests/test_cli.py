@@ -121,7 +121,7 @@ def test_mintough_both_fails_when_deciders_disagree(monkeypatch, tmp_path):
 
     path = tmp_path / "in.g6"
     path.write_text("Cq\n")
-    wrong = MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, toughlab.toughness(parse_graph6("Cq")), (0, 1))
+    wrong = MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, toughlab.toughness.toughness(parse_graph6("Cq")), (0, 1))
     monkeypatch.setattr(cli, "is_minimally_tough_by_definition", lambda g: wrong)
     # an explicit check, not an assert statement that ``python -O`` would drop
     with pytest.raises(CrossCheckError, match="deciders disagree on Cq"):
@@ -327,3 +327,17 @@ def test_console_script_smoke():
     )
     assert pipe.returncode == 0
     assert pipe.stdout == "1/2\n"
+
+
+def test_submodule_imports_bind_modules():
+    # the package re-exports no function named after a submodule, so these
+    # bind the modules themselves
+    import types
+
+    import toughlab.connectivity as connectivity_module
+    import toughlab.toughness as toughness_module
+
+    assert isinstance(connectivity_module, types.ModuleType)
+    assert isinstance(toughness_module, types.ModuleType)
+    assert connectivity_module.connectivity.__module__ == "toughlab.connectivity"
+    assert toughness_module.toughness.__module__ == "toughlab.toughness"

@@ -55,7 +55,6 @@ def test_deciders_match_reference_up_to_5():
             verdict = is_minimally_tough_by_definition(g)
             assert (verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH) == want
             assert is_nontrivially_minimally_tough(g) == want
-            assert is_nontrivially_minimally_tough(g, method="definition") == want
 
 
 def test_trivial_statuses():
@@ -73,11 +72,6 @@ def test_disconnected_graphs_are_not_minimally_tough():
     assert verdict.toughness == 0
     assert all(not w.cond1 and not w.cond2 for w in witnesses)
     assert is_minimally_tough_by_definition(g).status is MinToughStatus.NOT_MIN_TOUGH
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        is_nontrivially_minimally_tough(_named("path:3"), method="guess")
 
 
 # -- frozen small classifications -----------------------------------------------------

@@ -1,9 +1,10 @@
 """Property-based differential tests on random graphs.
 
-The deciders and toughness are checked on 9-11 vertices, orders past the
-enumerated census (n <= 8), so the checks here reach graphs no exhaustive
-test sees; canonical codes up to 10 vertices and graph6 up to 32.  Examples
-are derandomized, so every run draws the same graphs.
+The deciders, toughness and local connectivity are checked on 9-11
+vertices, orders past the enumerated census (n <= 8), so the checks here
+reach graphs no exhaustive test sees; canonical codes up to 10 vertices and
+graph6 up to 32.  Examples are derandomized, so every run draws the same
+graphs.
 """
 from itertools import combinations
 
@@ -11,13 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toughlab.canon import _is_canonical, canonical_code, canonical_form
+from toughlab.connectivity import local_connectivity
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import HEADER, Graph6Error, parse_graph6, write_graph6
 from toughlab.graphs import MAX_VERTICES, Graph, relabel
-from toughlab.mintough import is_minimally_tough_by_criterion, is_minimally_tough_by_definition
+from toughlab.mintough import (
+    MinToughStatus,
+    is_minimally_tough_by_criterion,
+    is_minimally_tough_by_definition,
+    is_nontrivially_minimally_tough,
+)
 from toughlab.toughness import tough_separators, toughness
 
-from oracles import _component_count_after, normalize_edges, ref_separators, ref_toughness
+from oracles import (
+    _component_count_after,
+    normalize_edges,
+    ref_components,
+    ref_separators,
+    ref_toughness,
+)
 
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -27,6 +40,18 @@ _FAMILIES = (
     "turan:9,3", "turan:10,5", "turan:11,4", "multipartite:2,3,4", "multipartite:3,3,4",
     "doublestar:4,4", "triplestar:2,2,3", "path:10",
 )
+
+#: minimally tough graphs on 9-11 vertices with an edge that meets cond2
+#: and not cond1, found by adding a vertex to such graphs of the census; the
+#: random graphs and the families above give next to none, and of the named
+#: families only triplestar:2,2,2 is one
+_COND2_GRAPHS = [
+    parse_graph6(text)
+    for text in (
+        "HBYmfrU", "HBYl]`P", "H?Ci[b_", "H??ZTRO", "H??@}Y_",
+        "IBYl]`PlG", "I??ZTRO`?", "I?Ci[b_AW", "I??ZLRO?W", "J??ZLROS?A_",
+    )
+] + [make_named(parse_family_spec("triplestar:2,2,2"))]
 
 
 @st.composite
@@ -40,10 +65,9 @@ def random_graphs(draw, nmin: int = 9, nmax: int = 11, percents=(30, 50, 70)) ->
 
 
 @st.composite
-def family_graphs(draw, nmax: int = 11) -> Graph:
-    """A relabelled family member, possibly with one edge added or removed."""
-    members = [make_named(parse_family_spec(text)) for text in _FAMILIES]
-    g = draw(st.sampled_from([m for m in members if m.n <= nmax]))
+def perturbed_graphs(draw, members: list[Graph]) -> Graph:
+    """A relabelled member, possibly with one edge added or removed."""
+    g = draw(st.sampled_from(members))
     perm = draw(st.permutations(range(g.n)))
     edges = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges()}
     change = draw(st.sampled_from(("none", "add", "remove")))
@@ -55,7 +79,12 @@ def family_graphs(draw, nmax: int = 11) -> Graph:
     return Graph.from_edges(g.n, sorted(edges))
 
 
-graphs_9_to_11 = st.one_of(random_graphs(), family_graphs())
+def family_graphs(nmax: int = 11):
+    members = [make_named(parse_family_spec(text)) for text in _FAMILIES]
+    return perturbed_graphs([m for m in members if m.n <= nmax])
+
+
+graphs_9_to_11 = st.one_of(random_graphs(), family_graphs(), perturbed_graphs(_COND2_GRAPHS))
 graphs_9_to_10 = st.one_of(random_graphs(nmax=10), family_graphs(nmax=10))
 
 
@@ -69,6 +98,43 @@ def test_criterion_matches_definition(g):
         by_definition.toughness,
         by_definition.failing_edge,
     )
+    nontrivial = by_definition.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+    assert is_nontrivially_minimally_tough(g) == nontrivial
+
+
+def _menger_cut(g: Graph, u: int, v: int) -> int:
+    """The fewest vertices other than u and v whose removal separates u from
+    v in G-uv, found by trying every set in order of size (the last, every
+    other vertex, always does)."""
+    others = [x for x in range(g.n) if x != u and x != v]
+    kept = [e for e in g.edges() if set(e) != {u, v}]
+    for size in range(len(others) + 1):
+        for cut in combinations(others, size):
+            edges = [e for e in kept if not set(e) & set(cut)]
+            if not any(u in comp and v in comp for comp in ref_components(g.n, edges)):
+                return size
+
+
+@st.composite
+def graphs_with_pairs(draw, graphs) -> tuple[Graph, list[tuple[int, int]]]:
+    """A graph with one adjacent and one non-adjacent pair, where it has them."""
+    g = draw(graphs)
+    pairs = list(combinations(range(g.n), 2))
+    chosen = []
+    for adjacent in (True, False):
+        of_kind = [(u, v) for u, v in pairs if g.has_edge(u, v) == adjacent]
+        if of_kind:
+            u, v = draw(st.sampled_from(of_kind))
+            chosen.append(draw(st.sampled_from(((u, v), (v, u)))))
+    return g, chosen
+
+
+@_SETTINGS
+@given(graphs_with_pairs(graphs_9_to_11))
+def test_local_connectivity_matches_menger_cut(case):
+    g, pairs = case
+    for u, v in pairs:
+        assert local_connectivity(g, u, v) == _menger_cut(g, u, v) + g.has_edge(u, v), (u, v)
 
 
 @_SETTINGS
