@@ -22,7 +22,7 @@ from .connectivity import (
     max_bipartite_matching,
 )
 from .families import Family, FamilySpec, make_named
-from .graphs import Graph, VertexSet, _bits, complement
+from .graphs import CrossCheckError, Graph, VertexSet, _bits, complement
 
 
 # -- chordality ----------------------------------------------------------------
@@ -74,7 +74,8 @@ def recognize_chordal(g: Graph) -> ChordalityReport:
     if _is_peo(g, order):
         return ChordalityReport(True, tuple(order), None)
     hole = find_induced_cycle(g, 4)
-    assert hole is not None  # non-chordal graphs contain a hole
+    if hole is None:
+        raise CrossCheckError("no perfect elimination ordering, yet no hole")
     return ChordalityReport(False, None, hole)
 
 
@@ -276,7 +277,8 @@ def cograph_partition(g: Graph) -> CographPartition:
     for mask in comp_masks:
         # a connected cograph on >= 2 vertices has a disconnected complement,
         # so every non-singleton part induces a disconnected subgraph
-        assert mask.bit_count() == 1 or _component_count(g.adj, mask) >= 2
+        if mask.bit_count() > 1 and _component_count(g.adj, mask) < 2:
+            raise CrossCheckError(f"part {mask:#x} of a connected cograph induces a connected graph")
     comp_masks.sort(key=lambda m: m & -m)
     return CographPartition(tuple(VertexSet(m, g.n) for m in comp_masks))
 
@@ -317,7 +319,8 @@ def simplicial_pair_decomposition(g: Graph) -> SimplicialPairDecomposition | Non
                 break
         if pair:
             break
-    assert pair is not None  # a chordal graph attains its diameter on simplicial vertices
+    if pair is None:
+        raise CrossCheckError(f"chordal complement attains diameter {d} at no simplicial pair")
     u, w = pair
     umask, wmask = h.adj[u], h.adj[w]
     xmask = g.full_mask & ~umask & ~wmask & ~(1 << u) & ~(1 << w)

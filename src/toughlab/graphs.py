@@ -15,6 +15,10 @@ from typing import Iterable, Iterator, Sequence
 MAX_VERTICES = 32
 
 
+class CrossCheckError(AssertionError):
+    """Two routes that must agree on a graph disagreed, or a proven invariant failed."""
+
+
 def _popcount(x: int) -> int:
     return x.bit_count()
 

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 
 from .connectivity import _flood, co_diameter, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
-from .graphs import Graph, VertexSet, complement, delete_edge
+from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge
 from .toughness import (
     Toughness,
     _sweep,
@@ -42,10 +42,6 @@ from .toughness import (
     iterate_separators,
     toughness,
 )
-
-
-class CrossCheckError(AssertionError):
-    """Two routes that must agree on a graph gave different answers."""
 
 
 class MinToughStatus(Enum):

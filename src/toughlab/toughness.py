@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
 from .connectivity import _component_count
-from .graphs import Graph, VertexSet
+from .graphs import CrossCheckError, Graph, VertexSet
 
 Toughness = Union[Fraction, float]
 
@@ -98,7 +98,8 @@ def toughness(g: Graph) -> Toughness:
         ratio = Fraction(size, c)
         if best is None or ratio < best:
             best = ratio
-    assert best is not None  # non-complete connected graphs have a separator
+    if best is None:
+        raise CrossCheckError(f"non-complete graph on {n} vertices has no separator")
     return best
 
 

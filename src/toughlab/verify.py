@@ -2,11 +2,14 @@
 
 Each classification result we care about has the same shape: within some
 recognizable class of graphs, the non-trivially minimally tough members are
-exactly a short list of named families.  The harness enumerates one
-representative per isomorphism class up to a vertex bound, filters by the
-class recognizer, computes the minimal-toughness verdict for every member,
-and compares against the predicted family codes.  A report carries per-order
-counts plus the graph6 strings of any graph where the two sides disagree.
+exactly a short list of named families.  One table, ``_CLASSES``, names each
+classified class once, keyed by its degree-ceiling (Kriesell) filter, with
+its theorem id, its membership test by code and its predicted families; the
+theorem ids and the Kriesell filters derive from it.  Each class keeps one
+cached member list per order, filtered once from the census, and the
+theorem, Kriesell and co-diameter scans all iterate those lists.  A report
+carries per-order counts plus the graph6 strings of any graph where the
+computed verdict and the predicted family codes disagree.
 
 Everything is driven off canonical codes so that reports are byte-identical
 across runs; expensive per-graph facts (toughness, minimal-toughness
@@ -16,7 +19,7 @@ all scans in a process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -137,31 +140,7 @@ def identify_family(g: Graph) -> FamilySpec | None:
     return None
 
 
-# -- theorem harness ----------------------------------------------------------
-
-
-def _class_p4free(code: bytes) -> bool:
-    return is_p4_free(_graph_of(code))
-
-
-def _class_multipartite(code: bytes) -> bool:
-    return is_complete_multipartite(_graph_of(code))
-
-
-def _class_cochordal_ge3(code: bytes) -> bool:
-    return _is_cochordal(code) and _codiam_of(code) >= 3
-
-
-def _class_netfree_cochordal(code: bytes) -> bool:
-    return _is_cochordal(code) and is_net_free(_graph_of(code))
-
-
-def _class_coforest(code: bytes) -> bool:
-    return is_complement_of_forest(_graph_of(code))
-
-
-def _class_universal(code: bytes) -> bool:
-    return bool(universal_vertices(_graph_of(code)).bits)
+# -- the classified classes ----------------------------------------------------
 
 
 def _pred_base(n: int) -> Iterator[FamilySpec]:
@@ -200,26 +179,6 @@ def _pred_universal(n: int) -> Iterator[FamilySpec]:
         yield FamilySpec(Family.WHEEL, (n - 1,))
 
 
-#: theorem id -> (class membership by code, predicted family specs per order,
-#: optional toughness cap applied to the "found" side)
-_THEOREMS: dict[str, tuple[Callable[[bytes], bool], Callable[[int], Iterator[FamilySpec]], Fraction | None]] = {
-    "P4FREE": (_class_p4free, _pred_base, None),
-    "MULTIPARTITE": (_class_multipartite, _pred_base, None),
-    "COCHORDAL_GE3": (_class_cochordal_ge3, _pred_cochordal, None),
-    "NETFREE_COCHORDAL": (_class_netfree_cochordal, _pred_cochordal, None),
-    "COFOREST": (_class_coforest, _pred_coforest, None),
-    "UNIVERSAL_LE_3_2": (_class_universal, _pred_universal, Fraction(3, 2)),
-}
-
-THEOREM_IDS = tuple(_THEOREMS)
-
-
-@lru_cache(maxsize=None)
-def _predicted_codes(tid: str, n: int) -> frozenset[bytes]:
-    _, pred_fn, _ = _THEOREMS[tid]
-    return frozenset(_spec_code(spec) for spec in pred_fn(n))
-
-
 def _condition3(code: bytes) -> bool:
     """Multipartite-inequality route to minimal toughness.
 
@@ -235,6 +194,74 @@ def _condition3(code: bytes) -> bool:
     if len(sizes) < 2 or sizes[-1] < 2:
         return False
     return g.n - sizes[1] < Fraction(2 * g.n, sizes[-1]) - 1
+
+
+@dataclass(frozen=True)
+class _Class:
+    theorem: str
+    #: membership by code; it calls the recognizers through this module's names
+    member: Callable[[bytes], bool]
+    predicted: Callable[[int], Iterator[FamilySpec]]
+    #: False when the class has no degree-ceiling (Kriesell) filter
+    kriesell: bool = True
+    #: only members with t <= tau_cap count as found
+    tau_cap: Fraction | None = None
+    #: a third route to the verdict that must agree with both sides
+    route: Callable[[bytes], bool] | None = None
+
+
+#: every classified class, keyed by its degree-ceiling filter name ("universal"
+#: has no such filter)
+_CLASSES: dict[str, _Class] = {
+    "p4-free": _Class("P4FREE", lambda c: is_p4_free(_graph_of(c)), _pred_base, route=_condition3),
+    "complete-multipartite": _Class(
+        "MULTIPARTITE", lambda c: is_complete_multipartite(_graph_of(c)), _pred_base
+    ),
+    "cochordal-ge3": _Class(
+        "COCHORDAL_GE3", lambda c: _is_cochordal(c) and _codiam_of(c) >= 3, _pred_cochordal
+    ),
+    "netfree-cochordal": _Class(
+        "NETFREE_COCHORDAL", lambda c: _is_cochordal(c) and is_net_free(_graph_of(c)),
+        _pred_cochordal,
+    ),
+    "co-forest": _Class(
+        "COFOREST", lambda c: is_complement_of_forest(_graph_of(c)), _pred_coforest
+    ),
+    "universal": _Class(
+        "UNIVERSAL_LE_3_2", lambda c: bool(universal_vertices(_graph_of(c)).bits), _pred_universal,
+        kriesell=False, tau_cap=Fraction(3, 2),
+    ),
+}
+
+_CLASS_OF_THEOREM = {klass.theorem: key for key, klass in _CLASSES.items()}
+THEOREM_IDS = tuple(_CLASS_OF_THEOREM)
+#: the classes where the degree-ceiling claim is proven, then the whole census
+KRIESELL_CLASS_FILTERS = tuple(key for key, klass in _CLASSES.items() if klass.kriesell) + ("all",)
+
+
+@lru_cache(maxsize=None)
+def _members(klass: str, n: int) -> tuple[bytes, ...]:
+    """The census codes on n vertices in a class of _CLASSES, or all for "all"."""
+    if klass == "all":
+        return _all_codes(n)
+    member = _CLASSES[klass].member
+    return tuple(code for code in _all_codes(n) if member(code))
+
+
+def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
+    """(n, members of klass on n vertices) for n = 1..n_max."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    for n in range(1, n_max + 1):
+        yield n, _members(klass, n)
+
+
+@lru_cache(maxsize=None)
+def _predicted_codes(klass: str, n: int) -> frozenset[bytes]:
+    return frozenset(_spec_code(spec) for spec in _CLASSES[klass].predicted(n))
+
+
+# -- theorem harness ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -263,15 +290,7 @@ class TheoremReport:
         return {
             "theorem": self.theorem,
             "n_max": self.n_max,
-            "per_n": [
-                {
-                    "n": row.n,
-                    "class_size": row.class_size,
-                    "mintough_found": row.mintough_found,
-                    "family_predicted": row.family_predicted,
-                }
-                for row in self.per_n
-            ],
+            "per_n": [asdict(row) for row in self.per_n],
             "discrepancies": list(self.discrepancies),
             "condition_discrepancies": list(self.condition_discrepancies),
             "verified": self.verified,
@@ -306,37 +325,28 @@ def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> TheoremReport
         inequality route agrees as well).
     """
     tid = theorem_id.strip().upper().replace("-", "_")
-    if tid not in _THEOREMS:
+    if tid not in _CLASS_OF_THEOREM:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    class_fn, _, tau_cap = _THEOREMS[tid]
+    key = _CLASS_OF_THEOREM[tid]
+    klass = _CLASSES[key]
     per_n: list[PerNCounts] = []
     discrepancies: list[str] = []
     condition_discrepancies: list[str] = []
-    for n in range(1, n_max + 1):
-        predicted = _predicted_codes(tid, n)
-        seen: set[bytes] = set()
-        class_size = found_count = 0
-        for code in _all_codes(n):
-            if not class_fn(code):
-                continue
-            seen.add(code)
-            class_size += 1
-            found = _mintough(code)
-            if found and tau_cap is not None and _tau_of(code) > tau_cap:
-                found = False
-            if found:
-                found_count += 1
+    for n, members in _orders(key, n_max):
+        predicted = _predicted_codes(key, n)
+        found_count = 0
+        for code in members:
+            found = _mintough(code) and (klass.tau_cap is None or _tau_of(code) <= klass.tau_cap)
+            found_count += found
             pred = code in predicted
             if found != pred:
                 discrepancies.append(code.decode("ascii"))
-            if tid == "P4FREE" and not (found == pred == _condition3(code)):
+            if klass.route is not None and not (found == pred == klass.route(code)):
                 condition_discrepancies.append(code.decode("ascii"))
         # a predicted family member that escapes its own class is also a bug
-        for code in sorted(predicted - seen):
+        for code in sorted(predicted.difference(members)):
             discrepancies.append(code.decode("ascii"))
-        per_n.append(PerNCounts(n, class_size, found_count, len(predicted)))
+        per_n.append(PerNCounts(n, len(members), found_count, len(predicted)))
     return TheoremReport(
         tid, n_max, tuple(per_n), tuple(discrepancies), tuple(condition_discrepancies)
     )
@@ -447,18 +457,6 @@ def verify_wheels(l_max: int) -> ValueReport:
 # -- degree-ceiling (Kriesell) scans ----------------------------------------------
 
 
-_KRIESELL_CLASSES: dict[str, Callable[[bytes], bool] | None] = {
-    "p4-free": _class_p4free,
-    "complete-multipartite": _class_multipartite,
-    "cochordal-ge3": _class_cochordal_ge3,
-    "netfree-cochordal": _class_netfree_cochordal,
-    "co-forest": _class_coforest,
-    "all": None,
-}
-
-KRIESELL_CLASS_FILTERS = tuple(_KRIESELL_CLASSES)
-
-
 @dataclass(frozen=True)
 class KriesellReport:
     class_filter: str
@@ -508,20 +506,15 @@ def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> Krie
         n_max: largest vertex count to enumerate.
     """
     key = class_filter.strip().lower()
-    if key not in _KRIESELL_CLASSES:
+    if key not in KRIESELL_CLASS_FILTERS:
         raise ValueError(
-            f"unknown class filter {class_filter!r}; known: {', '.join(_KRIESELL_CLASSES)}"
+            f"unknown class filter {class_filter!r}; known: {', '.join(KRIESELL_CLASS_FILTERS)}"
         )
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    class_fn = _KRIESELL_CLASSES[key]
     scanned: list[tuple[int, int]] = []
     bad: list[str] = []
-    for n in range(1, n_max + 1):
+    for n, members in _orders(key, n_max):
         count = 0
-        for code in _all_codes(n):
-            if class_fn is not None and not class_fn(code):
-                continue
+        for code in members:
             if not _mintough(code):
                 continue
             count += 1
@@ -599,15 +592,13 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
     The conjecture says these are exactly the balanced triple stars; the
     probe never asserts it, it lists every hit and whether it matches.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     if n_max > 9:
         raise ValueError("probe supports n_max <= 9")
     hits: list[ProbeHit] = []
     scanned: list[tuple[int, int]] = []
-    for n in range(1, n_max + 1):
+    for n, codes in _orders("all", n_max):
         count = 0
-        for code in _all_codes(n):
+        for code in codes:
             if not (_is_cochordal(code) and _codiam_of(code) == 2):
                 continue
             count += 1
@@ -675,20 +666,16 @@ def verify_codiam_exclusions(n_max: int = DEFAULT_N_MAX) -> CoDiamExclusionRepor
     (b) a co-chordal graph of co-diameter exactly 3 is minimally tough if
         and only if it is a double star.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     ge4_scanned = diam3_scanned = 0
     ge4_bad: list[str] = []
     diam3_bad: list[str] = []
-    for n in range(1, n_max + 1):
+    for n, members in _orders("cochordal-ge3", n_max):
         doublestars = frozenset(
             _spec_code(FamilySpec(Family.DOUBLE_STAR, (k, n - 2 - k)))
             for k in range(1, (n - 2) // 2 + 1)
         )
         seen: set[bytes] = set()
-        for code in _all_codes(n):
-            if not _is_cochordal(code):
-                continue
+        for code in members:
             d = _codiam_of(code)
             if d == 3:
                 diam3_scanned += 1

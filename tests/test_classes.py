@@ -27,7 +27,8 @@ from toughlab.classes import (
 )
 from toughlab.connectivity import co_diameter, distances, is_connected, local_connectivity, max_bipartite_matching
 from toughlab.families import make_named, parse_family_spec
-from toughlab.graphs import Graph, complement, induced_subgraph
+from toughlab import classes
+from toughlab.graphs import CrossCheckError, Graph, complement, induced_subgraph
 
 import oracles as O
 
@@ -235,6 +236,27 @@ def test_simplicial_pair_decomposition_none_cases():
     assert simplicial_pair_decomposition(_named("cycle:5")) is None  # not co-chordal
     assert simplicial_pair_decomposition(Graph.complete(4)) is None  # co-diameter inf
     assert simplicial_pair_decomposition(_named("net")) is None  # co-diameter 2
+
+
+# -- invariant guards: each raises when the fact it relies on is broken ----------------
+
+
+def test_recognize_chordal_guard_needs_a_hole(monkeypatch):
+    monkeypatch.setattr(classes, "find_induced_cycle", lambda g, min_length: None)
+    with pytest.raises(CrossCheckError, match="yet no hole"):
+        recognize_chordal(_named("cycle:4"))
+
+
+def test_cograph_partition_guard_needs_disconnected_parts(monkeypatch):
+    monkeypatch.setattr(classes, "_component_count", lambda adj, mask: 1)
+    with pytest.raises(CrossCheckError, match="induces a connected graph"):
+        cograph_partition(_named("cycle:4"))
+
+
+def test_simplicial_pair_guard_needs_a_pair(monkeypatch):
+    monkeypatch.setattr(classes, "simplicial_vertices", lambda h: ())
+    with pytest.raises(CrossCheckError, match="diameter 3 at no simplicial pair"):
+        simplicial_pair_decomposition(_named("path:4"))
 
 
 def test_simplicial_pair_decomposition_properties():

@@ -262,6 +262,76 @@ def test_verify_all_small(capsys):
     assert sum("DISCREPANC" in r or "COUNTEREXAMPLE" in r or "MISMATCH" in r for r in reports) == 0
 
 
+def test_verify_all_tests_each_graph_once_per_recognizer(capsys, monkeypatch):
+    # every scan reads one member list per class and order, so no census graph
+    # reaches a class recognizer twice
+    from collections import Counter
+
+    from toughlab import verify
+
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(g, *args, **kwargs):
+            calls[name, g] += 1
+            return fn(g, *args, **kwargs)
+
+        return wrapper
+
+    names = ("is_p4_free", "is_complete_multipartite", "is_net_free",
+             "is_complement_of_forest", "universal_vertices")
+    for name in names:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for value in list(vars(verify).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()  # start cold, so every membership test runs here
+    rc, _, _ = _run(capsys, ["verify", "all", "--nmax", "6"])
+    assert rc == 0
+    assert {name for name, _ in calls} == set(names)
+    assert [key for key, count in calls.items() if count > 1] == []
+
+
+_SCAN_NAMES = ("verify_theorem", "verify_table1", "verify_wheels", "kriesell_scan",
+               "verify_codiam_exclusions", "probe_conjecture_cochordal_diam2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "P4FREE", "--nmax", "0"],
+        ["verify", "all", "--nmax", "-1"],
+        ["verify", "table1", "--lmax", "1"],
+        ["verify", "wheels", "--lmax", "3"],
+        ["verify", "all", "--lmax", "3"],
+        ["probe", "--nmax", "10"],
+    ],
+)
+def test_bad_bounds_refused_before_any_scan(capsys, monkeypatch, argv):
+    from toughlab import cli
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    for name in _SCAN_NAMES:
+        monkeypatch.setattr(cli, name, scan)
+    monkeypatch.setenv(NMAX_OVERRIDE_ENV, "1")  # so probe's own bound is what refuses 10
+    rc, out, err = _run(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("toughlab: error: ") and err.count("\n") == 1
+
+
+def test_cross_check_error_in_a_scan_propagates(monkeypatch):
+    from toughlab import cli
+    from toughlab.mintough import CrossCheckError
+
+    def scan(*args, **kwargs):
+        raise CrossCheckError("routes disagree")
+
+    monkeypatch.setattr(cli, "verify_theorem", scan)
+    with pytest.raises(CrossCheckError, match="routes disagree"):
+        main(["verify", "P4FREE", "--nmax", "3"])
+
+
 def test_verify_unknown_target(capsys):
     rc, _, err = _run(capsys, ["verify", "nosuch"])
     assert rc == 2 and "unknown verify target" in err
@@ -327,6 +397,19 @@ def test_console_script_smoke():
     )
     assert pipe.returncode == 0
     assert pipe.stdout == "1/2\n"
+
+
+def test_no_bare_asserts_in_the_package():
+    # python -O drops assert statements; invariants raise CrossCheckError
+    import ast
+
+    package = Path(toughlab.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name}: assert at lines {found}"
 
 
 def test_submodule_imports_bind_modules():

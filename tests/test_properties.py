@@ -8,6 +8,7 @@ graphs.
 """
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +53,13 @@ _COND2_GRAPHS = [
         "IBYl]`PlG", "I??ZTRO`?", "I?Ci[b_AW", "I??ZLRO?W", "J??ZLROS?A_",
     )
 ] + [make_named(parse_family_spec("triplestar:2,2,2"))]
+
+
+#: graphs on 9-11 vertices where deleting (0, 1), and no other edge, keeps
+#: the toughness; each is a graph of _COND2_GRAPHS plus one edge, relabelled
+#: so that edge is (0, 1).  A decider that skips (0, 1) calls them minimally
+#: tough, and a random labelling almost never shows that.
+_FAILS_ONLY_AT_01 = ("H}b[rTs", "HiO?[ic", "IgQECosOG", "J_PE`iga?A_")
 
 
 @st.composite
@@ -100,6 +108,16 @@ def test_criterion_matches_definition(g):
     )
     nontrivial = by_definition.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
     assert is_nontrivially_minimally_tough(g) == nontrivial
+
+
+@pytest.mark.parametrize("text", _FAILS_ONLY_AT_01)
+def test_boolean_decider_reads_edge_01(text):
+    g = parse_graph6(text)
+    t = toughness(g)
+    kept = [e for e in g.edges() if toughness(Graph.from_edges(g.n, set(g.edges()) - {e})) >= t]
+    assert kept == [(0, 1)]
+    assert is_minimally_tough_by_definition(g).failing_edge == (0, 1)
+    assert not is_nontrivially_minimally_tough(g)
 
 
 def _menger_cut(g: Graph, u: int, v: int) -> int:

@@ -8,7 +8,8 @@ import pytest
 from toughlab.canon import enumerate_graphs
 from toughlab.connectivity import is_connected
 from toughlab.families import make_named, parse_family_spec, turan_parts
-from toughlab.graphs import Graph
+import toughlab.toughness as toughness_module
+from toughlab.graphs import CrossCheckError, Graph
 from toughlab.toughness import (
     INFINITE_TOUGHNESS,
     format_toughness,
@@ -58,6 +59,12 @@ def test_iterate_separators_exhaustive():
 
 
 # -- conventions --------------------------------------------------------------------
+
+
+def test_toughness_guard_needs_a_separator(monkeypatch):
+    monkeypatch.setattr(toughness_module, "_sweep", lambda g, stop=None: iter(()))
+    with pytest.raises(CrossCheckError, match="has no separator"):
+        toughness(_named("path:3"))
 
 
 def test_complete_graphs_are_infinitely_tough():
