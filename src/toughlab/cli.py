@@ -153,6 +153,7 @@ def _drive(
     records: Iterable[tuple[str, int, str]], worker: Callable[[str], str], jobs: int
 ) -> int:
     fn = partial(_process_record, worker)
+    jobs = min(jobs, os.cpu_count() or 1)  # the pool forks every worker at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return _emit(pool.map(fn, records, chunksize=16))
@@ -269,7 +270,7 @@ def _add_line_command(sub, name: str, help_text: str):
                    help="graph6 files; '-' or no argument reads stdin")
     p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes; output order is preserved")
+                   help="worker processes, at most one per CPU; output order is preserved")
     return p
 
 

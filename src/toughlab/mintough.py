@@ -15,11 +15,14 @@ Two independent deciders:
 
 The criterion is written once, as a generator of one EdgeWitness per edge
 in lexicographic order.  Neither c(G-S) nor the cond2 bound depends on the
-edge, so it computes the separators that meet the bound once per graph,
-ascending by (size, bitmask), and each edge takes the first of them that
-avoids u and v and separates them in G-uv.  The criterion decider lists
-every witness; the boolean ``is_nontrivially_minimally_tough`` reads the
-same generator and stops at the first edge that meets neither condition.
+edge: one bounded separator pass (``toughness._tough_pass``, which ends
+before the first size s with s/(n-s) > t) gives t and every S with
+|S| < t*(c(G-S)+1), ascending by (size, bitmask), and each edge takes the
+first that avoids u and v and separates them in G-uv.  A witness keeps uv
+in G-S, so c(G-S) <= n-|S|-1, |S| < t*(n-|S|), and none lies past the stop.
+The criterion decider lists every witness; the boolean
+``is_nontrivially_minimally_tough`` reads the same generator and stops at
+the first edge that meets neither condition.
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -36,11 +39,7 @@ from .connectivity import _flood, co_diameter, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge
 from .toughness import (
-    Toughness,
-    _sweep,
-    format_toughness,
-    iterate_separators,
-    toughness,
+    Toughness, _sweep, _tough_pass, format_toughness, iterate_separators, toughness,
 )
 
 
@@ -87,18 +86,6 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
 # -- edge criterion -----------------------------------------------------------
 
 
-def _cond2_separators(g: Graph, t: Fraction) -> list[int]:
-    """Masks of every S with c(G-S) >= 2 and |S| < t*(c(G-S)+1), ascending
-    (size, bitmask).  A witness avoids u and v, so it leaves at most n-|S|
-    components; the sweep stops once even that many miss the bound."""
-    n = g.n
-    return [
-        mask
-        for size, mask, c in _sweep(g, stop=lambda size: size >= t * (n - size + 1))
-        if size < t * (c + 1)
-    ]
-
-
 def _uv_separators(g: Graph, masks: Iterable[int], u: int, v: int) -> Iterator[int]:
     """The masks that avoid u and v and separate them in G-uv."""
     avoid, full = (1 << u) | (1 << v), g.full_mask
@@ -118,30 +105,30 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
     """
     if not g.has_edge(u, v):
         raise ValueError("cond2 candidates are defined for edges")
-    masks = (mask for _, mask, _ in _sweep(g, avoid=(1 << u) | (1 << v)))
+    masks = (mask for _, separators in _sweep(g) for mask, _ in separators)
     for mask in _uv_separators(g, masks, u, v):
         yield VertexSet(mask, g.n)
 
 
-def _edge_witnesses(g: Graph, t: Fraction) -> Iterator[EdgeWitness]:
-    """The criterion, edge by edge in lexicographic order: kappa(u,v) with
-    cond1, and the first cond2 separator that avoids u and v and separates
-    them in G-uv."""
-    threshold = 2 * t + 1
-    separators = _cond2_separators(g, t)
+def _edge_witnesses(g: Graph, p: int, q: int, kept: list) -> Iterator[EdgeWitness]:
+    """The criterion at t = p/q, edge by edge in lexicographic order:
+    kappa(u,v) with cond1, and the first cond2 separator of the pass that
+    avoids u and v and separates them in G-uv."""
+    separators = [mask for size, mask, c in kept if size * q < p * (c + 1)]
     for u, v in g.edges():
         kappa = local_connectivity(g, u, v)
         hit = next(_uv_separators(g, separators, u, v), None)
         separator = None if hit is None else VertexSet(hit, g.n)
-        yield EdgeWitness((u, v), kappa, kappa < threshold, hit is not None, separator)
+        yield EdgeWitness((u, v), kappa, kappa * q < 2 * p + q, hit is not None, separator)
 
 
 def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[EdgeWitness]]:
     """Decide via the per-edge criterion; returns full per-edge witnesses."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
-    t = toughness(g)
-    witnesses = list(_edge_witnesses(g, t))
+    p, q, kept = _tough_pass(g)
+    t = Fraction(p, q)
+    witnesses = list(_edge_witnesses(g, p, q, kept))
     failing = next((w.edge for w in witnesses if not w.cond1 and not w.cond2), None)
     if failing is None:
         return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses
@@ -153,8 +140,8 @@ def is_nontrivially_minimally_tough(g: Graph) -> bool:
     at the first edge that meets neither condition."""
     if g.is_complete() or g.is_edgeless():
         return False
-    t = toughness(g)
-    return t != 0 and all(w.cond1 or w.cond2 for w in _edge_witnesses(g, t))
+    p, q, kept = _tough_pass(g)
+    return p != 0 and all(w.cond1 or w.cond2 for w in _edge_witnesses(g, p, q, kept))
 
 
 # -- dominating edges ----------------------------------------------------------

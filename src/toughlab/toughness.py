@@ -5,19 +5,20 @@ Fraction; math.inf for complete graphs (the minimum over an empty separator
 set), and Fraction(0) exactly when g is disconnected (the empty set is then
 a separator).  Values are never floats except the inf sentinel.
 
-Every separator scan -- toughness, tough_separators, iterate_separators and
-the cond2 separators of mintough.py -- filters one sweep, ``_sweep``: subsets
-S in ascending (size, bitmask) order, skipping any that meet ``avoid``,
-yielding (|S|, mask, c(G - S)) when c(G - S) >= 2, and ending before the
-first size where the caller's ``stop(size)`` holds.  A deleted s-set leaves
-at most n-s components, so toughness stops once s/(n-s) >= best.
+Every separator scan reads one sweep, ``_sweep``: sizes s ascending, each
+with a lazy iterator of (mask, c(G - S)) over the s-sets with c >= 2, by
+bitmask.  Toughness, tough_separators and the criterion deciders read it
+through one bounded pass, ``_tough_pass``, with one stop rule: an s-set
+leaves at most n-s components, so the pass ends before the first s with
+s/(n-s) > best (strict, so ties are kept).  A cond2 witness S of an edge
+uv leaves uv in G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .connectivity import _component_count
 from .graphs import CrossCheckError, Graph, VertexSet
@@ -53,24 +54,44 @@ def _masks_of_popcount(n: int, k: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-def _sweep(
-    g: Graph, avoid: int = 0, stop: Callable[[int], bool] | None = None
-) -> Iterator[tuple[int, int, int]]:
-    """(size, mask, c) for every S with c(G - S) >= 2, ascending (size, bitmask).
-
-    Masks meeting ``avoid`` are skipped; the sweep ends before the first size
-    for which ``stop(size)`` holds.
-    """
+def _sweep(g: Graph) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
+    """(size, separators) for each size 0..n-2, ascending; ``separators``
+    lazily yields (mask, c) for every S of that size with c = c(G - S) >= 2,
+    ascending by bitmask, so a size is computed only when it is read."""
     n, adj, full = g.n, g.adj, g.full_mask
-    for size in range(0, max(n - 1, 0)):
-        if stop is not None and stop(size):
-            return
+
+    def of_size(size: int) -> Iterator[tuple[int, int]]:
         for mask in _masks_of_popcount(n, size):
-            if mask & avoid:
-                continue
             c = _component_count(adj, full & ~mask)
             if c >= 2:
-                yield size, mask, c
+                yield mask, c
+
+    for size in range(max(n - 1, 0)):
+        yield size, of_size(size)
+
+
+def _tough_pass(g: Graph) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """Toughness p/q of a non-complete graph, and the separators that matter.
+
+    Keeps the least ratio |S|/c(G-S) of the sweep as integers p/q and stops
+    before the first size s with s*q > p*(n-s).  Returns p, q and (size,
+    mask, c) for every S with size*q <= p*(c+1) under the best ratio so far:
+    each S attaining p/q, and each cond2 candidate |S| < t*(c+1).
+    """
+    n = g.n
+    p, q = 1, 0  # no separator yet: an infinite ratio
+    kept: list[tuple[int, int, int]] = []
+    for size, separators in _sweep(g):
+        if size * q > p * (n - size):
+            break
+        for mask, c in separators:
+            if size * q < p * c:
+                p, q = size, c
+            if size * q <= p * (c + 1):
+                kept.append((size, mask, c))
+    if q == 0:
+        raise CrossCheckError(f"non-complete graph on {n} vertices has no separator")
+    return p, q, kept
 
 
 def iterate_separators(g: Graph) -> Iterator[VertexSet]:
@@ -79,28 +100,16 @@ def iterate_separators(g: Graph) -> Iterator[VertexSet]:
     Yields the empty set first when g is disconnected.  Complete graphs
     (including K_0 and K_1) have no separators.
     """
-    for _, mask, _ in _sweep(g):
-        yield VertexSet(mask, g.n)
+    for _, separators in _sweep(g):
+        for mask, _ in separators:
+            yield VertexSet(mask, g.n)
 
 
 def toughness(g: Graph) -> Toughness:
     if g.is_complete():
         return INFINITE_TOUGHNESS
-    n = g.n
-    best: Fraction | None = None
-
-    def stop(size: int) -> bool:
-        return best is not None and Fraction(size, n - size) >= best
-
-    for size, _, c in _sweep(g, stop=stop):
-        if size == 0:
-            return Fraction(0)
-        ratio = Fraction(size, c)
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        raise CrossCheckError(f"non-complete graph on {n} vertices has no separator")
-    return best
+    p, q, _ = _tough_pass(g)
+    return Fraction(p, q)
 
 
 @dataclass(frozen=True)
@@ -116,12 +125,11 @@ def tough_separators(g: Graph) -> list[ToughWitness]:
     """All separators S with |S|/c(G-S) == toughness(g), ascending (size, bitmask)."""
     if g.is_complete():
         raise ValueError("complete graphs have no separators")
-    t = toughness(g)
-    n = g.n
+    p, q, kept = _tough_pass(g)
     return [
-        ToughWitness(VertexSet(mask, n), c, Fraction(size, c))
-        for size, mask, c in _sweep(g, stop=lambda size: Fraction(size, n - size) > t)
-        if Fraction(size, c) == t
+        ToughWitness(VertexSet(mask, g.n), c, Fraction(size, c))
+        for size, mask, c in kept
+        if size * q == p * c
     ]
 
 

@@ -184,6 +184,40 @@ def test_jobs_output_is_identical(capsys, tmp_path):
     assert len(out1.splitlines()) == 34
 
 
+def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
+    """--jobs asks for at most one worker per CPU; a stand-in pool that maps
+    in this process records the request, so no process is started."""
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("toughlab.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: 3)
+    path = tmp_path / "in.g6"
+    path.write_text("\n".join(write_graph6(g) for g in enumerate_graphs(5)) + "\n")
+    for command in ("tough", "mintough"):
+        rc1, out1, _ = _run(capsys, [command, "--jobs", "1", str(path)])
+        rc, out, _ = _run(capsys, [command, "--jobs", "1000000", str(path)])
+        assert (rc1, rc) == (0, 0) and out == out1
+    assert requested == [3, 3]
+    # an unknown CPU count runs in this process, with no pool at all
+    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: None)
+    want = _run(capsys, ["tough", str(path)])[1]
+    assert _run(capsys, ["tough", "--jobs", "1000000", str(path)])[1] == want
+    assert requested == [3, 3]
+
+
 def test_jobs_must_be_positive(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["tough", "--jobs", "0"])

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import toughlab.toughness as toughness_module
 from toughlab.canon import canonical_code, enumerate_graphs
 from toughlab.connectivity import local_connectivity
 from toughlab.families import Family, make_named, parse_family_spec
+from toughlab.graph6 import parse_graph6
 from toughlab.graphs import Graph, delete_edge
 from toughlab.mintough import (
     MinToughStatus,
@@ -22,7 +24,7 @@ from toughlab.mintough import (
     universal_vertices,
     verdict_to_json,
 )
-from toughlab.toughness import toughness
+from toughlab.toughness import tough_separators, toughness
 
 from oracles import ref_is_minimally_tough, ref_toughness
 
@@ -215,9 +217,18 @@ _WITNESS_ORDER_LARGE = (
 )
 
 
+#: graphs on 9-11 vertices whose verdict needs cond2 (the graph6 forms of
+#: ``_COND2_GRAPHS`` in test_properties.py)
+_NEEDS_COND2 = (
+    "HBYmfrU", "HBYl]`P", "H?Ci[b_", "H??ZTRO", "H??@}Y_",
+    "IBYl]`PlG", "I??ZTRO`?", "I?Ci[b_AW", "I??ZLRO?W", "J??ZLROS?A_",
+)
+
+
 def test_criterion_witness_is_the_least_cond2_separator():
     graphs = [g for n in range(2, 7) for g in enumerate_graphs(n, connected_only=True)]
     graphs += [_named(text) for text in _WITNESS_ORDER_LARGE]
+    graphs += [parse_graph6(text) for text in _NEEDS_COND2]
     # a near-miss: a 10-cycle with one chord
     graphs.append(Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)]))
     for g in graphs:
@@ -229,6 +240,28 @@ def test_criterion_witness_is_the_least_cond2_separator():
             want = _ref_first_cond2(g, t, *w.edge)
             got = frozenset(w.separator) if w.separator is not None else None
             assert got == want, (g.edges(), w.edge)
+            # the single stop of the separator pass relies on this bound
+            assert got is None or len(got) < t * (g.n - len(got)), (g.edges(), w.edge)
+
+
+@pytest.mark.parametrize(
+    "decide", [is_nontrivially_minimally_tough, is_minimally_tough_by_criterion, tough_separators]
+)
+def test_one_separator_pass_per_call(monkeypatch, decide):
+    """No mask has c(G - S) computed twice in one call."""
+    seen = []
+    count = toughness_module._component_count
+
+    def recording(adj, mask):
+        seen.append(mask)
+        return count(adj, mask)
+
+    monkeypatch.setattr(toughness_module, "_component_count", recording)
+    chorded = Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)])
+    for g in (_named("wheel:8"), chorded):
+        seen.clear()
+        decide(g)
+        assert seen and len(seen) == len(set(seen)), (decide.__name__, g.edges())
 
 
 # -- dominating edges ----------------------------------------------------------------

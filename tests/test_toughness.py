@@ -62,7 +62,7 @@ def test_iterate_separators_exhaustive():
 
 
 def test_toughness_guard_needs_a_separator(monkeypatch):
-    monkeypatch.setattr(toughness_module, "_sweep", lambda g, stop=None: iter(()))
+    monkeypatch.setattr(toughness_module, "_sweep", lambda g: iter(()))
     with pytest.raises(CrossCheckError, match="has no separator"):
         toughness(_named("path:3"))
 
