@@ -39,7 +39,7 @@ from .connectivity import _flood, co_diameter, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge
 from .toughness import (
-    Toughness, _sweep, _tough_pass, format_toughness, iterate_separators, toughness,
+    Toughness, _sweep, _tough_pass, format_toughness, toughness,
 )
 
 
@@ -162,7 +162,7 @@ def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
     independently for every edge, and CrossCheckError is raised if they
     differ."""
     full = g.full_mask
-    sep_masks = [s.bits for s in iterate_separators(g)]
+    sep_masks = [mask for _, separators in _sweep(g) for mask, _ in separators]
     co_dist = distances(complement(g))
     out = []
     for u, v in g.edges():

@@ -248,20 +248,29 @@ def test_criterion_witness_is_the_least_cond2_separator():
     "decide", [is_nontrivially_minimally_tough, is_minimally_tough_by_criterion, tough_separators]
 )
 def test_one_separator_pass_per_call(monkeypatch, decide):
-    """No mask has c(G - S) computed twice in one call."""
-    seen = []
-    count = toughness_module._component_count
+    """No mask has c(G - S) computed twice in one call: the call reads one
+    sweep, which counts each mask of each size once, and no separator it
+    yields repeats."""
+    sweeps, seen = [], []
+    sweep = toughness_module._sweep
 
-    def recording(adj, mask):
-        seen.append(mask)
-        return count(adj, mask)
+    def recorded(separators):
+        for mask, c in separators:
+            seen.append(mask)
+            yield mask, c
 
-    monkeypatch.setattr(toughness_module, "_component_count", recording)
+    def recording(g):
+        sweeps.append(g)
+        for size, separators in sweep(g):
+            yield size, recorded(separators)
+
+    monkeypatch.setattr(toughness_module, "_sweep", recording)
     chorded = Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)])
     for g in (_named("wheel:8"), chorded):
+        sweeps.clear()
         seen.clear()
         decide(g)
-        assert seen and len(seen) == len(set(seen)), (decide.__name__, g.edges())
+        assert len(sweeps) == 1 and seen and len(seen) == len(set(seen)), (decide.__name__, g.edges())
 
 
 # -- dominating edges ----------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Property-based differential tests on random graphs.
 
-The deciders, toughness and local connectivity are checked on 9-11
-vertices, orders past the enumerated census (n <= 8), so the checks here
-reach graphs no exhaustive test sees; canonical codes up to 10 vertices and
-graph6 up to 32.  Examples are derandomized, so every run draws the same
+The separator sweep is checked on 0-7 and 9-13 vertices; the deciders,
+toughness and local connectivity on 9-11 vertices, orders past the
+enumerated census (n <= 8), so the checks here reach graphs no exhaustive
+test sees; canonical codes up to 10 vertices and graph6 up to 32.  Examples are derandomized, so every run draws the same
 graphs.
 """
 from itertools import combinations
@@ -23,7 +23,7 @@ from toughlab.mintough import (
     is_minimally_tough_by_definition,
     is_nontrivially_minimally_tough,
 )
-from toughlab.toughness import tough_separators, toughness
+from toughlab.toughness import _sweep, tough_separators, toughness
 
 from oracles import (
     _component_count_after,
@@ -171,6 +171,26 @@ def test_toughness_and_tough_separators_match_oracle(g):
     witnesses = tough_separators(g)
     assert [(len(w.separator), w.separator.bits, w.components_after) for w in witnesses] == sorted(want)
     assert all(w.ratio == t for w in witnesses)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13])
+@settings(derandomize=True, deadline=None, max_examples=5)
+@given(data=st.data())
+def test_sweep_matches_oracle(n, data):
+    """The split neighbourhood tables meet at h = n//2, so odd n and n <= 3
+    are drawn too: every size in order, every separator by (size, bitmask)
+    and its component count."""
+    g = data.draw(random_graphs(n, n, (15, 30, 50, 70)))
+    edges = normalize_edges(g.edges())
+    sizes, got = [], []
+    for size, separators in _sweep(g):
+        sizes.append(size)
+        got += [(size, mask, c) for mask, c in separators]
+    assert sizes == list(range(max(g.n - 1, 0)))
+    want = sorted((len(s), sum(1 << x for x in s)) for s in ref_separators(g.n, edges))
+    assert [(size, mask) for size, mask, _ in got] == want
+    for _, mask, c in got:
+        assert c == _component_count_after(g.n, edges, {x for x in range(g.n) if mask >> x & 1})
 
 
 @st.composite

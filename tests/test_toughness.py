@@ -1,6 +1,7 @@
 """Exact toughness: brute-force scan, witnesses, closed forms, conventions."""
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,28 @@ def test_tough_separators_on_complete_graph_rejected():
 def test_disconnected_tough_separator_is_empty_set():
     wits = tough_separators(Graph.from_edges(4, [(0, 1), (2, 3)]))
     assert len(wits) == 1 and len(wits[0].separator) == 0
+
+
+@pytest.mark.parametrize(
+    "spec,t,separators",
+    [("star:31", Fraction(1, 31), [[0]]), ("doublestar:15,15", Fraction(1, 16), [[0], [1]])],
+    ids=["star:31", "doublestar:15,15"],
+)
+def test_bounded_pass_on_32_vertices(spec, t, separators):
+    """The pass stops by size 2 here and reads a few hundred masks; the
+    sweep's tables take a few MB, where a 2^n-entry table would not fit."""
+    g = _named(spec)
+    assert g.n == 32
+    tracemalloc.start()
+    try:
+        assert toughness(g) == t
+        wits = tough_separators(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [sorted(w.separator) for w in wits] == separators
+    assert all(w.ratio == t for w in wits)
+    assert peak < 16 * 2**20, peak
 
 
 # -- t-tough predicate ----------------------------------------------------------------
