@@ -7,7 +7,12 @@ NON_TRIVIAL: connected, non-complete, every edge deletion strictly drops t.
 
 Two independent deciders:
 
-* by definition — recompute toughness after every single-edge deletion;
+* by definition — after every single-edge deletion, read the separator
+  sweep of G-e (``toughness._sweep``) until its first S with
+  |S|/c(G-e-S) < t, which proves t(G-e) < t.  The sweep of G-e ends before
+  the first size s with s/(n-s) > t; when no S lies below t, an S
+  attaining t means t(G-e) = t, and none at all is a rise, which edge
+  deletion cannot cause;
 * by edge criterion — an edge uv is deletable-without-dropping unless
   (cond1) its local connectivity is below 2t+1, or (cond2) some separator S
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
@@ -69,16 +74,34 @@ class EdgeWitness:
     separator: VertexSet | None  # first (size, bitmask)-ascending cond2 witness
 
 
+def _compare_toughness(h: Graph, p: int, q: int) -> int:
+    """The sign of t(h) - p/q for a non-complete h, from the sweep of h: -1
+    at its first S with |S|/c(h-S) < p/q, else 0 if some S attains p/q,
+    else 1.  No S of a size s with s*q > p*(n-s) reaches p/q, so the sweep
+    ends there."""
+    sign = 1
+    for size, separators in _sweep(h):
+        if size * q > p * (h.n - size):
+            break
+        for _, c in separators:
+            if size * q < p * c:
+                return -1
+            if size * q == p * c:
+                sign = 0
+    return sign
+
+
 def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
-    """Sweep every single-edge deletion and compare toughness values."""
+    """Compare t(G-e) with t(G) for every edge e, in lexicographic order."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g))
     t = toughness(g)
     for u, v in g.edges():
-        t_minus = toughness(delete_edge(g, u, v))
-        if t_minus > t:  # edge deletion can never raise toughness
-            raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {t_minus}")
-        if t_minus == t:
+        h = delete_edge(g, u, v)
+        sign = _compare_toughness(h, t.numerator, t.denominator)
+        if sign > 0:  # edge deletion can never raise toughness
+            raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {toughness(h)}")
+        if sign == 0:
             return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, (u, v))
     return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t)
 

@@ -7,11 +7,16 @@ a separator).  Values are never floats except the inf sentinel.
 
 Every separator scan reads one sweep, ``_sweep``: sizes s ascending, each
 with a lazy iterator of (mask, c(G - S)) over the s-sets with c >= 2, by
-bitmask.  Toughness, tough_separators and the criterion deciders read it
-through one bounded pass, ``_tough_pass``, with one stop rule: an s-set
-leaves at most n-s components, so the pass ends before the first s with
-s/(n-s) > best (strict, so ties are kept).  A cond2 witness S of an edge
-uv leaves uv in G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.
+bitmask.  Sizes below the degree floor 2*delta - n + 2 yield nothing and
+read no mask: each side of a split G - S = A + B keeps its neighbours in
+itself and S, so delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, and
+the two add up to the floor.  Toughness, tough_separators and the
+criterion deciders read the sweep through one bounded pass,
+``_tough_pass``, with one stop rule: an s-set leaves at most n-s
+components, so the pass ends before the first s with s/(n-s) > best
+(strict, so ties are kept).  A cond2 witness S of an edge uv leaves uv in
+G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.  The definition
+decider reads the sweep of each G - e itself, under the same stop rule.
 
 The sweep counts c(G - S) by frontier floods over two neighbourhood-union
 tables, one per half of the vertices (see ``_sweep``): 2 * 2^ceil(n/2)
@@ -46,12 +51,19 @@ def _sweep(g: Graph) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
     lazily yields (mask, c) for every S of that size with c = c(G - S) >= 2,
     ascending by bitmask, so a size is computed only when it is read.
 
+    Sizes below the degree floor 2*delta - n + 2, delta the least degree,
+    read no mask and yield nothing: a vertex of a component A of G - S, and
+    one of the rest B, have all neighbours inside A + S and B + S, so
+    2*delta <= n + |S| - 2.  The floor is tight on K_{2,...,2}, and at most
+    0 on a disconnected graph, whose empty set is still yielded.
+
     N(R), the union of adj[k] over k in R, is read from two tables built
     once per call: ``lo`` indexed by R's low h = n//2 bits and ``hi`` by the
     rest.  c(G - S) peels components off X = V - S: the component of low(X)
     grows a frontier at a time by R <- (R | N(R)) & X until it stops
     changing."""
     n, adj, full = g.n, g.adj, g.full_mask
+    floor = 2 * min(g.degrees(), default=0) - n + 2
     h = n // 2
     low_bits = (1 << h) - 1
     lo, hi = [0], [0]
@@ -61,6 +73,8 @@ def _sweep(g: Graph) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
         hi += [x | adj[k] for x in hi]
 
     def of_size(size: int) -> Iterator[tuple[int, int]]:
+        if size < floor:
+            return
         mask, limit = (1 << size) - 1, 1 << n
         while mask < limit:
             rest, c = full ^ mask, 0

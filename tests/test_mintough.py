@@ -125,6 +125,31 @@ def test_join_examples():
     assert not is_nontrivially_minimally_tough(paw)
 
 
+#: past the census: minimally tough on 12 vertices (every edge is tried), a
+#: near miss, and two dense graphs whose degree floor is 8 and 7
+_PAST_THE_CENSUS = {
+    "wheel:11": _named("wheel:11"),
+    "cycle:12+0-6": Graph.from_edges(12, _named("cycle:12").edges() + [(0, 6)]),
+    "turan:12,4": _named("turan:12,4"),
+    "turan:13,4": _named("turan:13,4"),
+}
+
+
+@pytest.mark.parametrize("text", list(_PAST_THE_CENSUS))
+def test_deciders_match_oracles_on_12_and_13_vertices(text):
+    g = _PAST_THE_CENSUS[text]
+    edges = set(g.edges())
+    t = ref_toughness(g.n, edges)
+    minimal = ref_is_minimally_tough(g.n, edges)
+    failing = None if minimal else next(e for e in g.edges() if ref_toughness(g.n, edges - {e}) >= t)
+    want = (MinToughStatus.NON_TRIVIALLY_MIN_TOUGH if minimal else MinToughStatus.NOT_MIN_TOUGH, t, failing)
+    by_definition = is_minimally_tough_by_definition(g)
+    by_criterion, _ = is_minimally_tough_by_criterion(g)
+    for verdict in (by_definition, by_criterion):
+        assert (verdict.status, verdict.toughness, verdict.failing_edge) == want
+    assert is_nontrivially_minimally_tough(g) == minimal
+
+
 # -- failing edge -----------------------------------------------------------------
 
 
@@ -271,6 +296,70 @@ def test_one_separator_pass_per_call(monkeypatch, decide):
         seen.clear()
         decide(g)
         assert len(sweeps) == 1 and seen and len(seen) == len(set(seen)), (decide.__name__, g.edges())
+
+
+def _masks_read(sweep, events: list):
+    """A tracer that appends ("read", size, mask) to ``events`` for each mask
+    whose components ``sweep`` (``toughness._sweep``) counts, from the locals
+    of its per-size generator."""
+    code = next(c for c in sweep.__code__.co_consts if getattr(c, "co_name", "") == "of_size")
+
+    def local(frame, event, arg):
+        mask = frame.f_locals.get("mask")
+        if event == "line" and mask is not None and mask < frame.f_locals["limit"]:
+            read = ("read", frame.f_locals["size"], mask)
+            if events[-1] != read:
+                events.append(read)
+        return local
+
+    return lambda frame, event, arg: local if frame.f_code is code else None
+
+
+@pytest.mark.parametrize("text", ["wheel:8", "turan:10,5"])
+def test_definition_decider_stops_at_each_first_witness(monkeypatch, text):
+    """One sweep of G, then one of G-e per edge tried, each read up to its
+    first S with |S|/c(G-e-S) < t and no further, and no mask below a
+    sweep's degree floor 2*delta - n + 2 has its components counted."""
+    import sys
+
+    import toughlab.mintough as mintough
+
+    events: list = []
+    sweep = toughness_module._sweep
+
+    def recorded(size, separators):
+        for mask, c in separators:
+            events.append(("yield", size, mask, c))
+            yield mask, c
+            events.append(("pull",))
+
+    def recording(h):
+        events.append(("sweep", h))
+        for size, separators in sweep(h):
+            yield size, recorded(size, separators)
+            events.append(("pull",))
+
+    monkeypatch.setattr(toughness_module, "_sweep", recording)
+    monkeypatch.setattr(mintough, "_sweep", recording)
+    g = _named(text)
+    sys.settrace(_masks_read(sweep, events))
+    try:
+        verdict = is_minimally_tough_by_definition(g)
+    finally:
+        sys.settrace(None)
+    assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+    t = verdict.toughness
+    starts = [i for i, event in enumerate(events) if event[0] == "sweep"]
+    assert [events[i][1] for i in starts] == [g] + [delete_edge(g, u, v) for u, v in g.edges()]
+    for k, (i, j) in enumerate(zip(starts, starts[1:] + [len(events)])):
+        h, segment = events[i][1], events[i + 1 : j]
+        reads = [event for event in segment if event[0] == "read"]
+        assert reads and min(size for _, size, _ in reads) >= 2 * min(h.degrees()) - h.n + 2, text
+        if k == 0:  # the pass over G
+            continue
+        first = next(at for at, event in enumerate(segment) if event[0] == "yield" and event[1] < t * event[3])
+        # no witness before the first, and nothing read or pulled after it
+        assert segment[first + 1 :] == [] and reads[-1][1:] == segment[first][1:3], (text, k)
 
 
 # -- dominating edges ----------------------------------------------------------------
@@ -435,9 +524,11 @@ def test_definition_decider_rejects_toughness_rising_on_deletion(monkeypatch):
     import toughlab.mintough as mintough
 
     g = _named("cycle:5")
-    real = mintough.toughness
-    # a toughness that grows by one per deleted edge contradicts monotonicity
-    monkeypatch.setattr(mintough, "toughness", lambda h: real(h) + g.edge_count - h.edge_count)
+    # an edge deletion that hands back K5 minus an edge (t = 3/2) for C5
+    # (t = 1) contradicts monotonicity: the sweep of G-e finds no S that
+    # reaches t
+    k5_minus = delete_edge(Graph.complete(5), 0, 1)
+    monkeypatch.setattr(mintough, "delete_edge", lambda h, u, v: k5_minus)
     with pytest.raises(mintough.CrossCheckError, match="raised toughness from 1 to 3/2"):
         is_minimally_tough_by_definition(g)
 

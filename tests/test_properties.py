@@ -173,14 +173,24 @@ def test_toughness_and_tough_separators_match_oracle(g):
     assert all(w.ratio == t for w in witnesses)
 
 
+@st.composite
+def complete_multipartite_graphs(draw, n: int) -> Graph:
+    """Each vertex in a drawn part, adjacent to every vertex of the other
+    parts.  Its least separator keeps one largest part of size k, so it has
+    n - k vertices against the degree floor n - 2k + 2: tight at k = 2."""
+    part = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13])
 @settings(derandomize=True, deadline=None, max_examples=5)
 @given(data=st.data())
 def test_sweep_matches_oracle(n, data):
     """The split neighbourhood tables meet at h = n//2, so odd n and n <= 3
     are drawn too: every size in order, every separator by (size, bitmask)
-    and its component count."""
-    g = data.draw(random_graphs(n, n, (15, 30, 50, 70)))
+    and its component count.  Dense and complete multipartite draws have a
+    positive degree floor, below which the sweep reads nothing."""
+    g = data.draw(st.one_of(random_graphs(n, n, (15, 30, 50, 70, 85, 95)), complete_multipartite_graphs(n)))
     edges = normalize_edges(g.edges())
     sizes, got = [], []
     for size, separators in _sweep(g):
@@ -191,6 +201,16 @@ def test_sweep_matches_oracle(n, data):
     assert [(size, mask) for size, mask, _ in got] == want
     for _, mask, c in got:
         assert c == _component_count_after(g.n, edges, {x for x in range(g.n) if mask >> x & 1})
+
+
+@pytest.mark.parametrize("text", ["turan:12,6", "turan:10,5"])
+def test_degree_floor_is_tight(text):
+    """K_{2,...,2} minus all parts but one leaves two isolated vertices: the
+    least separator has 2*delta - n + 2 vertices, and the sweep yields it."""
+    g = make_named(parse_family_spec(text))
+    floor = 2 * min(g.degrees()) - g.n + 2
+    assert min(len(s) for s in ref_separators(g.n, normalize_edges(g.edges()))) == floor
+    assert next(size for size, separators in _sweep(g) if next(separators, None)) == floor
 
 
 @st.composite
