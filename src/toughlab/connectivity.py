@@ -5,9 +5,12 @@ matching.
 All distance values are either exact ints or math.inf (never a large finite
 stand-in).  Local connectivity of adjacent vertices follows Menger's
 convention: the edge itself counts as one internally disjoint path, so
-kappa(u,v) = 1 + kappa_{G-uv}(u,v).  ``local_connectivity`` builds the
-split digraph of G-uv straight from the adjacency masks, with no copy of
-the graph, and adds the edge when there is one.
+kappa(u,v) = 1 + kappa_{G-uv}(u,v).  ``local_connectivity`` is one exact
+max-flow kernel (Even & Tarjan, SIAM J. Comput. 1975) on the split digraph
+of G-uv, whose residual is one bitmask per node: x_in is node x, x_out is
+node n+x, and the arcs x_out->y_in are the adjacency mask of x itself.  It
+preloads the paths u-w-v through common neighbours and stops once the flow
+reaches min(deg(u), deg(v)) in G-uv; both shortcuts are exact.
 """
 from __future__ import annotations
 
@@ -120,55 +123,64 @@ def co_diameter(g: Graph) -> int | float:
 # -- local connectivity via max-flow ------------------------------------------
 
 
-def _max_flow_unit(cap: list[list[int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on a small dense 0/1 capacity matrix, which it turns
-    into the residual in place."""
-    n = len(cap)
-    flow = 0
-    while True:
-        parent = [-1] * n
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            nxt = []
-            for x in queue:
-                for y, c in enumerate(cap[x]):
-                    if c and parent[y] == -1:
-                        parent[y] = x
-                        nxt.append(y)
-            queue = nxt
-        if parent[sink] == -1:
-            return flow
-        y = sink
-        while y != source:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
-        flow += 1
-
-
 def local_connectivity(g: Graph, u: int, v: int) -> int:
     """Maximum number of internally vertex-disjoint u-v paths.
 
     A unit-capacity flow from u_out to v_in in the vertex-split digraph of
-    G-uv: node 2w is w_in and 2w+1 is w_out, each vertex other than u and v
-    has the arc w_in->w_out, each edge xy the arcs x_out->y_in and
-    y_out->x_in.  The edge uv itself adds one path.
+    G-uv, kept as its residual, one bitmask per node: node x is x_in and
+    node n+x is x_out; x_in holds the bit of x_out (the arc x_in->x_out,
+    for x other than u and v) and x_out holds ``adj[x]`` itself (the arcs
+    x_out->y_in).  Shortest augmenting paths (Edmonds-Karp) are found by a
+    layered BFS and walked back from v_in; each arc flips two bits.  Arcs
+    into u_out and out of v_in are never read: the BFS starts at one and
+    stops at the other.  Two exact shortcuts:
+
+    - every common neighbour w gives the path u-w-v, preloaded (w_in->w_out
+      saturated): a maximum path system must use w (or it could add
+      u-w-v), and the path through w can be swapped for u-w-v;
+    - the flow stops at min(deg(u), deg(v)) in G-uv, since each path uses
+      its own neighbour of u and of v.
+
+    The edge uv itself adds one path.
     """
     if u == v:
         raise ValueError("local connectivity needs two distinct vertices")
-    if not (0 <= u < g.n and 0 <= v < g.n):
+    n = g.n
+    if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex out of range")
-    cap = [[0] * (2 * g.n) for _ in range(2 * g.n)]
-    for x in range(g.n):
-        if x != u and x != v:
-            cap[2 * x][2 * x + 1] = 1
-        out = cap[2 * x + 1]
-        for y in _bits(g.adj[x]):
-            out[2 * y] = 1
-    cap[2 * u + 1][2 * v] = cap[2 * v + 1][2 * u] = 0
-    return g.has_edge(u, v) + _max_flow_unit(cap, 2 * u + 1, 2 * v)
+    nu, nv = g.adj[u] & ~(1 << v), g.adj[v] & ~(1 << u)
+    common = nu & nv
+    res = [0 if x == u or x == v else 1 << (n + x) for x in range(n)] + list(g.adj)
+    res[n + u] = nu ^ common
+    for w in _bits(common):
+        res[w] = 0
+        res[n + w] ^= (1 << v) | (1 << w)
+    flow, bound = common.bit_count(), min(nu.bit_count(), nv.bit_count())
+    while flow < bound:
+        layers = []
+        seen = frontier = 1 << (n + u)
+        while not frontier >> v & 1:
+            layers.append(frontier)
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= res[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                return g.has_edge(u, v) + flow
+            seen |= frontier
+        y = v
+        for layer in reversed(layers):
+            x = (layer & -layer).bit_length() - 1
+            while not res[x] >> y & 1:
+                layer ^= 1 << x
+                x = (layer & -layer).bit_length() - 1
+            res[x] ^= 1 << y
+            res[y] ^= 1 << x
+            y = x
+        flow += 1
+    return g.has_edge(u, v) + flow
 
 
 def connectivity(g: Graph) -> int:

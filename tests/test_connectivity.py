@@ -111,7 +111,7 @@ def test_eccentricity():
 
 
 def test_local_connectivity_exhaustive_small():
-    for n in range(2, 6):
+    for n in range(2, 7):
         for g in enumerate_graphs(n):
             for u in range(n):
                 for v in range(u + 1, n):
@@ -138,6 +138,34 @@ def test_local_connectivity_knowns():
     assert local_connectivity(k5, 0, 4) == 4
     star = _named("star:3")
     assert local_connectivity(star, 1, 2) == 1
+    # the path 0-2-4-1 blocks every other one; a second path must undo 2-4
+    blocked = Graph.from_edges(6, [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4)])
+    assert local_connectivity(blocked, 0, 1) == local_connectivity(blocked, 1, 0) == 2
+
+
+@pytest.mark.parametrize(
+    "spec", ["multipartite:1,3,4,5", "multipartite:2,2,3,5", "multipartite:1,1,4,6", "turan:12,4", "turan:13,13"]
+)
+def test_local_connectivity_complete_multipartite(spec):
+    # u in part A, v in part B: n - max(|A|, |B|) across parts (common
+    # neighbours, paths u-b-a-v and the edge), n - |A| inside one part;
+    # turan:13,13 is K13, 12 for every pair
+    g = _named(spec)
+    part = [g.adj[x] ^ g.full_mask for x in range(g.n)]  # x and its non-neighbours
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                a, b = part[u].bit_count(), part[v].bit_count()
+                want = g.n - a if part[u] == part[v] else g.n - max(a, b)
+                assert local_connectivity(g, u, v) == want, (u, v)
+
+
+def test_local_connectivity_wheel():
+    g = _named("wheel:12")
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                assert local_connectivity(g, u, v) == 3, (u, v)
 
 
 def test_local_connectivity_zero_across_components():

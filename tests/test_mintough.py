@@ -6,7 +6,6 @@ import pytest
 
 import toughlab.toughness as toughness_module
 from toughlab.canon import canonical_code, enumerate_graphs
-from toughlab.connectivity import local_connectivity
 from toughlab.families import Family, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6
 from toughlab.graphs import Graph, delete_edge
@@ -26,7 +25,7 @@ from toughlab.mintough import (
 )
 from toughlab.toughness import tough_separators, toughness
 
-from oracles import ref_is_minimally_tough, ref_toughness
+from oracles import ref_is_minimally_tough, ref_local_connectivity, ref_toughness
 
 
 def _named(text: str) -> Graph:
@@ -185,7 +184,7 @@ def test_criterion_witnesses_are_coherent():
             assert [w.edge for w in witnesses] == g.edges()
             for w in witnesses:
                 u, v = w.edge
-                assert w.kappa == local_connectivity(g, u, v)
+                assert w.kappa == ref_local_connectivity(g.n, g.edges(), u, v)
                 assert w.cond1 == (w.kappa < 2 * t + 1)
                 assert w.cond2 == (w.separator is not None)
                 if w.separator is not None:
