@@ -13,12 +13,13 @@ generation", J. Algorithms 1998).  The code is read column by column, so if
 a labelling of G is minimal, its first n-1 columns are the minimal code of
 G minus its last vertex.  Every class on n vertices thus has exactly one
 canonical parent on n-1 vertices and one neighbourhood mask of the new last
-vertex that give its minimal matrix verbatim.  Level n extends each level
-n-1 code, in its own (canonical) labelling, by every mask and keeps just the
-children whose own labelling is already minimal (``_is_canonical``), so
-each class is accepted once, from its parent, with no seen-set and no
-canonical search.  ``canonical_form`` and ``canonical_code`` stay
-independent of enumeration; the tests check each against the other.
+vertex that give its minimal matrix verbatim.  Level n extends the rows of
+each level n-1 graph, in its own (canonical) labelling, by every mask and
+keeps, as the one record of its class, each child whose own labelling is
+already minimal (``_is_canonical``): each class is accepted once, from its
+parent, with no seen-set and no canonical search.  ``canonical_form`` and
+``canonical_code`` stay independent of enumeration; the tests check each
+against the other.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .connectivity import is_connected
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
 from .graphs import Graph, relabel
 
 CanonicalCode = bytes
@@ -155,29 +156,28 @@ def _is_canonical(n: int, adj: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _codes(n: int) -> tuple[CanonicalCode, ...]:
+def _census(n: int) -> tuple[Graph, ...]:
     if n == 0:
-        return (write_graph6(Graph.empty(0)).encode("ascii"),)
-    codes: list[CanonicalCode] = []
+        return (Graph.empty(0),)
+    children: list[Graph] = []
     new_bit = 1 << (n - 1)
-    for parent_code in _codes(n - 1):
-        prows = parse_graph6(parent_code.decode("ascii")).adj
+    for parent in _census(n - 1):
+        prows = parent.adj
         for mask in range(1 << (n - 1)):
             rows = tuple(
                 [prows[i] | new_bit if mask >> i & 1 else prows[i] for i in range(n - 1)]
                 + [mask]
             )
             if _is_canonical(n, rows):
-                codes.append(write_graph6(Graph(n, rows)).encode("ascii"))
-    return tuple(sorted(codes))
+                children.append(Graph(n, rows))
+    return tuple(sorted(children, key=write_graph6))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """One representative per isomorphism class, ascending canonical code."""
     if not 0 <= n <= _MAX_CANON:
         raise ValueError(f"enumeration supported for 0 <= n <= {_MAX_CANON}")
-    for code in _codes(n):
-        g = parse_graph6(code.decode("ascii"))
+    for g in _census(n):
         if connected_only and not is_connected(g):
             continue
         yield g

@@ -31,7 +31,9 @@ from .mintough import (
 from .toughness import format_toughness, toughness
 from .verify import (
     KRIESELL_CLASS_FILTERS,
+    TABLE1_L_MAX,
     THEOREM_IDS,
+    WHEELS_L_MAX,
     kriesell_scan,
     probe_conjecture_cochordal_diam2,
     verify_codiam_exclusions,
@@ -61,8 +63,8 @@ def _gate_nmax(n: int, least: int = 1) -> None:
     if n >= 9:
         if not os.environ.get(NMAX_OVERRIDE_ENV):
             raise CliError(
-                f"n = {n} is slow: n = 9 takes about 3 minutes to enumerate and about "
-                f"11 minutes for 'verify all' on 2 vCPUs, n = 10 far longer; "
+                f"n = {n} is slow: n = 9 takes about 2.6 minutes to enumerate and about "
+                f"6.6 minutes for 'verify all' on 2 vCPUs, n = 10 far longer; "
                 f"set {NMAX_OVERRIDE_ENV}=1 to allow it"
             )
         print(f"warning: n = {n} enumeration may take a long time", file=sys.stderr)
@@ -205,16 +207,19 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: smallest --lmax of the targets that read it; 0 selects their default
-_LMAX_LEAST = {"table1": 2, "wheels": 5, "all": 5}
+#: the --lmax range of the targets that read it; 0 selects their default
+_LMAX_RANGE = {"table1": (2, TABLE1_L_MAX), "wheels": (5, WHEELS_L_MAX),
+               "all": (5, TABLE1_L_MAX)}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _gate_nmax(args.nmax)
     target = args.target.strip().lower()
-    least = _LMAX_LEAST.get(target, 0)
+    least, most = _LMAX_RANGE.get(target, (0, None))
     if args.lmax and args.lmax < least:
         raise CliError(f"--lmax must be >= {least} for {target}")
+    if most is not None and args.lmax > most:
+        raise CliError(f"--lmax must be <= {most} for {target}")
     normalized = target.upper().replace("-", "_")
     reports: list[tuple[object, bool]] = []
     if normalized in THEOREM_IDS:
@@ -304,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="all | table1 | wheels | kriesell | codiam | " + " | ".join(THEOREM_IDS))
     p.add_argument("--nmax", type=int, default=8, metavar="N")
     p.add_argument("--lmax", type=int, default=0, metavar="L",
-                   help="parameter bound for table1 (default 5) and wheels (default 9)")
+                   help=f"parameter bound for table1 (default 5, at most {TABLE1_L_MAX}) "
+                        f"and wheels (default 9, at most {WHEELS_L_MAX})")
     p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS, default="all",
                    help="class filter for the kriesell target")
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -12,9 +12,9 @@ carries per-order counts plus the graph6 strings of any graph where the
 computed verdict and the predicted family codes disagree.
 
 Everything is driven off canonical codes so that reports are byte-identical
-across runs; expensive per-graph facts (toughness, minimal-toughness
-verdicts, chordality of the complement) are memoized per code and shared by
-all scans in a process.
+across runs.  The census keeps one record per class, its code and canon's
+graph; expensive per-graph facts (toughness, minimal-toughness verdicts,
+chordality of the complement) are memoized per code and shared by all scans.
 """
 from __future__ import annotations
 
@@ -35,25 +35,29 @@ from .classes import (
 )
 from .connectivity import co_diameter
 from .families import Family, FamilySpec, make_named
-from .graph6 import parse_graph6, write_graph6
-from .graphs import Graph
+from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
+from .graphs import MAX_VERTICES, Graph
 from .mintough import CrossCheckError, is_nontrivially_minimally_tough, universal_vertices
 from .toughness import Toughness, format_toughness, toughness
 
 DEFAULT_N_MAX = 8
+#: the largest l whose families fit in MAX_VERTICES vertices: doublestar:l,l
+#: has 2l + 2 of them, wheel:l has l + 1
+TABLE1_L_MAX = (MAX_VERTICES - 2) // 2
+WHEELS_L_MAX = MAX_VERTICES - 1
 
 
 # -- memoized per-code facts --------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _all_codes(n: int) -> tuple[bytes, ...]:
-    return tuple(write_graph6(g).encode("ascii") for g in enumerate_graphs(n))
+def _census(n: int) -> dict[bytes, Graph]:
+    return {write_graph6(g).encode("ascii"): g for g in enumerate_graphs(n)}
 
 
 @lru_cache(maxsize=None)
 def _graph_of(code: bytes) -> Graph:
-    return parse_graph6(code.decode("ascii"))
+    return _census(code[0] - 63)[code]
 
 
 @lru_cache(maxsize=None)
@@ -243,9 +247,9 @@ KRIESELL_CLASS_FILTERS = tuple(key for key, klass in _CLASSES.items() if klass.k
 def _members(klass: str, n: int) -> tuple[bytes, ...]:
     """The census codes on n vertices in a class of _CLASSES, or all for "all"."""
     if klass == "all":
-        return _all_codes(n)
+        return tuple(_census(n))
     member = _CLASSES[klass].member
-    return tuple(code for code in _all_codes(n) if member(code))
+    return tuple(code for code in _census(n) if member(code))
 
 
 def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
@@ -418,8 +422,8 @@ def verify_table1(l_max: int) -> ValueReport:
     1/2, 1/(l+1), 1/l, the two balanced Turan shapes with l-1 and l-3/2,
     and 2/3 for K_{2,3}.
     """
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
+    if not 2 <= l_max <= TABLE1_L_MAX:
+        raise ValueError(f"l_max must be in 2..{TABLE1_L_MAX}")
     rows: list[ValueRow] = []
 
     def add(spec: FamilySpec, expected: Fraction) -> None:
@@ -442,8 +446,8 @@ def verify_wheels(l_max: int) -> ValueReport:
     Each wheel must be non-trivially minimally tough with toughness exactly
     1 + 2/(l-1) for odd rim length and 1 + 2/l for even rim length.
     """
-    if l_max < 5:
-        raise ValueError("l_max must be >= 5")
+    if not 5 <= l_max <= WHEELS_L_MAX:
+        raise ValueError(f"l_max must be in 5..{WHEELS_L_MAX}")
     rows: list[ValueRow] = []
     for l in range(5, l_max + 1):
         expected = 1 + (Fraction(2, l - 1) if l % 2 else Fraction(2, l))

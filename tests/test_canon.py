@@ -5,8 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from toughlab.canon import _codes, are_isomorphic, canonical_code, canonical_form, enumerate_graphs
+from toughlab.canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from toughlab.connectivity import is_connected
+from toughlab.graph6 import write_graph6
 from toughlab.graphs import Graph, relabel
 
 from oracles import ref_canonical_key
@@ -15,8 +16,9 @@ from oracles import ref_canonical_key
 ALL_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 CONNECTED_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
-#: sha256 of b"\n".join(_codes(n)), frozen from the enumeration that
-#: canonized every augmented child and deduplicated the codes in a set
+#: sha256 of the graph6 codes of enumerate_graphs(n), joined by b"\n"; frozen
+#: from the enumeration that canonized every augmented child and deduplicated
+#: the codes in a set
 CENSUS_DIGESTS = {
     0: "8a8de823d5ed3e12746a62ef169bcf372be0ca44f0a1236abc35df05d96928e1",
     1: "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
@@ -100,7 +102,8 @@ def test_enumeration_counts(n):
 
 @pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
 def test_census_codes_frozen(n):
-    assert hashlib.sha256(b"\n".join(_codes(n))).hexdigest() == CENSUS_DIGESTS[n]
+    codes = b"\n".join(write_graph6(g).encode("ascii") for g in enumerate_graphs(n))
+    assert hashlib.sha256(codes).hexdigest() == CENSUS_DIGESTS[n]
 
 
 def test_enumeration_does_not_canonize(monkeypatch):
@@ -112,7 +115,25 @@ def test_enumeration_does_not_canonize(monkeypatch):
 
     for name in ("_canonical_placement", "canonical_form", "canonical_code", "relabel"):
         monkeypatch.setattr(canon, name, refuse)
-    assert len(canon._codes.__wrapped__(7)) == ALL_COUNTS[7]
+    assert len(canon._census.__wrapped__(7)) == ALL_COUNTS[7]
+
+
+def test_census_builds_one_graph_per_class(monkeypatch):
+    # children extend their parent's rows; no code is parsed back into a Graph
+    import toughlab.canon as canon
+
+    canon._census(5)  # level 5 comes from the cache below
+    built = []
+    validate = Graph.__post_init__
+
+    def counting(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    level = canon._census.__wrapped__(6)
+    assert len(level) == len(built) == ALL_COUNTS[6]
+    assert {id(g) for g in level} == {id(g) for g in built}
 
 
 def test_enumeration_yields_canonical_representatives_in_order():

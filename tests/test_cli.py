@@ -338,6 +338,9 @@ _SCAN_NAMES = ("verify_theorem", "verify_table1", "verify_wheels", "kriesell_sca
         ["verify", "wheels", "--lmax", "3"],
         ["verify", "all", "--lmax", "3"],
         ["probe", "--nmax", "10"],
+        ["verify", "table1", "--lmax", "16"],
+        ["verify", "wheels", "--lmax", "32"],
+        ["verify", "all", "--lmax", "16"],
     ],
 )
 def test_bad_bounds_refused_before_any_scan(capsys, monkeypatch, argv):

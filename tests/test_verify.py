@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from toughlab.canon import canonical_code
+from toughlab.canon import canonical_code, enumerate_graphs
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec
-from toughlab.graph6 import parse_graph6
-from toughlab.graphs import Graph
+from toughlab.graph6 import parse_graph6, write_graph6
+from toughlab.graphs import MAX_VERTICES, Graph
 from toughlab.verify import (
     KRIESELL_CLASS_FILTERS,
+    TABLE1_L_MAX,
     THEOREM_IDS,
+    WHEELS_L_MAX,
     CoDiamExclusionReport,
     KriesellReport,
     PerNCounts,
@@ -105,6 +107,10 @@ def test_verify_table1():
     assert "VERIFIED" in report.render()
     with pytest.raises(ValueError):
         verify_table1(1)
+    # doublestar:l,l has 2l + 2 vertices, so l = 15 is the largest that fits
+    assert make_named(FamilySpec(Family.DOUBLE_STAR, (15, 15))).n == MAX_VERTICES
+    with pytest.raises(ValueError, match=r"l_max must be in 2\.\.15"):
+        verify_table1(TABLE1_L_MAX + 1)
 
 
 def test_verify_wheels():
@@ -118,6 +124,22 @@ def test_verify_wheels():
     assert "mintough" in report.render()
     with pytest.raises(ValueError):
         verify_wheels(4)
+    # wheel:l has l + 1 vertices, so l = 31 is the largest that fits
+    assert make_named(FamilySpec(Family.WHEEL, (31,))).n == MAX_VERTICES
+    with pytest.raises(ValueError, match=r"l_max must be in 5\.\.31"):
+        verify_wheels(WHEELS_L_MAX + 1)
+
+
+def test_census_record_is_the_enumerated_graph():
+    import toughlab.verify as verify
+
+    for n in range(7):
+        graphs = list(enumerate_graphs(n))
+        codes = verify._members("all", n)
+        assert len(codes) == len(graphs)
+        for code, g in zip(codes, graphs):
+            assert write_graph6(g).encode() == code
+            assert verify._graph_of(code) is g
 
 
 def test_value_row_ok_logic():
