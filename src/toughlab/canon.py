@@ -16,10 +16,37 @@ canonical parent on n-1 vertices and one neighbourhood mask of the new last
 vertex that give its minimal matrix verbatim.  Level n extends the rows of
 each level n-1 graph, in its own (canonical) labelling, by every mask and
 keeps, as the one record of its class, each child whose own labelling is
-already minimal (``_is_canonical``): each class is accepted once, from its
-parent, with no seen-set and no canonical search.  ``canonical_form`` and
-``canonical_code`` stay independent of enumeration; the tests check each
-against the other.
+already minimal: each class is accepted once, from its parent, with no
+seen-set and no canonical search.  ``canonical_form`` and ``canonical_code``
+stay independent of enumeration; the tests check each against the other.
+
+The 2**k children of one canonical parent P on k vertices are decided in one
+walk of P's tie tree (``_canonical_children``), not in 2**k searches that
+each repeat it.  A set of masks is one 2**k-bit int, and ``L[v]`` is the set
+of masks that contain v.  On a path that places only vertices of P, a child's
+columns among those vertices are P's, so the path is a tie path of the child
+iff it is one of P.  P is canonical, so no vertex of P beats P's columns on
+any such path: its own search found none, and a twin it skipped leads to
+the same columns as the twin it tried.  Only the new vertex can, and its
+column at a node with placement pi has bit i = m[pi_i], so it depends only
+on the mask m.  The walk has three rules:
+
+* internal node (pi placed, next position d): reject the masks whose
+  new-vertex column is below P's column d, and queue the masks where it is
+  equal, since there the new vertex is a tie candidate (the child's search
+  skips it when a twin came first; exploring it anyway changes no verdict);
+* leaf (pi is an automorphism sigma of P, the new vertex last): reject the
+  masks m whose bits read through sigma, m[sigma_0], m[sigma_1], ..., come
+  out below m;
+* descent: enter a tie candidate v only for the masks where no earlier tie
+  candidate t that is a twin of v in P (the transposition (t v) is an
+  automorphism) has m[t] = m[v]
+  (``masks &= L[t] ^ L[v]``), since exactly then t and v are twins in the
+  child and its search skips v.
+
+Each queued node is then finished, for each mask still alive, by the child's
+own search from that node with the new vertex placed (``_tie_search``, whose
+root call is ``_is_canonical``).  The masks left are the canonical children.
 """
 from __future__ import annotations
 
@@ -28,7 +55,7 @@ from typing import Iterator
 
 from .connectivity import is_connected
 from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
-from .graphs import Graph, relabel
+from .graphs import Graph, _bits, relabel
 
 CanonicalCode = bytes
 
@@ -116,15 +143,21 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 
 def _is_canonical(n: int, adj: tuple[int, ...]) -> bool:
-    """True iff the identity labelling of ``adj`` already gives the minimal code.
+    """True iff the identity labelling of ``adj`` already gives the minimal code."""
+    return _tie_search(n, adj, ())
+
+
+def _tie_search(n: int, adj: tuple[int, ...], start: tuple[int, ...]) -> bool:
+    """True iff no tie path below the placement ``start`` beats ``adj``'s own columns.
 
     The branch and bound of ``_canonical_placement`` with the graph's own
     columns as a fixed bound: it fails at the first candidate column that is
     strictly smaller, and descends only on equal columns.  Position i of the
     bound's column j is bit i of ``adj[j]``, so the candidates are narrowed
-    one placed vertex at a time with bitmasks.
+    one placed vertex at a time with bitmasks.  ``start`` must be a tie
+    path; from the root (``()``) this is the whole canonicity test.
     """
-    placed: list[int] = []
+    placed = list(start)
 
     def dfs(j: int, unused: int) -> bool:
         if j == n:
@@ -152,24 +185,91 @@ def _is_canonical(n: int, adj: tuple[int, ...]) -> bool:
             placed.pop()
         return True
 
-    return dfs(0, (1 << n) - 1)
+    return dfs(len(placed), ((1 << n) - 1) ^ sum(1 << p for p in placed))
+
+
+@lru_cache(maxsize=None)
+def _masks_containing(k: int) -> tuple[int, ...]:
+    """``L[v]``: the masks m < 2**k that contain v, as one 2**k-bit set (bit m)."""
+    return tuple(sum(1 << m for m in range(1 << k) if m >> v & 1) for v in range(k))
+
+
+def _child_rows(prows: tuple[int, ...], mask: int) -> tuple[int, ...]:
+    """The rows of the parent ``prows`` plus a last vertex joined to ``mask``."""
+    new_bit = 1 << len(prows)
+    return tuple([row | new_bit if mask >> i & 1 else row for i, row in enumerate(prows)] + [mask])
+
+
+def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
+    """The masks whose child of the canonical graph ``prows`` is canonical, as a 2**k-bit set.
+
+    One walk of the parent's tie tree decides every child at once (see the
+    module docstring): the new vertex's column is compared against the
+    bound for all masks together, automorphisms of the parent reject the
+    masks they map below themselves, and the masks where the new vertex ties
+    are finished by ``_tie_search`` from that node, one child at a time.
+    """
+    L = _masks_containing(k)
+    alive = (1 << (1 << k)) - 1
+    queued: list[tuple[tuple[int, ...], int]] = []
+    placed: list[int] = []
+
+    def walk(j: int, unused: int, masks: int) -> None:
+        nonlocal alive
+        masks &= alive
+        if not masks:
+            return
+        lt, eq = 0, masks  # masks whose new-vertex column is below / equal to the bound
+        if j == k:  # placed is an automorphism of the parent; the new vertex comes last
+            for i, p in enumerate(placed):
+                lt |= eq & L[i] & ~L[p]
+                eq &= ~(L[i] ^ L[p])
+            alive &= ~lt
+            return
+        own = prows[j]
+        ties = unused
+        for i, p in enumerate(placed):
+            if own >> i & 1:
+                lt |= eq & ~L[p]
+                eq &= L[p]
+                ties &= prows[p]
+            else:
+                eq &= ~L[p]
+                ties &= ~prows[p]
+        alive &= ~lt
+        if eq:
+            queued.append(((*placed, k), eq))
+        tried: list[int] = []
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
+            enter = masks
+            for t in tried:
+                if _swap_equiv(prows, t, v):
+                    enter &= L[t] ^ L[v]  # a twin t with m[t] == m[v] went first
+            tried.append(v)
+            placed.append(v)
+            walk(j + 1, unused ^ low, enter)
+            placed.pop()
+
+    walk(0, (1 << k) - 1, alive)
+    for start, masks in queued:
+        for m in _bits(masks & alive):
+            if not _tie_search(k + 1, _child_rows(prows, m), start):
+                alive ^= 1 << m
+    return alive
 
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph.empty(0),)
-    children: list[Graph] = []
-    new_bit = 1 << (n - 1)
-    for parent in _census(n - 1):
-        prows = parent.adj
-        for mask in range(1 << (n - 1)):
-            rows = tuple(
-                [prows[i] | new_bit if mask >> i & 1 else prows[i] for i in range(n - 1)]
-                + [mask]
-            )
-            if _is_canonical(n, rows):
-                children.append(Graph(n, rows))
+    children = [
+        Graph(n, _child_rows(parent.adj, m))
+        for parent in _census(n - 1)
+        for m in _bits(_canonical_children(n - 1, parent.adj))
+    ]
     return tuple(sorted(children, key=write_graph6))
 
 

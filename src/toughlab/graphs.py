@@ -2,8 +2,9 @@
 
 Vertices are the integers 0..n-1.  Every neighbourhood is a Python int used
 as a bitmask, which keeps the hot kernels (component flooding, subset sweeps)
-allocation-free.  Graphs and vertex sets are frozen dataclasses: structural
-equality, hashable, safe to memoise.
+allocation-free.  Graphs and vertex sets are frozen, slotted dataclasses:
+structural equality, hashable, safe to memoise, and no per-instance
+``__dict__``, since the census keeps one ``Graph`` per class.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """A subset of the vertices 0..universe-1, stored as a bitmask."""
 
@@ -69,7 +70,7 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}}, universe={self.universe})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbourhood bitmask of v."""
 

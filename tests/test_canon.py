@@ -1,5 +1,9 @@
-"""Canonical forms, isomorphism, and isomorphism-class enumeration."""
+"""Canonical forms, isomorphism, and isomorphism-class enumeration.
+
+Set ``TOUGHLAB_SLOW=1`` to also check the frozen n = 9 census.
+"""
 import hashlib
+import os
 import random
 from itertools import combinations, permutations
 
@@ -7,6 +11,7 @@ import pytest
 
 from toughlab.canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from toughlab.connectivity import is_connected
+from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import write_graph6
 from toughlab.graphs import Graph, relabel
 
@@ -30,6 +35,8 @@ CENSUS_DIGESTS = {
     7: "4a04fd789269433a870b8b1493182bfa0a73b637fd522eef4abcb1c7da75f9a1",
     8: "ef42eb7e810e89b8a5facb660c97839506072a4c5333ff16c4e08e2605e71c69",
 }
+#: the same for the 274,668 classes on 9 vertices
+CENSUS_9_DIGEST = "f418826ec4a89acd63ef3d5cfefa99917f186dd3728a8c71ef5af0c4cfa89972"
 
 
 def _random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -106,6 +113,13 @@ def test_census_codes_frozen(n):
     assert hashlib.sha256(codes).hexdigest() == CENSUS_DIGESTS[n]
 
 
+@pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"), reason="set TOUGHLAB_SLOW=1 (n = 9 census)")
+def test_census_9_frozen():
+    codes = [write_graph6(g).encode("ascii") for g in enumerate_graphs(9)]
+    assert len(codes) == 274_668
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == CENSUS_9_DIGEST
+
+
 def test_enumeration_does_not_canonize(monkeypatch):
     # canonical_form and canonical_code are the independent side of the checks
     import toughlab.canon as canon
@@ -134,6 +148,35 @@ def test_census_builds_one_graph_per_class(monkeypatch):
     level = canon._census.__wrapped__(6)
     assert len(level) == len(built) == ALL_COUNTS[6]
     assert {id(g) for g in level} == {id(g) for g in built}
+
+
+def _canonical_parents() -> list[Graph]:
+    """Canonical graphs on 0..8 vertices: large twin classes, non-twin symmetry, random."""
+    rng = random.Random(54)
+    graphs = [Graph.empty(k) for k in range(9)] + [Graph.complete(k) for k in range(1, 9)]
+    specs = [f"star:{k}" for k in range(1, 8)] + [f"cycle:{k}" for k in range(3, 9)]
+    specs += ["multipartite:1,2,3", "multipartite:2,2,2", "multipartite:2,3,3", "multipartite:4,4"]
+    graphs += [make_named(parse_family_spec(spec)) for spec in specs]
+    graphs.append(Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]))
+    # a triangle with a two-edge tail: the smallest parent with a child whose
+    # new vertex ties the bound early and loses only deeper in the search
+    graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]))
+    graphs += [_random_graph(rng, k, p) for k in range(2, 8) for p in (0.3, 0.5, 0.7)]
+    return [canonical_form(g) for g in graphs]
+
+
+def test_canonical_children_match_canonical_form():
+    # the walk of a parent's tie tree against the independent canonical search
+    import toughlab.canon as canon
+
+    for parent in _canonical_parents():
+        k = parent.n
+        want = 0
+        for m in range(1 << k):
+            child = Graph(k + 1, canon._child_rows(parent.adj, m))
+            if canonical_form(child) == child:
+                want |= 1 << m
+        assert canon._canonical_children(k, parent.adj) == want, parent
 
 
 def test_enumeration_yields_canonical_representatives_in_order():

@@ -1,4 +1,6 @@
 """Bitset graph container: constructors, views, and whole-graph operations."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -221,3 +223,14 @@ def test_graph_equality_and_hash():
     g2 = Graph.from_edges(3, [(0, 1)])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != Graph.from_edges(3, [(0, 2)])
+
+
+def test_graph_and_vertex_set_are_slotted():
+    # one Graph per census class: no per-instance __dict__
+    g = Graph.from_edges(9, [(0, 1), (1, 8), (3, 4)])
+    s = VertexSet.from_vertices([0, 4], 9)
+    for x in (g, s):
+        assert not hasattr(x, "__dict__")
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and hash(y) == hash(x) and y is not x
+        assert copy.deepcopy(x) == x
