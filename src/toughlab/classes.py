@@ -176,17 +176,14 @@ def contains_induced(g: Graph, pattern: Graph) -> VertexSet | None:
     return None
 
 
+_P4 = make_named(FamilySpec(Family.PATH, (4,)))
+_NET = make_named(FamilySpec(Family.NET))
+_CO_NET = make_named(FamilySpec(Family.CO_NET))
+
+
 @lru_cache(maxsize=None)
-def _pattern(name: str, size: int = 0) -> Graph:
-    if name == "P4":
-        return make_named(FamilySpec(Family.PATH, (4,)))
-    if name == "net":
-        return make_named(FamilySpec(Family.NET))
-    if name == "conet":
-        return make_named(FamilySpec(Family.CO_NET))
-    if name == "cycle":
-        return make_named(FamilySpec(Family.CYCLE, (size,)))
-    raise ValueError(name)
+def _cycle(k: int) -> Graph:
+    return make_named(FamilySpec(Family.CYCLE, (k,)))
 
 
 def find_induced_cycle(g: Graph, min_length: int) -> VertexSet | None:
@@ -194,22 +191,22 @@ def find_induced_cycle(g: Graph, min_length: int) -> VertexSet | None:
     if min_length < 3:
         raise ValueError("induced cycles have length >= 3")
     for k in range(min_length, g.n + 1):
-        hit = contains_induced(g, _pattern("cycle", k))
+        hit = contains_induced(g, _cycle(k))
         if hit is not None:
             return hit
     return None
 
 
 def is_p4_free(g: Graph) -> bool:
-    return contains_induced(g, _pattern("P4")) is None
+    return contains_induced(g, _P4) is None
 
 
 def is_net_free(g: Graph) -> bool:
-    return contains_induced(g, _pattern("net")) is None
+    return contains_induced(g, _NET) is None
 
 
 def is_co_net_free(g: Graph) -> bool:
-    return contains_induced(g, _pattern("conet")) is None
+    return contains_induced(g, _CO_NET) is None
 
 
 def is_weakly_chordal(g: Graph) -> bool:
@@ -224,9 +221,9 @@ def is_hereditary_nbhd_helly(g: Graph) -> bool:
     """Closed neighbourhoods have the Helly property hereditarily: no induced
     C_4, C_5, C_6 and no induced 3-sun (complement of the net)."""
     for k in (4, 5, 6):
-        if contains_induced(g, _pattern("cycle", k)) is not None:
+        if contains_induced(g, _cycle(k)) is not None:
             return False
-    return contains_induced(g, _pattern("conet")) is None
+    return contains_induced(g, _CO_NET) is None
 
 
 # -- multipartite structure --------------------------------------------------------
@@ -245,13 +242,13 @@ class MultipartiteParts:
 
 def complete_multipartite_parts(g: Graph) -> MultipartiteParts | None:
     """The unique multipartition when g is complete multipartite, else None."""
-    comp_masks = _component_masks(complement(g).adj, g.full_mask)
-    for mask in comp_masks:
-        for v in _bits(mask):
-            if g.adj[v] & mask:  # an edge inside a would-be part
-                return None
-    comp_masks.sort(key=lambda m: (m.bit_count(), m & -m))
-    return MultipartiteParts(tuple(VertexSet(m, g.n) for m in comp_masks))
+    # g is complete multipartite iff the closed non-neighbourhoods partition
+    # V; each v lies in its own, so they do iff the distinct ones sum to n
+    parts = {g.full_mask ^ row for row in g.adj}
+    if sum(m.bit_count() for m in parts) != g.n:
+        return None
+    ordered = sorted(parts, key=lambda m: (m.bit_count(), m & -m))
+    return MultipartiteParts(tuple(VertexSet(m, g.n) for m in ordered))
 
 
 def is_complete_multipartite(g: Graph) -> bool:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .canon import enumerate_graphs
+from .canon import _MAX_CANON, enumerate_graphs
 from .classes import CLASS_PREDICATES
 from .families import make_named, parse_family_spec
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -31,6 +31,7 @@ from .mintough import (
 from .toughness import format_toughness, toughness
 from .verify import (
     KRIESELL_CLASS_FILTERS,
+    PROBE_N_MAX,
     TABLE1_L_MAX,
     THEOREM_IDS,
     WHEELS_L_MAX,
@@ -58,8 +59,8 @@ class CliError(Exception):
 def _gate_nmax(n: int, least: int = 1) -> None:
     if n < least:
         raise CliError(f"n must be >= {least}")
-    if n > 10:
-        raise CliError("enumeration is limited to n <= 10")
+    if n > _MAX_CANON:
+        raise CliError(f"enumeration is limited to n <= {_MAX_CANON}")
     if n >= 9:
         cost = ("n = 9 takes about 25 seconds to enumerate and about 2.8 minutes for "
                 "'verify all' on 2 vCPUs, n = 10 far longer")
@@ -253,8 +254,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    if args.nmax > 9:
-        raise CliError("probe is limited to n <= 9")
+    if args.nmax > PROBE_N_MAX:
+        raise CliError(f"probe is limited to n <= {PROBE_N_MAX}")
     _gate_nmax(args.nmax)
     report = probe_conjecture_cochordal_diam2(args.nmax)
     if args.format == "json":

@@ -1,8 +1,9 @@
 """Constructors for the named graph families the laboratory talks about.
 
 A FamilySpec both *builds* a graph (make_named) and *names* an isomorphism
-class (family identification returns FamilySpec values).  Parameter
-conventions:
+class (family identification returns FamilySpec values).  Each family is
+one row of ``_ROWS``: its parameter count, the rules its parameters obey
+(each with its error message) and its constructor.  Parameter conventions:
 
   complete n            K_n, n >= 0
   path n                P_n on n >= 1 vertices
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, complement, join
 
@@ -43,73 +45,6 @@ class Family(Enum):
     CO_NET = "conet"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: Family
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        _validate(self.family, self.params)
-
-    def __str__(self) -> str:
-        if self.params:
-            return f"{self.family.value}:{','.join(map(str, self.params))}"
-        return self.family.value
-
-
-def _validate(family: Family, params: tuple[int, ...]) -> None:
-    def need(count: int) -> None:
-        if len(params) != count:
-            raise ValueError(f"{family.value} takes {count} parameter(s), got {len(params)}")
-
-    if family is Family.COMPLETE:
-        need(1)
-        if params[0] < 0:
-            raise ValueError("complete: n must be >= 0")
-    elif family is Family.PATH:
-        need(1)
-        if params[0] < 1:
-            raise ValueError("path: n must be >= 1")
-    elif family is Family.CYCLE:
-        need(1)
-        if params[0] < 3:
-            raise ValueError("cycle: n must be >= 3")
-    elif family is Family.STAR:
-        need(1)
-        if params[0] < 1:
-            raise ValueError("star: l must be >= 1")
-    elif family is Family.DOUBLE_STAR:
-        need(2)
-        k, l = params
-        if not 1 <= k <= l:
-            raise ValueError("doublestar: need 1 <= k <= l")
-    elif family is Family.TRIPLE_STAR:
-        need(3)
-        a, b, c = params
-        if not (1 <= a <= b <= c):
-            raise ValueError("triplestar: need 1 <= a <= b <= c")
-    elif family is Family.COMPLETE_MULTIPARTITE:
-        if not params:
-            raise ValueError("multipartite: at least one part required")
-        if any(p < 1 for p in params):
-            raise ValueError("multipartite: parts must be >= 1")
-        if list(params) != sorted(params):
-            raise ValueError("multipartite: parts must be ascending")
-    elif family is Family.TURAN:
-        need(2)
-        n, k = params
-        if not 1 <= k <= n:
-            raise ValueError("turan: need 1 <= k <= n")
-    elif family is Family.WHEEL:
-        need(1)
-        if params[0] < 4:
-            raise ValueError("wheel: rim length must be >= 4")
-    elif family in (Family.NET, Family.CO_NET):
-        need(0)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {family}")
-
-
 def turan_parts(n: int, k: int) -> tuple[int, ...]:
     """Part sizes of the Turan graph T_{n,k}, ascending."""
     if not 1 <= k <= n:
@@ -119,19 +54,11 @@ def turan_parts(n: int, k: int) -> tuple[int, ...]:
 
 
 def complete_multipartite(parts: tuple[int, ...]) -> Graph:
-    n = sum(parts)
-    boundaries = []
-    start = 0
+    full = (1 << sum(parts)) - 1
+    rows: list[int] = []
     for p in parts:
-        boundaries.append((start, start + p))
-        start += p
-    full = (1 << n) - 1
-    rows = []
-    for lo, hi in boundaries:
-        part_mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-        for _ in range(lo, hi):
-            rows.append(full ^ part_mask)
-    return Graph(n, tuple(rows))
+        rows += [full ^ (((1 << p) - 1) << len(rows))] * p
+    return Graph(len(rows), tuple(rows))
 
 
 def _path(n: int) -> Graph:
@@ -161,52 +88,74 @@ def _triple_star(a: int, b: int, c: int) -> Graph:
     return Graph.from_edges(3 + a + b + c, edges)
 
 
+class _Row(NamedTuple):
+    #: parameter count; None takes any number (multipartite)
+    arity: int | None
+    #: (test on the parameters, error message when it fails), checked in order
+    rules: tuple[tuple[Callable[..., bool], str], ...]
+    build: Callable[..., Graph]
+
+
+#: what each family means: how many parameters, which values, which graph
+_ROWS: dict[Family, _Row] = {
+    Family.COMPLETE: _Row(1, ((lambda n: n >= 0, "complete: n must be >= 0"),), Graph.complete),
+    Family.PATH: _Row(1, ((lambda n: n >= 1, "path: n must be >= 1"),), _path),
+    Family.CYCLE: _Row(1, ((lambda n: n >= 3, "cycle: n must be >= 3"),), _cycle),
+    # star as multipartite (1, l): centre first
+    Family.STAR: _Row(1, ((lambda l: l >= 1, "star: l must be >= 1"),),
+                      lambda l: complete_multipartite((1, l))),
+    Family.DOUBLE_STAR: _Row(2, ((lambda k, l: 1 <= k <= l, "doublestar: need 1 <= k <= l"),),
+                             _double_star),
+    Family.TRIPLE_STAR: _Row(3, ((lambda a, b, c: 1 <= a <= b <= c,
+                                  "triplestar: need 1 <= a <= b <= c"),), _triple_star),
+    Family.COMPLETE_MULTIPARTITE: _Row(None, (
+        (lambda *p: bool(p), "multipartite: at least one part required"),
+        (lambda *p: min(p) >= 1, "multipartite: parts must be >= 1"),
+        (lambda *p: list(p) == sorted(p), "multipartite: parts must be ascending"),
+    ), lambda *p: complete_multipartite(p)),
+    Family.TURAN: _Row(2, ((lambda n, k: 1 <= k <= n, "turan: need 1 <= k <= n"),),
+                       lambda n, k: complete_multipartite(turan_parts(n, k))),
+    Family.WHEEL: _Row(1, ((lambda l: l >= 4, "wheel: rim length must be >= 4"),),
+                       lambda l: join(_cycle(l), Graph.complete(1))),
+    Family.NET: _Row(0, (), lambda: _triple_star(1, 1, 1)),
+    Family.CO_NET: _Row(0, (), lambda: complement(_triple_star(1, 1, 1))),
+}
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    family: Family
+    params: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        row = _ROWS.get(self.family)
+        if row is None:
+            raise ValueError(f"unknown family {self.family}")
+        if row.arity is not None and len(self.params) != row.arity:
+            raise ValueError(f"{self.family.value} takes {row.arity} parameter(s), "
+                             f"got {len(self.params)}")
+        for ok, message in row.rules:
+            if not ok(*self.params):
+                raise ValueError(message)
+
+    def __str__(self) -> str:
+        if self.params:
+            return f"{self.family.value}:{','.join(map(str, self.params))}"
+        return self.family.value
+
+
 def make_named(spec: FamilySpec) -> Graph:
-    f, p = spec.family, spec.params
-    if f is Family.COMPLETE:
-        return Graph.complete(p[0])
-    if f is Family.PATH:
-        return _path(p[0])
-    if f is Family.CYCLE:
-        return _cycle(p[0])
-    if f is Family.STAR:
-        # star as multipartite (1, l): centre first
-        return complete_multipartite((1, p[0]))
-    if f is Family.DOUBLE_STAR:
-        return _double_star(*p)
-    if f is Family.TRIPLE_STAR:
-        return _triple_star(*p)
-    if f is Family.COMPLETE_MULTIPARTITE:
-        return complete_multipartite(p)
-    if f is Family.TURAN:
-        return complete_multipartite(turan_parts(*p))
-    if f is Family.WHEEL:
-        return join(_cycle(p[0]), Graph.complete(1))
-    if f is Family.NET:
-        return _triple_star(1, 1, 1)
-    if f is Family.CO_NET:
-        return complement(_triple_star(1, 1, 1))
-    raise ValueError(f"unknown family {f}")  # pragma: no cover
+    return _ROWS[spec.family].build(*spec.params)
 
 
+#: one-letter names; every family is also parsed by its full name, Family.value
 _ALIASES = {
-    "complete": Family.COMPLETE,
     "k": Family.COMPLETE_MULTIPARTITE,
-    "multipartite": Family.COMPLETE_MULTIPARTITE,
-    "path": Family.PATH,
     "p": Family.PATH,
-    "cycle": Family.CYCLE,
     "c": Family.CYCLE,
-    "star": Family.STAR,
-    "doublestar": Family.DOUBLE_STAR,
     "s": Family.DOUBLE_STAR,
-    "triplestar": Family.TRIPLE_STAR,
-    "turan": Family.TURAN,
     "t": Family.TURAN,
-    "wheel": Family.WHEEL,
     "w": Family.WHEEL,
-    "net": Family.NET,
-    "conet": Family.CO_NET,
 }
 
 
@@ -214,9 +163,10 @@ def parse_family_spec(text: str) -> FamilySpec:
     """Parse CLI family strings like ``turan:8,4``, ``K:1,2,2`` or ``net``."""
     name, _, rest = text.strip().partition(":")
     key = name.strip().lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown family {name!r}")
-    family = _ALIASES[key]
+    try:
+        family = _ALIASES[key] if key in _ALIASES else Family(key)
+    except ValueError:
+        raise ValueError(f"unknown family {name!r}") from None
     if rest.strip():
         try:
             params = tuple(int(tok) for tok in rest.split(","))

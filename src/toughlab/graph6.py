@@ -91,8 +91,6 @@ def parse_graph6(line: str) -> Graph:
 
 
 def write_graph6(g: Graph) -> str:
-    if g.n > 62:  # unreachable under MAX_VERTICES = 32; kept for clarity
-        raise ValueError("writer only emits single-byte vertex counts")
     out = [chr(63 + g.n)]
     group = 0
     filled = 0

@@ -20,10 +20,6 @@ class CrossCheckError(AssertionError):
     """Two routes that must agree on a graph disagreed, or a proven invariant failed."""
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -58,7 +54,7 @@ class VertexSet:
         return _bits(self.bits)
 
     def __len__(self) -> int:
-        return _popcount(self.bits)
+        return self.bits.bit_count()
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.universe and bool(self.bits >> v & 1)
@@ -126,14 +122,14 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return _popcount(self.adj[v])
+        return self.adj[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(_popcount(row) for row in self.adj)
+        return tuple(row.bit_count() for row in self.adj)
 
     @property
     def edge_count(self) -> int:
-        return sum(_popcount(row) for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -142,9 +138,6 @@ class Graph:
             for v in _bits(self.adj[u] >> (u + 1) << (u + 1)):
                 out.append((u, v))
         return out
-
-    def vertex_set(self) -> VertexSet:
-        return VertexSet(self.full_mask, self.n)
 
     def is_complete(self) -> bool:
         """True for K_n, any n >= 0 (the null graph counts as complete)."""

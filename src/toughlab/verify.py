@@ -45,6 +45,8 @@ DEFAULT_N_MAX = 8
 #: has 2l + 2 of them, wheel:l has l + 1
 TABLE1_L_MAX = (MAX_VERTICES - 2) // 2
 WHEELS_L_MAX = MAX_VERTICES - 1
+#: the largest order the co-diameter-2 probe scans
+PROBE_N_MAX = 9
 
 
 # -- memoized per-code facts --------------------------------------------------
@@ -596,8 +598,8 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
     The conjecture says these are exactly the balanced triple stars; the
     probe never asserts it, it lists every hit and whether it matches.
     """
-    if n_max > 9:
-        raise ValueError("probe supports n_max <= 9")
+    if n_max > PROBE_N_MAX:
+        raise ValueError(f"probe supports n_max <= {PROBE_N_MAX}")
     hits: list[ProbeHit] = []
     scanned: list[tuple[int, int]] = []
     for n, codes in _orders("all", n_max):

@@ -1,4 +1,7 @@
 """Named families: parameter validation, construction, parsing, round trips."""
+import hashlib
+import re
+
 import pytest
 
 from toughlab.canon import are_isomorphic
@@ -10,6 +13,7 @@ from toughlab.families import (
     parse_family_spec,
     turan_parts,
 )
+from toughlab.graph6 import write_graph6
 from toughlab.graphs import Graph, complement
 
 from oracles import normalize_edges
@@ -48,7 +52,49 @@ def test_invalid_specs_rejected(family, params):
         FamilySpec(family, params)
 
 
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        (Family.COMPLETE, (), "complete takes 1 parameter(s), got 0"),
+        (Family.COMPLETE, (-1,), "complete: n must be >= 0"),
+        (Family.PATH, (1, 2), "path takes 1 parameter(s), got 2"),
+        (Family.PATH, (0,), "path: n must be >= 1"),
+        (Family.CYCLE, (), "cycle takes 1 parameter(s), got 0"),
+        (Family.CYCLE, (2,), "cycle: n must be >= 3"),
+        (Family.STAR, (1, 2), "star takes 1 parameter(s), got 2"),
+        (Family.STAR, (0,), "star: l must be >= 1"),
+        (Family.DOUBLE_STAR, (1,), "doublestar takes 2 parameter(s), got 1"),
+        (Family.DOUBLE_STAR, (0, 1), "doublestar: need 1 <= k <= l"),
+        (Family.DOUBLE_STAR, (3, 2), "doublestar: need 1 <= k <= l"),
+        (Family.TRIPLE_STAR, (1, 1), "triplestar takes 3 parameter(s), got 2"),
+        (Family.TRIPLE_STAR, (0, 1, 1), "triplestar: need 1 <= a <= b <= c"),
+        (Family.TRIPLE_STAR, (1, 2, 1), "triplestar: need 1 <= a <= b <= c"),
+        (Family.COMPLETE_MULTIPARTITE, (), "multipartite: at least one part required"),
+        (Family.COMPLETE_MULTIPARTITE, (0, 1), "multipartite: parts must be >= 1"),
+        (Family.COMPLETE_MULTIPARTITE, (2, 0), "multipartite: parts must be >= 1"),
+        (Family.COMPLETE_MULTIPARTITE, (2, 1), "multipartite: parts must be ascending"),
+        (Family.TURAN, (4,), "turan takes 2 parameter(s), got 1"),
+        (Family.TURAN, (3, 4), "turan: need 1 <= k <= n"),
+        (Family.TURAN, (3, 0), "turan: need 1 <= k <= n"),
+        (Family.WHEEL, (4, 4), "wheel takes 1 parameter(s), got 2"),
+        (Family.WHEEL, (3,), "wheel: rim length must be >= 4"),
+        (Family.NET, (1,), "net takes 0 parameter(s), got 1"),
+        (Family.CO_NET, (1, 2), "conet takes 0 parameter(s), got 2"),
+        ("star", (3,), "unknown family star"),
+    ],
+)
+def test_invalid_spec_messages(family, params, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec(family, params)
+
+
+def test_turan_parts_message():
+    with pytest.raises(ValueError, match=f"^{re.escape('turan: need 1 <= k <= n')}$"):
+        turan_parts(3, 4)
+
+
 def test_spec_str_round_trip():
+    names = set()
     for text in [
         "complete:4",
         "path:5",
@@ -65,6 +111,8 @@ def test_spec_str_round_trip():
         spec = parse_family_spec(text)
         assert str(spec) == text
         assert parse_family_spec(str(spec)) == spec
+        names.add(spec.family)
+    assert names == set(Family)
 
 
 def test_parse_aliases():
@@ -75,6 +123,22 @@ def test_parse_aliases():
     assert parse_family_spec("p:4") == parse_family_spec("path:4")
     assert parse_family_spec("c:5") == parse_family_spec("cycle:5")
     assert parse_family_spec(" NET ") == parse_family_spec("net")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unknown family ''"),
+        ("blah:3", "unknown family 'blah'"),
+        ("x", "unknown family 'x'"),
+        ("Stars:3", "unknown family 'Stars'"),
+        ("star:x", "bad parameters in family spec 'star:x'"),
+        ("star:1,,2", "bad parameters in family spec 'star:1,,2'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_family_spec(text)
 
 
 @pytest.mark.parametrize("text", ["", "blah:3", "star", "star:x", "turan:4", "path:3,3"])
@@ -159,3 +223,53 @@ def test_known_coincidences():
     assert are_isomorphic(_named("turan:4,2"), _named("cycle:4"))
     assert are_isomorphic(_named("turan:3,3"), _named("complete:3"))
     assert are_isomorphic(_named("multipartite:1,3"), _named("star:3"))
+
+
+def _ascending_partitions(n: int, least: int = 1):
+    if n == 0:
+        yield ()
+    for first in range(least, n + 1):
+        for rest in _ascending_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _specs_up_to(n_max: int):
+    """Every valid spec whose graph has at most n_max vertices, family by family."""
+    for n in range(n_max + 1):
+        yield FamilySpec(Family.COMPLETE, (n,))
+    for n in range(1, n_max + 1):
+        yield FamilySpec(Family.PATH, (n,))
+    for n in range(3, n_max + 1):
+        yield FamilySpec(Family.CYCLE, (n,))
+    for l in range(1, n_max):
+        yield FamilySpec(Family.STAR, (l,))
+    for k in range(1, n_max):
+        for l in range(k, n_max - k - 1):
+            yield FamilySpec(Family.DOUBLE_STAR, (k, l))
+    for a in range(1, n_max):
+        for b in range(a, n_max):
+            for c in range(b, n_max - a - b - 2):
+                yield FamilySpec(Family.TRIPLE_STAR, (a, b, c))
+    for n in range(1, n_max + 1):
+        for parts in _ascending_partitions(n):
+            yield FamilySpec(Family.COMPLETE_MULTIPARTITE, parts)
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            yield FamilySpec(Family.TURAN, (n, k))
+    for l in range(4, n_max):
+        yield FamilySpec(Family.WHEEL, (l,))
+    yield FamilySpec(Family.NET)
+    yield FamilySpec(Family.CO_NET)
+
+
+def test_family_graphs_frozen():
+    """graph6 of every valid spec on 0-10 vertices, digest frozen."""
+    lines = []
+    for spec in _specs_up_to(10):
+        g = make_named(spec)
+        assert g.n <= 10
+        lines.append(f"{spec}\t{write_graph6(g)}")
+    assert {spec.family for spec in _specs_up_to(10)} == set(Family)
+    assert len(lines) == 266
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == "8410e42ba33b929909d53ce27c8137e6259a5d924f94117516640fe34b5b972b"
