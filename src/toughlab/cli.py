@@ -211,6 +211,24 @@ _LMAX_RANGE = {"table1": (2, TABLE1_L_MAX), "wheels": (5, WHEELS_L_MAX),
                "all": (5, TABLE1_L_MAX)}
 
 
+def _verify_report(target: str, nmax: int, lmax: int, klass: str):
+    """The report of one verify target other than all."""
+    key = target.strip().lower()
+    normalized = key.upper().replace("-", "_")
+    if normalized in THEOREM_IDS:
+        return verify_theorem(normalized, nmax)
+    if key == "table1":
+        return verify_table1(lmax or 5)
+    if key == "wheels":
+        return verify_wheels(lmax or 9)
+    if key == "kriesell":
+        return kriesell_scan(klass, nmax)
+    if key == "codiam":
+        return verify_codiam_exclusions(nmax)
+    known = ", ".join(("all", "table1", "wheels", "kriesell", "codiam") + THEOREM_IDS)
+    raise CliError(f"unknown verify target {target!r}; known: {known}")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     _gate_nmax(args.nmax)
     target = args.target.strip().lower()
@@ -219,37 +237,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise CliError(f"--lmax must be >= {least} for {target}")
     if most is not None and args.lmax > most:
         raise CliError(f"--lmax must be <= {most} for {target}")
-    normalized = target.upper().replace("-", "_")
-    reports: list[tuple[object, bool]] = []
-    if normalized in THEOREM_IDS:
-        reports.append((verify_theorem(normalized, args.nmax), True))
-    elif target == "table1":
-        reports.append((verify_table1(args.lmax if args.lmax else 5), True))
-    elif target == "wheels":
-        reports.append((verify_wheels(args.lmax if args.lmax else 9), True))
-    elif target == "kriesell":
-        rep = kriesell_scan(args.klass, args.nmax)
-        reports.append((rep, rep.assertive))
-    elif target == "codiam":
-        reports.append((verify_codiam_exclusions(args.nmax), True))
-    elif target == "all":
-        for tid in THEOREM_IDS:
-            reports.append((verify_theorem(tid, args.nmax), True))
-        reports.append((verify_table1(args.lmax if args.lmax else 5), True))
-        reports.append((verify_wheels(args.lmax if args.lmax else 9), True))
-        for klass in KRIESELL_CLASS_FILTERS:
-            rep = kriesell_scan(klass, args.nmax)
-            reports.append((rep, rep.assertive))
-        reports.append((verify_codiam_exclusions(args.nmax), True))
-    else:
-        known = ", ".join(("all", "table1", "wheels", "kriesell", "codiam") + THEOREM_IDS)
-        raise CliError(f"unknown verify target {args.target!r}; known: {known}")
+    steps = [(args.target, args.klass)]
+    if target == "all":
+        steps = [(t, args.klass) for t in THEOREM_IDS + ("table1", "wheels")]
+        steps += [("kriesell", k) for k in KRIESELL_CLASS_FILTERS] + [("codiam", args.klass)]
+    reports = [_verify_report(t, args.nmax, args.lmax, k) for t, k in steps]
     if args.format == "json":
-        payload = [rep.to_json() for rep, _ in reports]
+        payload = [rep.to_json() for rep in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:
-        print("\n\n".join(rep.render() for rep, _ in reports))
-    failed = any(assertive and not rep.verified for rep, assertive in reports)
+        print("\n\n".join(rep.render() for rep in reports))
+    # only the unrestricted degree-ceiling scan reports without asserting
+    failed = any(getattr(rep, "assertive", True) and not rep.verified for rep in reports)
     return 1 if failed else 0
 
 

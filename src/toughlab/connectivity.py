@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, VertexSet, _bits
+from .graphs import Graph, VertexSet, _as_mask, _bits, complement
 
 # -- components --------------------------------------------------------------
 
@@ -60,8 +60,6 @@ def components(g: Graph) -> list[VertexSet]:
 
 def component_count_without(g: Graph, removed: VertexSet | Iterable[int]) -> int:
     """c(G - S): component count after deleting the vertices of S."""
-    from .graphs import _as_mask
-
     return _component_count(g.adj, g.full_mask & ~_as_mask(removed, g.n))
 
 
@@ -115,8 +113,6 @@ def diameter(g: Graph) -> int | float:
 
 
 def co_diameter(g: Graph) -> int | float:
-    from .graphs import complement
-
     return diameter(complement(g))
 
 
@@ -220,8 +216,6 @@ def max_bipartite_matching(g: Graph, a: VertexSet | Iterable[int], b: VertexSet 
     Only edges with one end in a and the other in b are considered.
     Augmenting-path search (Kuhn's algorithm) over the a side.
     """
-    from .graphs import _as_mask
-
     amask = _as_mask(a, g.n)
     bmask = _as_mask(b, g.n)
     if amask & bmask:
@@ -251,8 +245,6 @@ def uv_extension(g: Graph, a: VertexSet | Iterable[int], b: VertexSet | Iterable
     vertices, with every edge between the sides.  Returns (extended graph,
     u, v) where u = g.n and v = g.n + 1; u and v are non-adjacent.
     """
-    from .graphs import _as_mask
-
     amask = _as_mask(a, g.n)
     bmask = _as_mask(b, g.n)
     if amask & bmask:

@@ -47,8 +47,7 @@ class Family(Enum):
 
 def turan_parts(n: int, k: int) -> tuple[int, ...]:
     """Part sizes of the Turan graph T_{n,k}, ascending."""
-    if not 1 <= k <= n:
-        raise ValueError("turan: need 1 <= k <= n")
+    FamilySpec(Family.TURAN, (n, k))  # raises on parameters the TURAN row refuses
     q, r = divmod(n, k)
     return (q,) * (k - r) + (q + 1,) * r
 

@@ -40,9 +40,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .connectivity import _flood, co_diameter, distances, local_connectivity
+from .canon import canonical_code
+from .connectivity import _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
-from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge
+from .graph6 import write_graph6
+from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
 from .toughness import (
     Toughness, _sweep, _tough_pass, format_toughness, toughness,
 )
@@ -268,8 +270,6 @@ class JoinConditionReport:
 
 
 def check_join_condition(g1: Graph, g2: Graph) -> JoinConditionReport:
-    from .graphs import join
-
     if g1.n == 0 or g2.n == 0:
         raise ValueError("join condition needs two non-empty factors")
     g = join(g1, g2)
@@ -316,8 +316,6 @@ def classify_universal_vertex_graph(g: Graph) -> FamilySpec:
     Star K_{1,n-1} when t <= 1/2, wheel (hub + rim cycle) when t > 1; the
     range (1/2, 1] is impossible for conforming inputs.
     """
-    from .canon import canonical_code
-
     if not universal_vertices(g).bits:
         raise ValueError("no universal vertex")
     t = toughness(g)
@@ -342,8 +340,6 @@ def classify_universal_vertex_graph(g: Graph) -> FamilySpec:
 
 
 def verdict_to_json(g: Graph, verdict: MinToughVerdict, witnesses: list[EdgeWitness] = ()) -> dict:
-    from .graph6 import write_graph6
-
     record: dict = {
         "graph6": write_graph6(g),
         "status": verdict.status.value,

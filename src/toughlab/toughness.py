@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
+from .connectivity import is_connected
 from .graphs import CrossCheckError, Graph, VertexSet
 
 Toughness = Union[Fraction, float]
@@ -193,8 +194,6 @@ def toughness_complete_multipartite(parts: Sequence[int]) -> Toughness:
 
 def toughness_tree(g: Graph) -> Fraction:
     """1/max-degree, valid for trees on >= 2 vertices with max degree >= 2."""
-    from .connectivity import is_connected
-
     if g.n < 2 or not is_connected(g) or g.edge_count != g.n - 1:
         raise ValueError("input is not a tree on >= 2 vertices")
     delta = max(g.degrees())

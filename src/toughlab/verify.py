@@ -4,17 +4,19 @@ Each classification result we care about has the same shape: within some
 recognizable class of graphs, the non-trivially minimally tough members are
 exactly a short list of named families.  One table, ``_CLASSES``, names each
 classified class once, keyed by its degree-ceiling (Kriesell) filter, with
-its theorem id, its membership test by code and its predicted families; the
-theorem ids and the Kriesell filters derive from it.  Each class keeps one
+its theorem id, its membership test by code and its predicted families, a
+rule table naming which members of which families it admits; the theorem
+ids and the Kriesell filters derive from it.  Each class keeps one
 cached member list per order, filtered once from the census, and the
 theorem, Kriesell and co-diameter scans all iterate those lists.  A report
 carries per-order counts plus the graph6 strings of any graph where the
 computed verdict and the predicted family codes disagree.
 
-Everything is driven off canonical codes so that reports are byte-identical
-across runs.  The census keeps one record per class, its code and canon's
-graph; expensive per-graph facts (toughness, minimal-toughness verdicts,
-chordality of the complement) are memoized per code and shared by all scans.
+Everything is driven off canonical codes, kept as graph6 text, so that
+reports are byte-identical across runs and print the code itself.  The
+census keeps one record per class, its code and canon's graph; expensive
+per-graph facts (toughness, minimal-toughness verdicts, chordality of the
+complement) are memoized per code and shared by all scans.
 """
 from __future__ import annotations
 
@@ -53,38 +55,38 @@ PROBE_N_MAX = 9
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> dict[bytes, Graph]:
-    return {write_graph6(g).encode("ascii"): g for g in enumerate_graphs(n)}
+def _census(n: int) -> dict[str, Graph]:
+    return {write_graph6(g): g for g in enumerate_graphs(n)}
 
 
 @lru_cache(maxsize=None)
-def _graph_of(code: bytes) -> Graph:
-    return _census(code[0] - 63)[code]
+def _graph_of(code: str) -> Graph:
+    return _census(ord(code[0]) - 63)[code]
 
 
 @lru_cache(maxsize=None)
-def _tau_of(code: bytes) -> Toughness:
+def _tau_of(code: str) -> Toughness:
     return toughness(_graph_of(code))
 
 
 @lru_cache(maxsize=None)
-def _mintough(code: bytes) -> bool:
+def _mintough(code: str) -> bool:
     return is_nontrivially_minimally_tough(_graph_of(code))
 
 
 @lru_cache(maxsize=None)
-def _is_cochordal(code: bytes) -> bool:
+def _is_cochordal(code: str) -> bool:
     return is_co_chordal(_graph_of(code))
 
 
 @lru_cache(maxsize=None)
-def _codiam_of(code: bytes) -> int | float:
+def _codiam_of(code: str) -> int | float:
     return co_diameter(_graph_of(code))
 
 
 @lru_cache(maxsize=None)
-def _spec_code(spec: FamilySpec) -> bytes:
-    return canonical_code(make_named(spec))
+def _spec_code(spec: FamilySpec) -> str:
+    return canonical_code(make_named(spec)).decode("ascii")
 
 
 # -- family identification -----------------------------------------------------
@@ -139,7 +141,7 @@ def identify_family(g: Graph) -> FamilySpec | None:
         The first family spec (fixed precedence order) whose construction is
         isomorphic to g, or None when no family matches.
     """
-    code = canonical_code(g)
+    code = canonical_code(g).decode("ascii")
     for spec in _family_candidates(g.n):
         if _spec_code(spec) == code:
             return spec
@@ -149,43 +151,29 @@ def identify_family(g: Graph) -> FamilySpec | None:
 # -- the classified classes ----------------------------------------------------
 
 
-def _pred_base(n: int) -> Iterator[FamilySpec]:
-    # stars with at least 2 leaves, K_{2,3}, and the two balanced Turan shapes
-    if n >= 3:
-        yield FamilySpec(Family.STAR, (n - 1,))
-    if n == 5:
-        yield FamilySpec(Family.COMPLETE_MULTIPARTITE, (2, 3))
-    if n >= 4 and n % 2 == 0:
-        yield FamilySpec(Family.TURAN, (n, n // 2))
-    if n >= 3 and n % 2 == 1:
-        yield FamilySpec(Family.TURAN, (n, (n + 1) // 2))
+#: the named graphs a classification predicts: each family it lists maps to
+#: the test that family's parameters must pass
+_Rules = dict[Family, Callable[..., bool]]
+_BALANCED_TURAN = lambda n, k: n >= 3 and k == (n + 1) // 2
+_DOUBLE_STARS: _Rules = {Family.DOUBLE_STAR: lambda k, l: True}
+_BALANCED_TRIPLE_STARS: _Rules = {Family.TRIPLE_STAR: lambda a, b, c: a == b == c}
+#: stars with at least 2 leaves, K_{2,3}, and the two balanced Turan shapes
+_BASE: _Rules = {Family.STAR: lambda l: l >= 2, Family.TURAN: _BALANCED_TURAN,
+                 Family.COMPLETE_MULTIPARTITE: lambda *parts: parts == (2, 3)}
+_COCHORDAL: _Rules = {**_BASE, Family.PATH: lambda n: n == 4, **_DOUBLE_STARS}
+_COFOREST: _Rules = {Family.PATH: lambda n: n == 4, Family.TURAN: _BALANCED_TURAN}
+_UNIVERSAL: _Rules = {Family.STAR: lambda l: l >= 2, Family.WHEEL: lambda l: True}
 
 
-def _pred_cochordal(n: int) -> Iterator[FamilySpec]:
-    yield from _pred_base(n)
-    if n == 4:
-        yield FamilySpec(Family.PATH, (4,))
-    for k in range(1, (n - 2) // 2 + 1):
-        yield FamilySpec(Family.DOUBLE_STAR, (k, n - 2 - k))
+def _predicted(rules: _Rules, n: int) -> frozenset[str]:
+    """The codes of the named graphs on n vertices that rules admit."""
+    return frozenset(
+        _spec_code(spec) for spec in _family_candidates(n)
+        if spec.family in rules and rules[spec.family](*spec.params)
+    )
 
 
-def _pred_coforest(n: int) -> Iterator[FamilySpec]:
-    if n == 4:
-        yield FamilySpec(Family.PATH, (4,))
-    if n >= 4 and n % 2 == 0:
-        yield FamilySpec(Family.TURAN, (n, n // 2))
-    if n >= 3 and n % 2 == 1:
-        yield FamilySpec(Family.TURAN, (n, (n + 1) // 2))
-
-
-def _pred_universal(n: int) -> Iterator[FamilySpec]:
-    if n >= 3:
-        yield FamilySpec(Family.STAR, (n - 1,))
-    if n >= 5:
-        yield FamilySpec(Family.WHEEL, (n - 1,))
-
-
-def _condition3(code: bytes) -> bool:
+def _condition3(code: str) -> bool:
     """Multipartite-inequality route to minimal toughness.
 
     Holds when the graph is complete multipartite with k >= 2 ascending
@@ -206,35 +194,33 @@ def _condition3(code: bytes) -> bool:
 class _Class:
     theorem: str
     #: membership by code; it calls the recognizers through this module's names
-    member: Callable[[bytes], bool]
-    predicted: Callable[[int], Iterator[FamilySpec]]
+    member: Callable[[str], bool]
+    predicted: _Rules
     #: False when the class has no degree-ceiling (Kriesell) filter
     kriesell: bool = True
     #: only members with t <= tau_cap count as found
     tau_cap: Fraction | None = None
     #: a third route to the verdict that must agree with both sides
-    route: Callable[[bytes], bool] | None = None
+    route: Callable[[str], bool] | None = None
 
 
 #: every classified class, keyed by its degree-ceiling filter name ("universal"
 #: has no such filter)
 _CLASSES: dict[str, _Class] = {
-    "p4-free": _Class("P4FREE", lambda c: is_p4_free(_graph_of(c)), _pred_base, route=_condition3),
+    "p4-free": _Class("P4FREE", lambda c: is_p4_free(_graph_of(c)), _BASE, route=_condition3),
     "complete-multipartite": _Class(
-        "MULTIPARTITE", lambda c: is_complete_multipartite(_graph_of(c)), _pred_base
+        "MULTIPARTITE", lambda c: is_complete_multipartite(_graph_of(c)), _BASE
     ),
     "cochordal-ge3": _Class(
-        "COCHORDAL_GE3", lambda c: _is_cochordal(c) and _codiam_of(c) >= 3, _pred_cochordal
+        "COCHORDAL_GE3", lambda c: _is_cochordal(c) and _codiam_of(c) >= 3, _COCHORDAL
     ),
     "netfree-cochordal": _Class(
         "NETFREE_COCHORDAL", lambda c: _is_cochordal(c) and is_net_free(_graph_of(c)),
-        _pred_cochordal,
+        _COCHORDAL,
     ),
-    "co-forest": _Class(
-        "COFOREST", lambda c: is_complement_of_forest(_graph_of(c)), _pred_coforest
-    ),
+    "co-forest": _Class("COFOREST", lambda c: is_complement_of_forest(_graph_of(c)), _COFOREST),
     "universal": _Class(
-        "UNIVERSAL_LE_3_2", lambda c: bool(universal_vertices(_graph_of(c)).bits), _pred_universal,
+        "UNIVERSAL_LE_3_2", lambda c: bool(universal_vertices(_graph_of(c)).bits), _UNIVERSAL,
         kriesell=False, tau_cap=Fraction(3, 2),
     ),
 }
@@ -246,7 +232,7 @@ KRIESELL_CLASS_FILTERS = tuple(key for key, klass in _CLASSES.items() if klass.k
 
 
 @lru_cache(maxsize=None)
-def _members(klass: str, n: int) -> tuple[bytes, ...]:
+def _members(klass: str, n: int) -> tuple[str, ...]:
     """The census codes on n vertices in a class of _CLASSES, or all for "all"."""
     if klass == "all":
         return tuple(_census(n))
@@ -254,17 +240,12 @@ def _members(klass: str, n: int) -> tuple[bytes, ...]:
     return tuple(code for code in _census(n) if member(code))
 
 
-def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[bytes, ...]]]:
+def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:
     """(n, members of klass on n vertices) for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     for n in range(1, n_max + 1):
         yield n, _members(klass, n)
-
-
-@lru_cache(maxsize=None)
-def _predicted_codes(klass: str, n: int) -> frozenset[bytes]:
-    return frozenset(_spec_code(spec) for spec in _CLASSES[klass].predicted(n))
 
 
 # -- theorem harness ----------------------------------------------------------
@@ -339,19 +320,18 @@ def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> TheoremReport
     discrepancies: list[str] = []
     condition_discrepancies: list[str] = []
     for n, members in _orders(key, n_max):
-        predicted = _predicted_codes(key, n)
+        predicted = _predicted(klass.predicted, n)
         found_count = 0
         for code in members:
             found = _mintough(code) and (klass.tau_cap is None or _tau_of(code) <= klass.tau_cap)
             found_count += found
             pred = code in predicted
             if found != pred:
-                discrepancies.append(code.decode("ascii"))
+                discrepancies.append(code)
             if klass.route is not None and not (found == pred == klass.route(code)):
-                condition_discrepancies.append(code.decode("ascii"))
+                condition_discrepancies.append(code)
         # a predicted family member that escapes its own class is also a bug
-        for code in sorted(predicted.difference(members)):
-            discrepancies.append(code.decode("ascii"))
+        discrepancies.extend(sorted(predicted.difference(members)))
         per_n.append(PerNCounts(n, len(members), found_count, len(predicted)))
     return TheoremReport(
         tid, n_max, tuple(per_n), tuple(discrepancies), tuple(condition_discrepancies)
@@ -525,7 +505,7 @@ def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> Krie
                 continue
             count += 1
             if math.ceil(2 * _tau_of(code)) not in _graph_of(code).degrees():
-                bad.append(code.decode("ascii"))
+                bad.append(code)
         scanned.append((n, count))
     return KriesellReport(key, n_max, key != "all", tuple(scanned), tuple(bad))
 
@@ -603,6 +583,7 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
     hits: list[ProbeHit] = []
     scanned: list[tuple[int, int]] = []
     for n, codes in _orders("all", n_max):
+        balanced = _predicted(_BALANCED_TRIPLE_STARS, n)
         count = 0
         for code in codes:
             if not (_is_cochordal(code) and _codiam_of(code) == 2):
@@ -610,15 +591,11 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
             count += 1
             if not _mintough(code):
                 continue
-            size = None
-            if n >= 6 and n % 3 == 0:
-                l = (n - 3) // 3
-                if code == _spec_code(FamilySpec(Family.TRIPLE_STAR, (l, l, l))):
-                    size = l
+            size = (n - 3) // 3 if code in balanced else None
             tau = _tau_of(code)
             if not isinstance(tau, Fraction):
-                raise CrossCheckError(f"minimally tough {code.decode('ascii')} has toughness {tau}")
-            hits.append(ProbeHit(code.decode("ascii"), tau, size))
+                raise CrossCheckError(f"minimally tough {code} has toughness {tau}")
+            hits.append(ProbeHit(code, tau, size))
         scanned.append((n, count))
     return ProbeReport(n_max, tuple(scanned), tuple(hits))
 
@@ -676,25 +653,21 @@ def verify_codiam_exclusions(n_max: int = DEFAULT_N_MAX) -> CoDiamExclusionRepor
     ge4_bad: list[str] = []
     diam3_bad: list[str] = []
     for n, members in _orders("cochordal-ge3", n_max):
-        doublestars = frozenset(
-            _spec_code(FamilySpec(Family.DOUBLE_STAR, (k, n - 2 - k)))
-            for k in range(1, (n - 2) // 2 + 1)
-        )
-        seen: set[bytes] = set()
+        doublestars = _predicted(_DOUBLE_STARS, n)
+        seen: set[str] = set()
         for code in members:
             d = _codiam_of(code)
             if d == 3:
                 diam3_scanned += 1
                 seen.add(code)
                 if _mintough(code) != (code in doublestars):
-                    diam3_bad.append(code.decode("ascii"))
+                    diam3_bad.append(code)
             elif isinstance(d, int) and d >= 4:
                 ge4_scanned += 1
                 if _mintough(code):
-                    ge4_bad.append(code.decode("ascii"))
+                    ge4_bad.append(code)
         # every double star must sit inside the co-diameter-3 class
-        for code in sorted(doublestars - seen):
-            diam3_bad.append(code.decode("ascii"))
+        diam3_bad.extend(sorted(doublestars - seen))
     return CoDiamExclusionReport(
         n_max, ge4_scanned, tuple(ge4_bad), diam3_scanned, tuple(diam3_bad)
     )

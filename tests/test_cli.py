@@ -1,4 +1,5 @@
 """CLI behavior: formats, exit codes, streaming, gating, parallel workers."""
+import hashlib
 import io
 import json
 import os
@@ -294,6 +295,40 @@ def test_verify_all_small(capsys):
     reports = out.strip().split("\n\n")
     assert len(reports) == 15  # 6 theorems + 2 value tables + 6 kriesell + codiam
     assert sum("DISCREPANC" in r or "COUNTEREXAMPLE" in r or "MISMATCH" in r for r in reports) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["verify", "all", "--nmax", "7", "--format", "json"],
+         "10d1266d323b36683be3fcaa4fff7834a23b6a57aae38f9fc81407bf73222e32"),
+        (["verify", "all", "--nmax", "7"],
+         "9695a9c7251cf2cfbaae2697c375e0bd35ed8b3f10cd26e852cdd83eef64922f"),
+        (["probe", "--nmax", "7", "--format", "json"],
+         "47598428982048ac2e1fdaebd5fb103e39af37c973a07249e410beea03ad0fa3"),
+    ],
+    ids=["verify-all-json", "verify-all-table", "probe-json"],
+)
+def test_report_bytes_frozen(capsys, argv, digest):
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_verify_exit_code_follows_assertive_reports(capsys, monkeypatch):
+    from toughlab import cli
+    from toughlab.verify import CoDiamExclusionReport, KriesellReport
+
+    def kriesell(assertive):
+        return lambda klass, n_max: KriesellReport(klass, n_max, assertive, ((1, 1),), ("@",))
+
+    monkeypatch.setattr(cli, "kriesell_scan", kriesell(False))
+    assert _run(capsys, ["verify", "kriesell", "--nmax", "1"])[0] == 0
+    monkeypatch.setattr(cli, "kriesell_scan", kriesell(True))
+    assert _run(capsys, ["verify", "kriesell", "--nmax", "1"])[0] == 1
+    monkeypatch.setattr(cli, "verify_codiam_exclusions",
+                        lambda n_max: CoDiamExclusionReport(n_max, 0, ("@",), 0, ()))
+    assert _run(capsys, ["verify", "codiam", "--nmax", "1"])[0] == 1
 
 
 def test_verify_all_tests_each_graph_once_per_recognizer(capsys, monkeypatch):
