@@ -57,8 +57,6 @@ from .connectivity import is_connected
 from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
 from .graphs import Graph, _bits, relabel
 
-CanonicalCode = bytes
-
 _MAX_CANON = 10
 _INF = 1 << 62
 
@@ -126,9 +124,9 @@ def canonical_form(g: Graph) -> Graph:
     return relabel(g, old_to_new)
 
 
-def canonical_code(g: Graph) -> CanonicalCode:
-    """Isomorphism-invariant byte string: graph6 of the canonical form."""
-    return write_graph6(canonical_form(g)).encode("ascii")
+def canonical_code(g: Graph) -> str:
+    """Isomorphism-invariant code: the graph6 text of the canonical form."""
+    return write_graph6(canonical_form(g))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

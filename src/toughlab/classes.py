@@ -54,6 +54,11 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
+def _is_clique(g: Graph, mask: int) -> bool:
+    """True iff the vertices of ``mask`` are pairwise adjacent."""
+    return all(not mask & ~g.adj[u] & ~(1 << u) for u in _bits(mask))
+
+
 def _is_peo(g: Graph, order: list[int]) -> bool:
     position = [0] * g.n
     for i, v in enumerate(order):
@@ -63,9 +68,8 @@ def _is_peo(g: Graph, order: list[int]) -> bool:
         for u in _bits(g.adj[v]):
             if position[u] > i:
                 later |= 1 << u
-        for u in _bits(later):
-            if later & ~g.adj[u] & ~(1 << u):
-                return False
+        if not _is_clique(g, later):
+            return False
     return True
 
 
@@ -91,8 +95,7 @@ def simplicial_vertices(g: Graph) -> VertexSet:
     """Vertices whose neighbourhood induces a clique."""
     bits = 0
     for v in range(g.n):
-        nv = g.adj[v]
-        if all(not nv & ~g.adj[u] & ~(1 << u) for u in _bits(nv)):
+        if _is_clique(g, g.adj[v]):
             bits |= 1 << v
     return VertexSet(bits, g.n)
 

@@ -72,24 +72,24 @@ def _gate_nmax(n: int, least: int = 1) -> None:
 # -- per-line workers (top-level so they pickle for --jobs) ------------------------
 
 
-def _line_tough(fmt: str, line: str) -> str:
+def _line_tough(args: argparse.Namespace, line: str) -> str:
     g = parse_graph6(line)
     value = format_toughness(toughness(g))
-    if fmt == "table":
+    if args.format == "table":
         return value
-    if fmt == "tsv":
+    if args.format == "tsv":
         return f"{write_graph6(g)}\t{value}"
     return json.dumps({"graph6": write_graph6(g), "toughness": value})
 
 
-def _line_mintough(fmt: str, method: str, line: str) -> str:
+def _line_mintough(args: argparse.Namespace, line: str) -> str:
     g = parse_graph6(line)
     witnesses = []
-    if method == "definition":
+    if args.method == "definition":
         verdict = is_minimally_tough_by_definition(g)
     else:
         verdict, witnesses = is_minimally_tough_by_criterion(g)
-        if method == "both":
+        if args.method == "both":
             ref = is_minimally_tough_by_definition(g)
             if (ref.status, ref.toughness, ref.failing_edge) != (
                 verdict.status,
@@ -97,12 +97,12 @@ def _line_mintough(fmt: str, method: str, line: str) -> str:
                 verdict.failing_edge,
             ):
                 raise CrossCheckError(f"deciders disagree on {write_graph6(g)}")
-    if fmt == "json":
+    if args.format == "json":
         return json.dumps(verdict_to_json(g, verdict, witnesses))
     status = _STATUS_TEXT[verdict.status]
     value = format_toughness(verdict.toughness)
     edge = "-" if verdict.failing_edge is None else "{}-{}".format(*verdict.failing_edge)
-    if fmt == "tsv":
+    if args.format == "tsv":
         return f"{write_graph6(g)}\t{status}\t{value}\t{edge}"
     out = f"{status}, tau={value}"
     if verdict.failing_edge is not None:
@@ -110,13 +110,13 @@ def _line_mintough(fmt: str, method: str, line: str) -> str:
     return out
 
 
-def _line_classify(fmt: str, line: str) -> str:
+def _line_classify(args: argparse.Namespace, line: str) -> str:
     g = parse_graph6(line)
     flags = {name: bool(fn(g)) for name, fn in CLASS_PREDICATES.items()}
     g6 = write_graph6(g)
-    if fmt == "table":
+    if args.format == "table":
         return f"{g6}: " + ",".join(name for name, hit in flags.items() if hit)
-    if fmt == "tsv":
+    if args.format == "tsv":
         return "\t".join([g6] + ["1" if flags[name] else "0" for name in CLASS_PREDICATES])
     return json.dumps({"graph6": g6, "classes": flags})
 
@@ -175,17 +175,8 @@ def _emit(results: Iterable[tuple[str, int, bool, str]]) -> int:
 # -- subcommands ---------------------------------------------------------------------
 
 
-def _cmd_tough(args: argparse.Namespace) -> int:
-    return _drive(_input_records(args.paths), partial(_line_tough, args.format), args.jobs)
-
-
-def _cmd_mintough(args: argparse.Namespace) -> int:
-    worker = partial(_line_mintough, args.format, args.method)
-    return _drive(_input_records(args.paths), worker, args.jobs)
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
-    return _drive(_input_records(args.paths), partial(_line_classify, args.format), args.jobs)
+def _cmd_lines(args: argparse.Namespace) -> int:
+    return _drive(_input_records(args.paths), partial(args.line, args), args.jobs)
 
 
 def _cmd_named(args: argparse.Namespace) -> int:
@@ -267,13 +258,15 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------------
 
 
-def _add_line_command(sub, name: str, help_text: str):
+def _add_line_command(sub, name: str, help_text: str,
+                      worker: Callable[[argparse.Namespace, str], str]):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("paths", nargs="*", metavar="FILE",
                    help="graph6 files; '-' or no argument reads stdin")
     p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes, at most one per CPU; output order is preserved")
+    p.set_defaults(func=_cmd_lines, line=worker)
     return p
 
 
@@ -286,16 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_line_command(sub, "tough", "exact toughness per input graph")
-    p.set_defaults(func=_cmd_tough)
-
-    p = _add_line_command(sub, "mintough", "minimal-toughness verdict per input graph")
+    _add_line_command(sub, "tough", "exact toughness per input graph", _line_tough)
+    p = _add_line_command(sub, "mintough", "minimal-toughness verdict per input graph",
+                          _line_mintough)
     p.add_argument("--method", choices=("definition", "criterion", "both"), default="both",
                    help="decider; 'both' asserts agreement")
-    p.set_defaults(func=_cmd_mintough)
-
-    p = _add_line_command(sub, "classify", "graph-class membership vector per input graph")
-    p.set_defaults(func=_cmd_classify)
+    _add_line_command(sub, "classify", "graph-class membership vector per input graph",
+                      _line_classify)
 
     p = sub.add_parser("named", help="emit graph6 of named family instances")
     p.add_argument("specs", nargs="+", metavar="SPEC",

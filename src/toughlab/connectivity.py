@@ -37,14 +37,11 @@ def _flood(adj: tuple[int, ...], seed: int, allowed: int) -> int:
 
 def _component_count(adj: tuple[int, ...], mask: int) -> int:
     """Number of connected components of the subgraph induced on ``mask``."""
-    count = 0
-    while mask:
-        count += 1
-        mask &= ~_flood(adj, mask & -mask, mask)
-    return count
+    return len(_component_masks(adj, mask))
 
 
 def _component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Components of the subgraph induced on ``mask``, by least vertex."""
     out = []
     while mask:
         comp = _flood(adj, mask & -mask, mask)

@@ -180,12 +180,7 @@ def _as_mask(s: VertexSet | Iterable[int], n: int) -> int:
         if s.universe != n:
             raise ValueError("vertex set universe does not match graph order")
         return s.bits
-    mask = 0
-    for v in s:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        mask |= 1 << v
-    return mask
+    return VertexSet.from_vertices(s, n).bits
 
 
 def induced_subgraph(g: Graph, s: VertexSet | Iterable[int]) -> Graph:

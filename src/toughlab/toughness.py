@@ -31,6 +31,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
 from .connectivity import is_connected
+from .families import Family, FamilySpec
 from .graphs import CrossCheckError, Graph, VertexSet
 
 Toughness = Union[Fraction, float]
@@ -177,12 +178,7 @@ def toughness_complete_multipartite(parts: Sequence[int]) -> Toughness:
     n/n_k - 1 where n_k is the largest part.
     """
     parts = tuple(parts)
-    if not parts:
-        raise ValueError("at least one part required")
-    if any(p < 1 for p in parts):
-        raise ValueError("parts must be >= 1")
-    if list(parts) != sorted(parts):
-        raise ValueError("parts must be ascending")
+    FamilySpec(Family.COMPLETE_MULTIPARTITE, parts)  # raises on parts the row refuses
     n = sum(parts)
     nk = parts[-1]
     if nk == 1:

@@ -86,7 +86,7 @@ def _codiam_of(code: str) -> int | float:
 
 @lru_cache(maxsize=None)
 def _spec_code(spec: FamilySpec) -> str:
-    return canonical_code(make_named(spec)).decode("ascii")
+    return canonical_code(make_named(spec))
 
 
 # -- family identification -----------------------------------------------------
@@ -141,7 +141,7 @@ def identify_family(g: Graph) -> FamilySpec | None:
         The first family spec (fixed precedence order) whose construction is
         isomorphic to g, or None when no family matches.
     """
-    code = canonical_code(g).decode("ascii")
+    code = canonical_code(g)
     for spec in _family_candidates(g.n):
         if _spec_code(spec) == code:
             return spec

@@ -234,7 +234,7 @@ def test_enumerate_counts(capsys):
     codes = out.splitlines()
     assert len(codes) == 11
     assert set(codes) == {
-        canonical_code(g).decode("ascii") for g in enumerate_graphs(4)
+        canonical_code(g) for g in enumerate_graphs(4)
     }
     rc, out, _ = _run(capsys, ["enumerate", "5", "--connected"])
     assert len(out.splitlines()) == 21
@@ -313,6 +313,46 @@ def test_report_bytes_frozen(capsys, argv, digest):
     rc, out, _ = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+#: every class on 6 vertices, then named graphs on 9-12 vertices, one per line
+_LINE_SPECS = ("wheel:9", "turan:10,5", "doublestar:3,4", "triplestar:2,2,2",
+               "cycle:10", "path:9", "net", "conet")
+_LINE_DIGESTS = {
+    ("tough",): {
+        "table": "ca26d41129cf34d4b6d94814a82800fbc4cb2a4874068f80e2f9226779f5e42a",
+        "tsv": "34f17ae09743bf7e707bc3856208a0e899f379db8fdc7b190d869746c56341a7",
+        "json": "f86ad9a8988f00347d9e5352f1fc42a46134af32305aa0d3e01770df4d630701"},
+    ("mintough", "--method", "both"): {
+        "table": "f0e6d42c0bd6fecb6c2870561c4dd73fc125fed652f2ab589118087fda72da85",
+        "tsv": "a9bab34e77f9623380798e9f2f224a555d297afd606bcbd8b59e1c4dc714787d",
+        "json": "cb9f81afdf3a0fc7fc50f1aa3226ed968278e18bcad9d745f55f012ba49fd1bb"},
+    ("classify",): {
+        "table": "fd1367f15c6f84a6d76b21ef040b0407c329af5c809da294427a6d19d41b34fe",
+        "tsv": "3625bafa11e374495c8e554853fb3dcc4150000c25336a7839802f197d87d6c6",
+        "json": "635e721dd2ff5fff109684281e953a2c6beafc64d5d1a7a5d04dad156e69b7c9"},
+}
+
+
+@pytest.fixture(scope="module")
+def line_corpus(tmp_path_factory):
+    lines = [write_graph6(g) for g in enumerate_graphs(6)]
+    lines += [write_graph6(make_named(parse_family_spec(s))) for s in _LINE_SPECS]
+    text = "".join(line + "\n" for line in lines)
+    assert len(lines) == 164
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "d0d564c34aefb2ee6d92ce78c757dcb9c3e04228e4b29ceeeafade259261c5fe")
+    path = tmp_path_factory.mktemp("lines") / "corpus.g6"
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ("table", "tsv", "json"))
+@pytest.mark.parametrize("cmd", list(_LINE_DIGESTS), ids=lambda cmd: cmd[0])
+def test_line_bytes_frozen(capsys, line_corpus, cmd, fmt):
+    rc, out, err = _run(capsys, [*cmd, "--format", fmt, line_corpus])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == _LINE_DIGESTS[cmd][fmt]
 
 
 def test_verify_exit_code_follows_assertive_reports(capsys, monkeypatch):

@@ -33,7 +33,7 @@ def _named(text: str) -> Graph:
 
 
 def _code(text: str) -> str:
-    return canonical_code(_named(text)).decode("ascii")
+    return canonical_code(_named(text))
 
 
 # -- the two deciders --------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_disconnected_graphs_are_not_minimally_tough():
 def test_minimally_tough_graphs_n3_n4_n5():
     def codes(n):
         return {
-            canonical_code(g).decode("ascii")
+            canonical_code(g)
             for g in enumerate_graphs(n, connected_only=True)
             if is_nontrivially_minimally_tough(g)
         }

@@ -8,7 +8,7 @@ import pytest
 
 from toughlab.canon import enumerate_graphs
 from toughlab.connectivity import is_connected
-from toughlab.families import make_named, parse_family_spec, turan_parts
+from toughlab.families import Family, FamilySpec, make_named, parse_family_spec, turan_parts
 import toughlab.toughness as toughness_module
 from toughlab.graphs import CrossCheckError, Graph
 from toughlab.toughness import (
@@ -155,6 +155,16 @@ def test_multipartite_formula_validation():
         toughness_complete_multipartite((2, 1))
     with pytest.raises(ValueError):
         toughness_complete_multipartite((0, 2))
+
+
+@pytest.mark.parametrize("parts", [(), (0, 1), (2, 0), (2, 1)])
+def test_multipartite_formula_refuses_as_the_family_row(parts):
+    # the closed form reads its part rules from the multipartite family row
+    with pytest.raises(ValueError) as row:
+        FamilySpec(Family.COMPLETE_MULTIPARTITE, parts)
+    with pytest.raises(ValueError) as formula:
+        toughness_complete_multipartite(parts)
+    assert str(formula.value) == str(row.value)
 
 
 def test_turan_values_via_part_formula():

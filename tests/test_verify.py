@@ -142,6 +142,16 @@ def test_census_record_is_the_enumerated_graph():
             assert verify._graph_of(code) is g
 
 
+def test_census_keys_are_canonical_codes():
+    # a census key and canonical_code are one code type: graph6 text
+    import toughlab.verify as verify
+
+    for n in range(7):
+        for code, g in verify._census(n).items():
+            assert canonical_code(g) == code
+            assert isinstance(canonical_code(g), str)
+
+
 def test_value_row_ok_logic():
     assert ValueRow("x", Fraction(1), Fraction(1)).ok
     assert not ValueRow("x", Fraction(1), Fraction(2)).ok
