@@ -19,6 +19,8 @@ keeps, as the one record of its class, each child whose own labelling is
 already minimal: each class is accepted once, from its parent, with no
 seen-set and no canonical search.  ``canonical_form`` and ``canonical_code``
 stay independent of enumeration; the tests check each against the other.
+The pass that builds a level also keeps each record's code, which orders
+the level, and the index of its parent (``census_codes``, ``census_parents``).
 
 The 2**k children of one canonical parent P on k vertices are decided in one
 walk of P's tie tree (``_canonical_children``), not in 2**k searches that
@@ -50,6 +52,7 @@ root call is ``_is_canonical``).  The masks left are the canonical children.
 """
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Iterator
 
@@ -259,16 +262,50 @@ def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
     return alive
 
 
+class _Level(tuple):
+    """The records on n vertices: a tuple of ``Graph``, ascending by code.
+
+    ``codes[i]`` is the graph6 code of record i, and ``parents[i]`` the index
+    on n - 1 vertices of its canonical parent, which is record i minus its
+    last vertex.
+    """
+
+    codes: tuple[str, ...]
+    parents: array
+
+    def __new__(cls, graphs: tuple[Graph, ...], codes: tuple[str, ...], parents: array) -> "_Level":
+        level = super().__new__(cls, graphs)
+        level.codes, level.parents = codes, parents
+        return level
+
+
 @lru_cache(maxsize=None)
-def _census(n: int) -> tuple[Graph, ...]:
+def _census(n: int) -> _Level:
     if n == 0:
-        return (Graph.empty(0),)
-    children = [
-        Graph(n, _child_rows(parent.adj, m))
-        for parent in _census(n - 1)
-        for m in _bits(_canonical_children(n - 1, parent.adj))
-    ]
-    return tuple(sorted(children, key=write_graph6))
+        empty = Graph.empty(0)
+        return _Level((empty,), (write_graph6(empty),), array("I"))
+    graphs, codes, parents = [], [], array("I")
+    for i, parent in enumerate(_census(n - 1)):
+        for m in _bits(_canonical_children(n - 1, parent.adj)):
+            child = Graph(n, _child_rows(parent.adj, m))
+            graphs.append(child)
+            codes.append(write_graph6(child))
+            parents.append(i)
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    return _Level(tuple([graphs[j] for j in order]), tuple([codes[j] for j in order]),
+                  array("I", [parents[j] for j in order]))
+
+
+def census_codes(n: int) -> tuple[str, ...]:
+    """The graph6 codes of ``enumerate_graphs(n)``, in its order."""
+    return _census(n).codes
+
+
+def census_parents(n: int) -> array:
+    """Entry i is the index in ``enumerate_graphs(n - 1)`` of the canonical
+    parent of record i of ``enumerate_graphs(n)``: that record minus its
+    last vertex, with its labelling."""
+    return _census(n).parents
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

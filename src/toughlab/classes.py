@@ -5,7 +5,11 @@ Chordality is decided by maximum-cardinality search with an explicit
 perfect-elimination-ordering verification; a negative verdict carries an
 induced cycle of length >= 4 as certificate.  Induced-subgraph search is a
 plain ordered backtracking with adjacency/degree pruning -- fine at desk
-scale, which is all this package promises.
+scale, which is all this package promises; it can pin one pattern vertex
+per automorphism orbit to a given vertex, to find only copies through it.
+For the hereditary classes the census sweeps (P4-free, net-free, co-chordal,
+co-forest) there are also tests that decide g from g - v by looking only
+through v.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .connectivity import (
     max_bipartite_matching,
 )
 from .families import Family, FamilySpec, make_named
-from .graphs import CrossCheckError, Graph, VertexSet, _bits, complement
+from .graphs import CrossCheckError, Graph, VertexSet, _bits, _complement_rows, complement
 
 
 # -- chordality ----------------------------------------------------------------
@@ -54,9 +58,9 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
-def _is_clique(g: Graph, mask: int) -> bool:
-    """True iff the vertices of ``mask`` are pairwise adjacent."""
-    return all(not mask & ~g.adj[u] & ~(1 << u) for u in _bits(mask))
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    """True iff the vertices of ``mask`` are pairwise adjacent in the rows ``adj``."""
+    return all(not mask & ~adj[u] & ~(1 << u) for u in _bits(mask))
 
 
 def _is_peo(g: Graph, order: list[int]) -> bool:
@@ -68,7 +72,7 @@ def _is_peo(g: Graph, order: list[int]) -> bool:
         for u in _bits(g.adj[v]):
             if position[u] > i:
                 later |= 1 << u
-        if not _is_clique(g, later):
+        if not _is_clique(g.adj, later):
             return False
     return True
 
@@ -95,7 +99,7 @@ def simplicial_vertices(g: Graph) -> VertexSet:
     """Vertices whose neighbourhood induces a clique."""
     bits = 0
     for v in range(g.n):
-        if _is_clique(g, g.adj[v]):
+        if _is_clique(g.adj, g.adj[v]):
             bits |= 1 << v
     return VertexSet(bits, g.n)
 
@@ -125,12 +129,46 @@ def is_split(g: Graph) -> bool:
 # -- induced-subgraph search ------------------------------------------------------
 
 
-def contains_induced(g: Graph, pattern: Graph) -> VertexSet | None:
+def contains_induced(g: Graph, pattern: Graph, through: int | None = None) -> VertexSet | None:
     """A vertex set of g inducing ``pattern``, or None.
 
+    With ``through``, only copies that contain that vertex of g count: one
+    pattern vertex per automorphism orbit of the pattern is pinned to it in
+    turn.  Every copy through ``through`` maps some pattern vertex p there,
+    and composing it with an automorphism that takes p's orbit
+    representative to p gives a copy that maps the representative there.
+
     Deterministic: pattern vertices are matched in a fixed
-    connectivity-then-degree order, g candidates ascending.
+    connectivity-then-degree order (the pinned one first), g candidates
+    ascending.
     """
+    if through is None:
+        return _induced_copy(g, pattern, None)
+    if not 0 <= through < g.n:
+        raise ValueError(f"vertex {through} outside 0..{g.n - 1}")
+    for p in _orbit_representatives(pattern):
+        hit = _induced_copy(g, pattern, (p, through))
+        if hit is not None:
+            return hit
+    return None
+
+
+@lru_cache(maxsize=None)
+def _orbit_representatives(pattern: Graph) -> tuple[int, ...]:
+    """The least vertex of each automorphism orbit of ``pattern``, ascending.
+
+    An induced copy of a graph in itself is an automorphism, so u and w
+    share an orbit iff the copy search pinning u to w finds one.
+    """
+    reps: list[int] = []
+    for w in range(pattern.n):
+        if all(_induced_copy(pattern, pattern, (r, w)) is None for r in reps):
+            reps.append(w)
+    return tuple(reps)
+
+
+def _induced_copy(g: Graph, pattern: Graph, pin: tuple[int, int] | None) -> VertexSet | None:
+    """The one induced-subgraph search; ``pin`` = (p, w) maps pattern vertex p to w."""
     k = pattern.n
     if k > g.n:
         return None
@@ -139,7 +177,10 @@ def contains_induced(g: Graph, pattern: Graph) -> VertexSet | None:
     pdeg = pattern.degrees()
     order: list[int] = []
     chosen = 0
-    for _ in range(k):
+    if pin is not None:
+        order.append(pin[0])
+        chosen = 1 << pin[0]
+    while len(order) < k:
         best, best_key = -1, None
         for v in range(k):
             if chosen >> v & 1:
@@ -152,15 +193,18 @@ def contains_induced(g: Graph, pattern: Graph) -> VertexSet | None:
     gdeg = g.degrees()
     image = [0] * k
     used = 0
+    full = g.full_mask
+    first = full if pin is None else 1 << pin[1]
 
     def dfs(i: int) -> bool:
         nonlocal used
         if i == k:
             return True
         pv = order[i]
-        cand = g.full_mask & ~used
+        row = pattern.adj[pv]
+        cand = (first if i == 0 else full) & ~used
         for j in range(i):
-            if pattern.has_edge(pv, order[j]):
+            if row >> order[j] & 1:
                 cand &= g.adj[image[j]]
             else:
                 cand &= ~g.adj[image[j]]
@@ -227,6 +271,56 @@ def is_hereditary_nbhd_helly(g: Graph) -> bool:
         if contains_induced(g, _cycle(k)) is not None:
             return False
     return contains_induced(g, _CO_NET) is None
+
+
+# -- hereditary classes, one new vertex at a time ----------------------------------
+#
+# Each test below decides whether g is in a hereditary class, given that g - v
+# is: it looks only for a forbidden structure through v, since one that misses
+# v lies in g - v.
+
+
+def has_p4_through(g: Graph, v: int) -> bool:
+    """True iff some induced P_4 of g contains v."""
+    return contains_induced(g, _P4, through=v) is not None
+
+
+def has_net_through(g: Graph, v: int) -> bool:
+    """True iff some induced net of g contains v."""
+    return contains_induced(g, _NET, through=v) is not None
+
+
+def has_co_hole_through(g: Graph, v: int) -> bool:
+    """For g whose complement H has H - v chordal: True iff H has a hole
+    (an induced cycle of length >= 4) through v.
+
+    Let N be v's neighbourhood in H.  H has a hole through v iff some
+    component C of H - N[v] has two neighbours a, b in N with a, b
+    non-adjacent.  If v, a, c_1, ..., c_k, b is a hole, a and b are
+    non-adjacent (the cycle is induced and has length >= 4) and the c_i
+    miss N[v], so they lie in one component C with neighbours a and b.
+    Conversely, a shortest a-b path through C is induced and has length
+    >= 2, and no vertex of C is adjacent to v, so v closes it into a hole.
+    """
+    h = _complement_rows(g)
+    near = h[v]
+    for comp in _component_masks(h, g.full_mask & ~near & ~(1 << v)):
+        attached = 0
+        for c in _bits(comp):
+            attached |= h[c]
+        if not _is_clique(h, attached & near):
+            return True
+    return False
+
+
+def has_co_cycle_through(g: Graph, v: int) -> bool:
+    """For g whose complement H has H - v a forest: True iff H has a cycle
+    through v, that is iff two of v's neighbours in H lie in one component
+    of H - v (the path joining them closes a cycle with v, and every cycle
+    through v leaves it by two neighbours joined by a path in H - v)."""
+    h = _complement_rows(g)
+    return any((comp & h[v]).bit_count() > 1
+               for comp in _component_masks(h, g.full_mask & ~(1 << v)))
 
 
 # -- multipartite structure --------------------------------------------------------

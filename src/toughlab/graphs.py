@@ -150,9 +150,14 @@ class Graph:
 # -- structural operations ---------------------------------------------------
 
 
-def complement(g: Graph) -> Graph:
+def _complement_rows(g: Graph) -> tuple[int, ...]:
+    """The neighbourhood masks of the complement of g, unvalidated."""
     full = g.full_mask
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj))
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, _complement_rows(g))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

@@ -14,30 +14,40 @@ computed verdict and the predicted family codes disagree.
 
 Everything is driven off canonical codes, kept as graph6 text, so that
 reports are byte-identical across runs and print the code itself.  The
-census keeps one record per class, its code and canon's graph; expensive
-per-graph facts (toughness, minimal-toughness verdicts, chordality of the
-complement) are memoized per code and shared by all scans.
+census keeps one record per class, canon's code and graph.  Membership in
+the four hereditary classes (P4-free, co-chordal, net-free co-chordal,
+co-forest) comes from one flag table per order, each record's flags from
+its canonical parent's plus one test anchored at its last vertex
+(``_flags``).  Expensive per-graph facts (toughness, minimal-toughness
+verdicts, co-diameter) are memoized per code and shared by all scans.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .canon import canonical_code, enumerate_graphs
+from .canon import canonical_code, census_codes, census_parents, enumerate_graphs
 from .classes import (
     complete_multipartite_parts,
+    has_co_cycle_through,
+    has_co_hole_through,
+    has_net_through,
+    has_p4_through,
+    is_complete_multipartite,
+)
+from .classes import (  # read by perfbench/traced.py
     is_co_chordal,
     is_complement_of_forest,
-    is_complete_multipartite,
     is_net_free,
     is_p4_free,
 )
 from .connectivity import co_diameter
 from .families import Family, FamilySpec, make_named
-from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
+from .graph6 import parse_graph6, write_graph6  # read by perfbench/traced.py
 from .graphs import MAX_VERTICES, Graph
 from .mintough import CrossCheckError, is_nontrivially_minimally_tough, universal_vertices
 from .toughness import Toughness, format_toughness, toughness
@@ -56,7 +66,47 @@ PROBE_N_MAX = 9
 
 @lru_cache(maxsize=None)
 def _census(n: int) -> dict[str, Graph]:
-    return {write_graph6(g): g for g in enumerate_graphs(n)}
+    graphs = tuple(enumerate_graphs(n))  # before the codes: perfbench/traced.py times this draw
+    return dict(zip(census_codes(n), graphs))
+
+
+#: the class flags of a census record, one bit per hereditary class
+_P4_FREE, _CO_CHORDAL, _NET_FREE_CO_CHORDAL, _CO_FOREST = 1, 2, 4, 8
+
+
+@lru_cache(maxsize=None)
+def _flags(n: int) -> bytes:
+    """The class flags of the census records on n vertices, in census order.
+
+    Each class is hereditary and each record minus its last vertex v = n - 1
+    is its canonical parent (see ``canon``), so a record is in a class iff
+    its parent is and no forbidden structure passes through v (one that
+    misses v lies in the parent).  The null graph is in every class.
+
+    - P4-free: no induced P_4 through v.
+    - co-chordal: no hole through v in the complement.
+    - net-free co-chordal: the record is co-chordal and has no induced net
+      through v.  A co-chordal record has a co-chordal parent, which is then
+      net-free iff it is net-free co-chordal.
+    - co-forest: no cycle through v in the complement.
+    """
+    if n == 0:
+        return bytes([_P4_FREE | _CO_CHORDAL | _NET_FREE_CO_CHORDAL | _CO_FOREST])
+    up = _flags(n - 1)
+    v = n - 1
+    out = bytearray()
+    for g, parent in zip(_census(n).values(), census_parents(n)):
+        have, flags = up[parent], 0
+        if have & _P4_FREE and not has_p4_through(g, v):
+            flags |= _P4_FREE
+        if have & _CO_CHORDAL and not has_co_hole_through(g, v):
+            flags |= _CO_CHORDAL
+            if have & _NET_FREE_CO_CHORDAL and not has_net_through(g, v):
+                flags |= _NET_FREE_CO_CHORDAL
+        if have & _CO_FOREST and not has_co_cycle_through(g, v):
+            flags |= _CO_FOREST
+        out.append(flags)
+    return bytes(out)
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +126,8 @@ def _mintough(code: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _is_cochordal(code: str) -> bool:
-    return is_co_chordal(_graph_of(code))
+    n = ord(code[0]) - 63
+    return bool(_flags(n)[bisect_left(census_codes(n), code)] & _CO_CHORDAL)
 
 
 @lru_cache(maxsize=None)
@@ -193,8 +244,8 @@ def _condition3(code: str) -> bool:
 @dataclass(frozen=True)
 class _Class:
     theorem: str
-    #: membership by code; it calls the recognizers through this module's names
-    member: Callable[[str], bool]
+    #: membership by code and the code's census flags (see ``_flags``)
+    member: Callable[[str, int], bool]
     predicted: _Rules
     #: False when the class has no degree-ceiling (Kriesell) filter
     kriesell: bool = True
@@ -207,20 +258,18 @@ class _Class:
 #: every classified class, keyed by its degree-ceiling filter name ("universal"
 #: has no such filter)
 _CLASSES: dict[str, _Class] = {
-    "p4-free": _Class("P4FREE", lambda c: is_p4_free(_graph_of(c)), _BASE, route=_condition3),
+    "p4-free": _Class("P4FREE", lambda c, f: f & _P4_FREE, _BASE, route=_condition3),
     "complete-multipartite": _Class(
-        "MULTIPARTITE", lambda c: is_complete_multipartite(_graph_of(c)), _BASE
+        "MULTIPARTITE", lambda c, f: is_complete_multipartite(_graph_of(c)), _BASE
     ),
     "cochordal-ge3": _Class(
-        "COCHORDAL_GE3", lambda c: _is_cochordal(c) and _codiam_of(c) >= 3, _COCHORDAL
+        "COCHORDAL_GE3", lambda c, f: f & _CO_CHORDAL and _codiam_of(c) >= 3, _COCHORDAL
     ),
-    "netfree-cochordal": _Class(
-        "NETFREE_COCHORDAL", lambda c: _is_cochordal(c) and is_net_free(_graph_of(c)),
-        _COCHORDAL,
-    ),
-    "co-forest": _Class("COFOREST", lambda c: is_complement_of_forest(_graph_of(c)), _COFOREST),
+    "netfree-cochordal": _Class("NETFREE_COCHORDAL", lambda c, f: f & _NET_FREE_CO_CHORDAL,
+                                _COCHORDAL),
+    "co-forest": _Class("COFOREST", lambda c, f: f & _CO_FOREST, _COFOREST),
     "universal": _Class(
-        "UNIVERSAL_LE_3_2", lambda c: bool(universal_vertices(_graph_of(c)).bits), _UNIVERSAL,
+        "UNIVERSAL_LE_3_2", lambda c, f: universal_vertices(_graph_of(c)).bits, _UNIVERSAL,
         kriesell=False, tau_cap=Fraction(3, 2),
     ),
 }
@@ -237,7 +286,7 @@ def _members(klass: str, n: int) -> tuple[str, ...]:
     if klass == "all":
         return tuple(_census(n))
     member = _CLASSES[klass].member
-    return tuple(code for code in _census(n) if member(code))
+    return tuple(code for code, flags in zip(_census(n), _flags(n)) if member(code, flags))
 
 
 def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:

@@ -322,6 +322,21 @@ def ref_contains_induced(n: int, edges, pn: int, pedges) -> bool:
     return False
 
 
+def ref_vertices_in_induced(n: int, edges, pn: int, pedges) -> frozenset[int]:
+    """The vertices that lie in some pn-subset inducing the pattern."""
+    eset = normalize_edges(edges)
+    target = normalize_edges(pedges)
+    covered: set[int] = set()
+    for subset in combinations(range(n), pn):
+        if covered.issuperset(subset):
+            continue
+        idx = {x: i for i, x in enumerate(subset)}
+        inside = normalize_edges((idx[a], idx[b]) for a, b in _induced(eset, subset))
+        if ref_are_isomorphic(pn, inside, pn, target):
+            covered.update(subset)
+    return frozenset(covered)
+
+
 def ref_is_complete_multipartite(n: int, edges) -> bool:
     """Non-adjacency (plus equality) must be transitive."""
     eset = normalize_edges(edges)

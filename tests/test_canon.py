@@ -13,7 +13,7 @@ from toughlab.canon import are_isomorphic, canonical_code, canonical_form, enume
 from toughlab.connectivity import is_connected
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import write_graph6
-from toughlab.graphs import Graph, relabel
+from toughlab.graphs import Graph, delete_vertex, relabel
 
 from oracles import ref_canonical_key
 
@@ -133,21 +133,41 @@ def test_enumeration_does_not_canonize(monkeypatch):
 
 
 def test_census_builds_one_graph_per_class(monkeypatch):
-    # children extend their parent's rows; no code is parsed back into a Graph
+    # children extend their parent's rows; no code is parsed back into a Graph,
+    # and each record's code is written once, to sort the level
     import toughlab.canon as canon
 
     canon._census(5)  # level 5 comes from the cache below
-    built = []
+    built, written = [], []
     validate = Graph.__post_init__
 
     def counting(self):
         built.append(self)
         validate(self)
 
+    def writing(g):
+        written.append(g)
+        return write_graph6(g)
+
     monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(canon, "write_graph6", writing)
     level = canon._census.__wrapped__(6)
-    assert len(level) == len(built) == ALL_COUNTS[6]
-    assert {id(g) for g in level} == {id(g) for g in built}
+    assert len(level) == len(built) == len(written) == ALL_COUNTS[6]
+    assert {id(g) for g in level} == {id(g) for g in built} == {id(g) for g in written}
+
+
+def test_each_record_extends_its_parent():
+    # the record minus its last vertex is its parent record, labels and all
+    import toughlab.canon as canon
+
+    assert len(canon.census_parents(0)) == 0
+    for n in range(1, 9):
+        parents = list(enumerate_graphs(n - 1))
+        graphs = list(enumerate_graphs(n))
+        assert canon.census_codes(n) == tuple(write_graph6(g) for g in graphs)
+        assert len(canon.census_parents(n)) == len(graphs)
+        for g, i in zip(graphs, canon.census_parents(n)):
+            assert delete_vertex(g, n - 1) == parents[i]
 
 
 def _canonical_parents() -> list[Graph]:

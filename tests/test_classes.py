@@ -1,5 +1,6 @@
 """Graph-class recognizers against subset-sweep reference predicates."""
 import math
+from itertools import permutations, product
 
 import pytest
 
@@ -28,7 +29,7 @@ from toughlab.classes import (
 from toughlab.connectivity import co_diameter, distances, is_connected, local_connectivity, max_bipartite_matching
 from toughlab.families import make_named, parse_family_spec
 from toughlab import classes
-from toughlab.graphs import CrossCheckError, Graph, complement, induced_subgraph
+from toughlab.graphs import CrossCheckError, Graph, complement, delete_vertex, induced_subgraph, relabel
 
 import oracles as O
 
@@ -154,6 +155,64 @@ def test_contains_induced_against_reference():
                 assert (hit is not None) == O.ref_contains_induced(g.n, g.edges(), pn, pedges)
                 if hit is not None:
                     assert are_isomorphic(induced_subgraph(g, hit), pattern)
+
+
+def test_contains_induced_through_a_vertex_against_reference():
+    patterns = {
+        "path:4": (4, [(0, 1), (1, 2), (2, 3)]),
+        "star:3": (4, [(0, 1), (0, 2), (0, 3)]),
+        "net": (6, O.NET_EDGES),
+    }
+    for spec, (pn, pedges) in patterns.items():
+        pattern = _named(spec)
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                covered = O.ref_vertices_in_induced(g.n, g.edges(), pn, pedges)
+                for v in range(n):
+                    hit = contains_induced(g, pattern, through=v)
+                    assert (hit is not None) == (v in covered)
+                    if hit is not None:
+                        assert v in hit
+                        assert are_isomorphic(induced_subgraph(g, hit), pattern)
+    with pytest.raises(ValueError):
+        contains_induced(Graph.empty(3), _named("path:2"), through=3)
+
+
+@pytest.mark.parametrize("spec", ["path:4", "net", "star:3", "cycle:5", "doublestar:1,2", "path:1"])
+def test_orbit_representatives_against_permutations(spec):
+    pattern = _named(spec)
+    edges = set(pattern.edges())
+    orbit_of = list(range(pattern.n))
+    for perm in permutations(range(pattern.n)):
+        if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges:
+            for u in range(pattern.n):
+                orbit_of[perm[u]] = min(orbit_of[perm[u]], orbit_of[u], u)
+    assert classes._orbit_representatives(pattern) == tuple(sorted(set(orbit_of)))
+
+
+#: each one-new-vertex test, with the whole-graph test of its hereditary class
+_THROUGH_TESTS = {
+    "has_p4_through": is_p4_free,
+    "has_net_through": is_net_free,
+    "has_co_hole_through": is_co_chordal,
+    "has_co_cycle_through": is_complement_of_forest,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THROUGH_TESTS))
+def test_new_vertex_tests_decide_the_class(name):
+    # g is in the class iff g - v is and nothing forbidden passes through v;
+    # each class in canonical and in reversed labelling, since canonical
+    # labels put vertices of high degree last
+    through, member = getattr(classes, name), _THROUGH_TESTS[name]
+    seen = 0
+    for n in range(1, 8):
+        for canonical in enumerate_graphs(n):
+            for g, v in product((canonical, relabel(canonical, range(n - 1, -1, -1))), range(n)):
+                if member(delete_vertex(g, v)):
+                    seen += 1
+                    assert through(g, v) == (not member(g)), (name, g, v)
+    assert seen
 
 
 def test_find_induced_cycle_witnesses():

@@ -373,31 +373,46 @@ def test_verify_exit_code_follows_assertive_reports(capsys, monkeypatch):
 
 def test_verify_all_tests_each_graph_once_per_recognizer(capsys, monkeypatch):
     # every scan reads one member list per class and order, so no census graph
-    # reaches a class recognizer twice
+    # reaches a class test twice; the four hereditary classes are decided by a
+    # test anchored at the last vertex, run only where the parent is in class
     from collections import Counter
 
-    from toughlab import verify
+    from toughlab import classes, verify
+    from toughlab.graphs import delete_vertex
 
     calls: Counter = Counter()
 
     def counted(name, fn):
         def wrapper(g, *args, **kwargs):
-            calls[name, g] += 1
+            calls[name, g, args] += 1
             return fn(g, *args, **kwargs)
 
         return wrapper
 
-    names = ("is_p4_free", "is_complete_multipartite", "is_net_free",
-             "is_complement_of_forest", "universal_vertices")
-    for name in names:
+    whole = ("is_complete_multipartite", "universal_vertices")
+    #: each anchored test and the whole-graph test the parent must pass first
+    anchored = {
+        "has_p4_through": classes.is_p4_free,
+        "has_co_hole_through": classes.is_co_chordal,
+        "has_net_through": lambda g: classes.is_co_chordal(g) and classes.is_net_free(g),
+        "has_co_cycle_through": classes.is_complement_of_forest,
+    }
+    for name in whole + tuple(anchored):
         monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
     for value in list(vars(verify).values()):
         if hasattr(value, "cache_clear"):
             value.cache_clear()  # start cold, so every membership test runs here
     rc, _, _ = _run(capsys, ["verify", "all", "--nmax", "6"])
     assert rc == 0
-    assert {name for name, _ in calls} == set(names)
+    assert {name for name, _, _ in calls} == set(whole) | set(anchored)
     assert [key for key, count in calls.items() if count > 1] == []
+    assert len({(name, g) for name, g, _ in calls}) == len(calls)
+    for name, g, args in calls:
+        if name in anchored:
+            assert args == (g.n - 1,)
+            assert anchored[name](delete_vertex(g, g.n - 1)), (name, g)
+        if name == "has_net_through":
+            assert classes.is_co_chordal(g)
 
 
 _SCAN_NAMES = ("verify_theorem", "verify_table1", "verify_wheels", "kriesell_scan",

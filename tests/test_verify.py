@@ -1,9 +1,11 @@
 """Verification harness: theorem scans, value tables, probes, reports."""
+import os
 from fractions import Fraction
 
 import pytest
 
 from toughlab.canon import canonical_code, enumerate_graphs
+from toughlab.classes import is_co_chordal, is_complement_of_forest, is_net_free, is_p4_free
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import MAX_VERTICES, Graph
@@ -150,6 +152,61 @@ def test_census_keys_are_canonical_codes():
         for code, g in verify._census(n).items():
             assert canonical_code(g) == code
             assert isinstance(canonical_code(g), str)
+
+
+def test_census_writes_no_code_of_its_own(monkeypatch):
+    # the codes come from canon, which wrote each once to sort the records
+    import toughlab.verify as verify
+
+    def refuse(*args):
+        raise AssertionError("verify wrote a census code")
+
+    monkeypatch.setattr(verify, "write_graph6", refuse)
+    verify._census.cache_clear()
+    for n in range(7):
+        assert tuple(verify._census(n)) == tuple(write_graph6(g) for g in enumerate_graphs(n))
+
+
+#: each class flag and the whole-graph recognizers it stands for
+_FLAG_TESTS = {
+    "p4-free": (1, is_p4_free),
+    "co-chordal": (2, is_co_chordal),
+    "net-free co-chordal": (4, lambda g: is_co_chordal(g) and is_net_free(g)),
+    "co-forest": (8, is_complement_of_forest),
+}
+
+
+def _flag_counts(n: int) -> dict[str, int]:
+    """Members of each flagged class on n vertices, after checking every
+    record's flags against the whole-graph recognizers."""
+    import toughlab.verify as verify
+
+    counts = dict.fromkeys(_FLAG_TESTS, 0)
+    flags = verify._flags(n)
+    assert len(flags) == len(verify._census(n))
+    for g, have in zip(verify._census(n).values(), flags):
+        for name, (bit, member) in _FLAG_TESTS.items():
+            assert bool(have & bit) == member(g), (name, write_graph6(g))
+            counts[name] += member(g)
+    return counts
+
+
+def test_class_flags_match_the_recognizers():
+    import toughlab.verify as verify
+
+    assert (verify._P4_FREE, verify._CO_CHORDAL, verify._NET_FREE_CO_CHORDAL,
+            verify._CO_FOREST) == tuple(bit for bit, _ in _FLAG_TESTS.values())
+    for n in range(8):
+        _flag_counts(n)
+    # P4-free: A000084; co-chordal: A048192; co-forest: A005195
+    assert _flag_counts(8) == {"p4-free": 522, "co-chordal": 2119,
+                               "net-free co-chordal": 1992, "co-forest": 76}
+
+
+@pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"), reason="set TOUGHLAB_SLOW=1 (n = 9 census)")
+def test_class_flags_match_the_recognizers_9():
+    counts = _flag_counts(9)
+    assert (counts["p4-free"], counts["co-chordal"], counts["co-forest"]) == (1532, 14524, 153)
 
 
 def test_value_row_ok_logic():
