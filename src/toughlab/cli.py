@@ -17,8 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .canon import _MAX_CANON, enumerate_graphs
+from .canon import _MAX_CANON, census_codes, enumerate_graphs
 from .classes import CLASS_PREDICATES
+from .connectivity import is_connected
 from .families import make_named, parse_family_spec
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .mintough import (
@@ -192,8 +193,9 @@ def _cmd_named(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _gate_nmax(args.n, least=0)
-    for g in enumerate_graphs(args.n, connected_only=args.connected):
-        print(write_graph6(g))
+    for g, code in zip(enumerate_graphs(args.n), census_codes(args.n)):
+        if not args.connected or is_connected(g):
+            print(code)
     return 0
 
 

@@ -8,11 +8,11 @@ NON_TRIVIAL: connected, non-complete, every edge deletion strictly drops t.
 Two independent deciders:
 
 * by definition — after every single-edge deletion, read the separator
-  sweep of G-e (``toughness._sweep``) until its first S with
-  |S|/c(G-e-S) < t, which proves t(G-e) < t.  The sweep of G-e ends before
-  the first size s with s/(n-s) > t; when no S lies below t, an S
-  attaining t means t(G-e) = t, and none at all is a rise, which edge
-  deletion cannot cause;
+  sweep of G-e (``toughness._sweep``) size by size, from each size's
+  largest c(G-e-S), up to the first size with |S|/c < t, which proves
+  t(G-e) < t.  The sweep of G-e ends before the first size s with
+  s/(n-s) > t; when no size lies below t, one attaining t means
+  t(G-e) = t, and none at all is a rise, which edge deletion cannot cause;
 * by edge criterion — an edge uv is deletable-without-dropping unless
   (cond1) its local connectivity is below 2t+1, or (cond2) some separator S
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
@@ -25,9 +25,11 @@ before the first size s with s/(n-s) > t) gives t and every S with
 |S| < t*(c(G-S)+1), ascending by (size, bitmask), and each edge takes the
 first that avoids u and v and separates them in G-uv.  A witness keeps uv
 in G-S, so c(G-S) <= n-|S|-1, |S| < t*(n-|S|), and none lies past the stop.
-The criterion decider lists every witness; the boolean
-``is_nontrivially_minimally_tough`` reads the same generator and stops at
-the first edge that meets neither condition.
+The criterion decider lists every witness, kappa included.  The boolean
+``is_nontrivially_minimally_tough`` needs only the verdict, so it tries
+each edge's cheapest proof first (kappa(u,v) <= min(deg u, deg v), then
+the cond2 separators, then a max-flow) and stops at the first edge that
+meets neither condition.
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -78,18 +80,18 @@ class EdgeWitness:
 
 def _compare_toughness(h: Graph, p: int, q: int) -> int:
     """The sign of t(h) - p/q for a non-complete h, from the sweep of h: -1
-    at its first S with |S|/c(h-S) < p/q, else 0 if some S attains p/q,
-    else 1.  No S of a size s with s*q > p*(n-s) reaches p/q, so the sweep
-    ends there."""
-    sign = 1
-    for size, separators in _sweep(h):
+    at its first size whose largest c(h - S) has |S|/c < p/q, else 0 if some
+    size's largest c attains p/q, else 1.  No S of a size s with
+    s*q > p*(n-s) reaches p/q, so the sweep ends there."""
+    sign, sweep = 1, _sweep(h)
+    for size in sweep:
         if size * q > p * (h.n - size):
             break
-        for _, c in separators:
-            if size * q < p * c:
-                return -1
-            if size * q == p * c:
-                sign = 0
+        c = sweep.top(size)  # 0 when no s-set separates h
+        if size * q < p * c:
+            return -1
+        if c and size * q == p * c:
+            sign = 0
     return sign
 
 
@@ -130,16 +132,22 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
     """
     if not g.has_edge(u, v):
         raise ValueError("cond2 candidates are defined for edges")
-    masks = (mask for _, separators in _sweep(g) for mask, _ in separators)
+    sweep = _sweep(g)
+    masks = (mask for size in sweep for mask, _ in sweep.separators(size))
     for mask in _uv_separators(g, masks, u, v):
         yield VertexSet(mask, g.n)
 
 
-def _edge_witnesses(g: Graph, p: int, q: int, kept: list) -> Iterator[EdgeWitness]:
+def _cond2_masks(p: int, q: int, kept: Iterable) -> list[int]:
+    """The separators of the pass with |S| < t*(c(G-S)+1) at t = p/q."""
+    return [mask for size, mask, c in kept if size * q < p * (c + 1)]
+
+
+def _edge_witnesses(g: Graph, p: int, q: int, kept: Iterable) -> Iterator[EdgeWitness]:
     """The criterion at t = p/q, edge by edge in lexicographic order:
     kappa(u,v) with cond1, and the first cond2 separator of the pass that
     avoids u and v and separates them in G-uv."""
-    separators = [mask for size, mask, c in kept if size * q < p * (c + 1)]
+    separators = _cond2_masks(p, q, kept)
     for u, v in g.edges():
         kappa = local_connectivity(g, u, v)
         hit = next(_uv_separators(g, separators, u, v), None)
@@ -161,12 +169,25 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
 
 
 def is_nontrivially_minimally_tough(g: Graph) -> bool:
-    """Connected, non-complete and minimally tough: the criterion, stopping
-    at the first edge that meets neither condition."""
+    """Connected, non-complete and minimally tough: the criterion, edge by
+    edge, cheapest test first, stopping at the first edge that meets neither
+    condition.  min(deg u, deg v) bounds kappa(u,v), so a low degree proves
+    cond1; then a cond2 separator of the pass; only then a max-flow."""
     if g.is_complete() or g.is_edgeless():
         return False
     p, q, kept = _tough_pass(g)
-    return p != 0 and all(w.cond1 or w.cond2 for w in _edge_witnesses(g, p, q, kept))
+    if p == 0:
+        return False
+    separators = _cond2_masks(p, q, kept)
+    degrees = g.degrees()
+    for u, v in g.edges():
+        if min(degrees[u], degrees[v]) * q < 2 * p + q:
+            continue
+        if next(_uv_separators(g, separators, u, v), None) is not None:
+            continue
+        if local_connectivity(g, u, v) * q >= 2 * p + q:
+            return False
+    return True
 
 
 # -- dominating edges ----------------------------------------------------------
@@ -187,7 +208,8 @@ def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
     independently for every edge, and CrossCheckError is raised if they
     differ."""
     full = g.full_mask
-    sep_masks = [mask for _, separators in _sweep(g) for mask, _ in separators]
+    sweep = _sweep(g)
+    sep_masks = [mask for size in sweep for mask, _ in sweep.separators(size)]
     co_dist = distances(complement(g))
     out = []
     for u, v in g.edges():

@@ -5,34 +5,52 @@ Fraction; math.inf for complete graphs (the minimum over an empty separator
 set), and Fraction(0) exactly when g is disconnected (the empty set is then
 a separator).  Values are never floats except the inf sentinel.
 
-Every separator scan reads one sweep, ``_sweep``: sizes s ascending, each
-with a lazy iterator of (mask, c(G - S)) over the s-sets with c >= 2, by
-bitmask.  Sizes below the degree floor 2*delta - n + 2 yield nothing and
-read no mask: each side of a split G - S = A + B keeps its neighbours in
-itself and S, so delta <= |A| - 1 + |S| and delta <= |B| - 1 + |S|, and
-the two add up to the floor.  Toughness, tough_separators and the
-criterion deciders read the sweep through one bounded pass,
-``_tough_pass``, with one stop rule: an s-set leaves at most n-s
-components, so the pass ends before the first s with s/(n-s) > best
+Every separator scan reads one sweep, ``_sweep``: sizes s ascending, and
+for each the largest c(G - S) over the s-sets (``top``) and the s-sets
+with c >= 2, or with c at least a given bound, by bitmask
+(``separators``).  Sizes below the degree floor 2*delta - n + 2 have no
+separator and flood nothing: each side of a split G - S = A + B keeps its
+neighbours in itself and S, so delta <= |A| - 1 + |S| and
+delta <= |B| - 1 + |S|, and the two add up to the floor.  Toughness,
+tough_separators and the criterion deciders read the sweep through one
+bounded pass, ``_tough_pass``, with one stop rule: an s-set leaves at most
+n-s components, so the pass ends before the first s with s/(n-s) > best
 (strict, so ties are kept).  A cond2 witness S of an edge uv leaves uv in
 G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.  The definition
 decider reads the sweep of each G - e itself, under the same stop rule.
 
-The sweep counts c(G - S) by frontier floods over two neighbourhood-union
-tables, one per half of the vertices (see ``_sweep``): 2 * 2^ceil(n/2)
-entries, a few MB at 32 vertices.  A single 2^n table of counts ran no
-faster at n <= 13 and would need 2^32 entries at 32 vertices.
+The sweep is bit-sliced.  A position S indexes a subset of the low
+min(n, 16) vertices, and each vertex v has a plane: one int whose bit S is
+set iff v is not in S.  One flood over the n planes (``_peel``) peels the
+components of G - S for every position at once, one big-int operation per
+vertex, pass and round.  For n > 16 each subset H of the high vertices is a
+block whose high planes are constant (0 on H, all ones off it); blocks are
+flooded as a size first needs them, in ascending H, so separators still
+come out by (size, bitmask).  Each flooded block keeps its levels, one int
+per count reached, 8 KB each past 16 vertices, while its sweep lives.  A
+2^n table of counts, one Python step per subset, ran no faster at n <= 13;
+this sweep takes one step per vertex for all 2^16 subsets of a block.
+
+Positions are flooded a window of sizes at a time.  With v of least degree
+delta and c0 = c(G - N(v)) >= 2, t <= delta/c0, so the bounded pass reads no
+size past s_max = max(delta, n*delta // (c0 + delta)).  Nor does the
+definition decider's comparison with a t' from outside: either
+delta/c0 < t' and it stops by size delta, or t' <= delta/c0 bounds its stop
+in the same way.  So the first window is [floor, s_max], and the sizes
+above it are flooded in one more window only when a full listing asks.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence, Union
 
-from .connectivity import is_connected
+from .connectivity import _component_count, is_connected
 from .families import Family, FamilySpec
-from .graphs import CrossCheckError, Graph, VertexSet
+from .graphs import CrossCheckError, Graph, VertexSet, _bits
 
 Toughness = Union[Fraction, float]
 
@@ -48,82 +66,207 @@ def format_toughness(t: Toughness) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _sweep(g: Graph) -> Iterator[tuple[int, Iterator[tuple[int, int]]]]:
-    """(size, separators) for each size 0..n-2, ascending; ``separators``
-    lazily yields (mask, c) for every S of that size with c = c(G - S) >= 2,
-    ascending by bitmask, so a size is computed only when it is read.
-
-    Sizes below the degree floor 2*delta - n + 2, delta the least degree,
-    read no mask and yield nothing: a vertex of a component A of G - S, and
-    one of the rest B, have all neighbours inside A + S and B + S, so
-    2*delta <= n + |S| - 2.  The floor is tight on K_{2,...,2}, and at most
-    0 on a disconnected graph, whose empty set is still yielded.
-
-    N(R), the union of adj[k] over k in R, is read from two tables built
-    once per call: ``lo`` indexed by R's low h = n//2 bits and ``hi`` by the
-    rest.  c(G - S) peels components off X = V - S: the component of low(X)
-    grows a frontier at a time by R <- (R | N(R)) & X until it stops
-    changing."""
-    n, adj, full = g.n, g.adj, g.full_mask
-    floor = 2 * min(g.degrees(), default=0) - n + 2
-    h = n // 2
-    low_bits = (1 << h) - 1
-    lo, hi = [0], [0]
-    for k in range(h):
-        lo += [x | adj[k] for x in lo]
-    for k in range(h, n):
-        hi += [x | adj[k] for x in hi]
-
-    def of_size(size: int) -> Iterator[tuple[int, int]]:
-        if size < floor:
-            return
-        mask, limit = (1 << size) - 1, 1 << n
-        while mask < limit:
-            rest, c = full ^ mask, 0
-            while rest:
-                c += 1
-                comp = rest & -rest
-                while True:
-                    grown = (comp | lo[comp & low_bits] | hi[comp >> h]) & rest
-                    if grown == comp:
-                        break
-                    comp = grown
-                rest ^= comp
-            if c >= 2:
-                yield mask, c
-            if not mask:  # the one 0-set; Gosper's step needs a set bit
-                return
-            # Gosper's hack: next larger mask with the same popcount
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | (((mask ^ ripple) >> 2) // low)
-
-    for size in range(max(n - 1, 0)):
-        yield size, of_size(size)
+#: the vertices whose membership in S is a bit of the position; the rest
+#: are fixed per block
+_LOW = 16
 
 
-def _tough_pass(g: Graph) -> tuple[int, int, list[tuple[int, int, int]]]:
+@lru_cache(maxsize=None)
+def _subset_planes(low: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Over the 2^low subsets S of 0..low-1, one bit at position S: the
+    plane of each vertex v (bit S set iff v is not in S), and the weight
+    classes (bit S set iff |S| = j) for j = 0..low.  Each vertex added
+    doubles the positions: S, then S + v."""
+    planes: list[int] = []
+    weights = [1]
+    for v in range(low):
+        span = 1 << v
+        planes = [plane | plane << span for plane in planes] + [(1 << span) - 1]
+        weights = [a | b << span for a, b in zip(weights + [0], [0] + weights)]
+    return tuple(planes), tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def _blocks(high: int, least: int, most: int) -> tuple[int, ...]:
+    """The subsets of ``high`` vertices with least..most members, as masks,
+    ascending."""
+    sets = (ks for j in range(least, most + 1) for ks in combinations(range(high), j))
+    return tuple(sorted(sum(1 << k for k in ks) for ks in sets))
+
+
+def _positions(x: int) -> Iterator[int]:
+    """The set bits of ``x``, ascending, from one scan of its binary digits;
+    ``graphs._bits`` pays a big-int operation per bit."""
+    digits = bin(x)[:1:-1]
+    at = digits.find("1")
+    while at >= 0:
+        yield at
+        at = digits.find("1", at + 1)
+
+
+def _peel(nbrs: list[list[int]], rest: list[int]) -> list[int]:
+    """Levels of c(G - S) over all positions S at once: bit S of rest[v] is
+    set iff v is in G - S, and bit S of entry k of the result iff
+    c(G - S) >= k + 2.
+
+    Each round seeds the component of every position at its least vertex
+    left and floods it by passes over the vertices, alternately forward and
+    backward, each reading the planes it has already grown, until a pass
+    changes nothing; then it removes that component.  The positions with a
+    vertex left when round r starts are those with c(G - S) >= r."""
+    alive_at: list[int] = []
+    order = list(range(len(rest)))
+    while True:
+        comp, alive = [], 0
+        for r in rest:
+            comp.append(r & ~alive)
+            alive |= r
+        if not alive:
+            return alive_at[1:]
+        alive_at.append(alive)
+        grown = True
+        while grown:
+            grown = False
+            for v in order:
+                r = rest[v]
+                if r:
+                    x = y = comp[v]
+                    for u in nbrs[v]:
+                        y |= comp[u]
+                    y &= r
+                    if y != x:
+                        comp[v] = y
+                        grown = True
+            order.reverse()
+        for v, x in enumerate(comp):
+            rest[v] ^= x
+
+
+class _Sweep:
+    """The component counts of one graph, flooded a window and a block at a
+    time as sizes are read."""
+
+    def __init__(self, g: Graph):
+        n = self.n = g.n
+        self.low = min(n, _LOW)
+        self.nbrs = [list(_bits(row)) for row in g.adj]
+        degrees = g.degrees()
+        delta = min(degrees, default=0)
+        self.floor = max(2 * delta - n + 2, 0)
+        self.s_max = 0
+        if n:
+            c0 = _component_count(g.adj, g.full_mask & ~g.adj[degrees.index(delta)])
+            self.s_max = max(delta, n * delta // (c0 + delta))
+        #: (lo, hi, {block: levels}) for each window flooded, ascending
+        self.windows: list[tuple[int, int, dict[int, list[int]]]] = []
+        #: (high bits, levels, weight class) of each block holding s-sets
+        self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(max(self.n - 1, 0)))
+
+    def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
+        for window in self.windows:
+            if window[0] <= size <= window[1]:
+                return window
+        lo = self.windows[-1][1] + 1 if self.windows else self.floor
+        hi = max(self.n - 2 if self.windows else self.s_max, size)
+        self.windows.append((lo, hi, {}))
+        return self.windows[-1]
+
+    def _flood(self, lo: int, hi: int, block: int) -> list[int]:
+        """The levels of block H over the positions with lo <= |S| <= hi."""
+        low, weight = self.low, block.bit_count()
+        planes, weights = _subset_planes(low)
+        span = 0
+        for j in range(max(lo - weight, 0), min(hi - weight, low) + 1):
+            span |= weights[j]
+        rest = [plane & span for plane in planes]
+        rest += [0 if block >> k & 1 else span for k in range(self.n - low)]
+        return _peel(self.nbrs, rest)
+
+    def _layer(self, size: int) -> list[tuple[int, list[int], int]]:
+        """(high bits, levels, weight class) of each block holding s-sets,
+        ascending, flooding the blocks not yet flooded."""
+        layer = self.layers.get(size)
+        if layer is None:
+            layer = self.layers[size] = []
+            if size >= self.floor:
+                lo, hi, built = self._window(size)
+                low, high = self.low, self.n - self.low
+                weights = _subset_planes(low)[1]
+                for block in _blocks(high, max(size - low, 0), min(size, high)):
+                    levels = built.get(block)
+                    if levels is None:
+                        levels = built[block] = self._flood(lo, hi, block)
+                    layer.append((block << low, levels, weights[size - block.bit_count()]))
+        return layer
+
+    def top(self, size: int) -> int:
+        """The largest c(G - S) >= 2 over the s-sets, or 0 if none has one."""
+        best = 0
+        for _, levels, weight in self._layer(size):
+            for k in range(len(levels) - 1, max(best, 1) - 2, -1):
+                if levels[k] & weight:
+                    best = k + 2
+                    break
+        return best
+
+    def separators(self, size: int, least: int = 2) -> list[tuple[int, int]]:
+        """(mask, c) for each s-set S with c = c(G - S) >= least, by mask."""
+        out = []
+        for high, levels, weight in self._layer(size):
+            found = []
+            for k in range(least - 2, len(levels)):
+                x = levels[k] & weight
+                if not x:
+                    break
+                if k + 1 < len(levels):
+                    x &= ~levels[k + 1]
+                found += [(high | b, k + 2) for b in _positions(x)]
+            found.sort()
+            out += found
+        return out
+
+
+def _sweep(g: Graph) -> _Sweep:
+    """The separator sweep of g: iterating it gives the sizes 0..n-2,
+    ascending, and nothing is flooded until a size is read."""
+    return _Sweep(g)
+
+
+def _tough_pass(g: Graph) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
     """Toughness p/q of a non-complete graph, and the separators that matter.
 
-    Keeps the least ratio |S|/c(G-S) of the sweep as integers p/q and stops
-    before the first size s with s*q > p*(n-s).  Returns p, q and (size,
-    mask, c) for every S with size*q <= p*(c+1) under the best ratio so far:
-    each S attaining p/q, and each cond2 candidate |S| < t*(c+1).
+    Keeps the least ratio |S|/c(G-S) of the sweep as integers p/q, from each
+    size's largest c, and stops before the first size s with
+    s*q > p*(n-s).  Returns p, q and a lazy listing, by (size, bitmask), of
+    (size, mask, c) for every S read with size*q <= p*(c+1): each S
+    attaining p/q, and each cond2 candidate |S| < t*(c+1).  A reader that
+    needs only p/q lists nothing.
     """
     n = g.n
     p, q = 1, 0  # no separator yet: an infinite ratio
-    kept: list[tuple[int, int, int]] = []
-    for size, separators in _sweep(g):
+    read: list[int] = []
+    sweep = _sweep(g)
+    for size in sweep:
         if size * q > p * (n - size):
             break
-        for mask, c in separators:
-            if size * q < p * c:
-                p, q = size, c
-            if size * q <= p * (c + 1):
-                kept.append((size, mask, c))
+        c = sweep.top(size)
+        if size * q < p * c:
+            p, q = size, c
+        if c:
+            read.append(size)
     if q == 0:
         raise CrossCheckError(f"non-complete graph on {n} vertices has no separator")
-    return p, q, kept
+
+    def kept() -> Iterator[tuple[int, int, int]]:
+        for size in read:  # p = 0 only when size 0 is all there is
+            least = max(2, -(-size * q // p) - 1) if p else 2
+            for mask, c in sweep.separators(size, least):
+                yield size, mask, c
+
+    return p, q, kept()
 
 
 def iterate_separators(g: Graph) -> Iterator[VertexSet]:
@@ -132,8 +275,9 @@ def iterate_separators(g: Graph) -> Iterator[VertexSet]:
     Yields the empty set first when g is disconnected.  Complete graphs
     (including K_0 and K_1) have no separators.
     """
-    for _, separators in _sweep(g):
-        for mask, _ in separators:
+    sweep = _sweep(g)
+    for size in sweep:
+        for mask, _ in sweep.separators(size):
             yield VertexSet(mask, g.n)
 
 

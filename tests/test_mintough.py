@@ -1,6 +1,7 @@
 """Minimal-toughness deciders, edge conditions, and structural helpers."""
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ import toughlab.toughness as toughness_module
 from toughlab.canon import canonical_code, enumerate_graphs
 from toughlab.families import Family, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6
-from toughlab.graphs import Graph, delete_edge
+from toughlab.graphs import Graph, _bits, delete_edge
 from toughlab.mintough import (
     MinToughStatus,
     check_2t_regular_shortcut,
@@ -25,7 +26,13 @@ from toughlab.mintough import (
 )
 from toughlab.toughness import tough_separators, toughness
 
-from oracles import ref_is_minimally_tough, ref_local_connectivity, ref_toughness
+from oracles import (
+    _component_count_after,
+    normalize_edges,
+    ref_is_minimally_tough,
+    ref_local_connectivity,
+    ref_toughness,
+)
 
 
 def _named(text: str) -> Graph:
@@ -56,6 +63,16 @@ def test_deciders_match_reference_up_to_5():
             verdict = is_minimally_tough_by_definition(g)
             assert (verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH) == want
             assert is_nontrivially_minimally_tough(g) == want
+
+
+def test_boolean_decider_matches_the_criterion_up_to_7():
+    """The boolean decider tries the degree bound on kappa, then cond2, and
+    a max-flow last; its verdict is the criterion's on every class."""
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            verdict, _ = is_minimally_tough_by_criterion(g)
+            want = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+            assert is_nontrivially_minimally_tough(g) == want, g
 
 
 def test_trivial_statuses():
@@ -268,97 +285,109 @@ def test_criterion_witness_is_the_least_cond2_separator():
             assert got is None or len(got) < t * (g.n - len(got)), (g.edges(), w.edge)
 
 
+def _record_sweeps(monkeypatch, events: list) -> None:
+    """Appends ("sweep", g) to ``events`` for each sweep begun,
+    ("flood", block, size) for each size of each block flooded, and
+    ("list", size) for each size whose masks are listed."""
+    import toughlab.mintough as mintough
+
+    sweep, flood = toughness_module._sweep, toughness_module._Sweep._flood
+    separators = toughness_module._Sweep.separators
+
+    def recording(g):
+        events.append(("sweep", g))
+        return sweep(g)
+
+    def recorded(self, lo, hi, block):
+        weight = block.bit_count()
+        events.extend(("flood", block, size) for size in range(max(lo, weight), min(hi, weight + self.low) + 1))
+        return flood(self, lo, hi, block)
+
+    def listed(self, size, least=2):
+        events.append(("list", size))
+        return separators(self, size, least)
+
+    monkeypatch.setattr(toughness_module, "_sweep", recording)
+    monkeypatch.setattr(mintough, "_sweep", recording)
+    monkeypatch.setattr(toughness_module._Sweep, "_flood", recorded)
+    monkeypatch.setattr(toughness_module._Sweep, "separators", listed)
+
+
 @pytest.mark.parametrize(
     "decide", [is_nontrivially_minimally_tough, is_minimally_tough_by_criterion, tough_separators]
 )
 def test_one_separator_pass_per_call(monkeypatch, decide):
     """No mask has c(G - S) computed twice in one call: the call reads one
-    sweep, which counts each mask of each size once, and no separator it
-    yields repeats."""
-    sweeps, seen = [], []
-    sweep = toughness_module._sweep
-
-    def recorded(separators):
-        for mask, c in separators:
-            seen.append(mask)
-            yield mask, c
-
-    def recording(g):
-        sweeps.append(g)
-        for size, separators in sweep(g):
-            yield size, recorded(separators)
-
-    monkeypatch.setattr(toughness_module, "_sweep", recording)
+    sweep, floods each size of each block of it once, and lists the masks
+    of each size at most once."""
+    events: list = []
+    _record_sweeps(monkeypatch, events)
     chorded = Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)])
     for g in (_named("wheel:8"), chorded):
-        sweeps.clear()
-        seen.clear()
+        events.clear()
         decide(g)
-        assert len(sweeps) == 1 and seen and len(seen) == len(set(seen)), (decide.__name__, g.edges())
+        floods = [event for event in events if event[0] == "flood"]
+        lists = [event for event in events if event[0] == "list"]
+        assert events[0] == ("sweep", g) and events.count(events[0]) == 1, (decide.__name__, g.edges())
+        assert floods and len(floods) == len(set(floods)), (decide.__name__, g.edges())
+        assert lists and len(lists) == len(set(lists)), (decide.__name__, g.edges())
 
 
-def _masks_read(sweep, events: list):
-    """A tracer that appends ("read", size, mask) to ``events`` for each mask
-    whose components ``sweep`` (``toughness._sweep``) counts, from the locals
-    of its per-size generator."""
-    code = next(c for c in sweep.__code__.co_consts if getattr(c, "co_name", "") == "of_size")
+def _s_max(h: Graph) -> int:
+    """max(delta, n*delta // (c0 + delta)) for the first v of least degree
+    delta and c0 = c(h - N(v)), by the oracle: no size past it is read."""
+    delta = min(h.degrees())
+    v = h.degrees().index(delta)
+    c0 = _component_count_after(h.n, normalize_edges(h.edges()), set(_bits(h.adj[v])))
+    return max(delta, h.n * delta // (c0 + delta))
 
-    def local(frame, event, arg):
-        mask = frame.f_locals.get("mask")
-        if event == "line" and mask is not None and mask < frame.f_locals["limit"]:
-            read = ("read", frame.f_locals["size"], mask)
-            if events[-1] != read:
-                events.append(read)
-        return local
 
-    return lambda frame, event, arg: local if frame.f_code is code else None
+def _first_witness_size(h: Graph, t: Fraction) -> int | None:
+    """The least |S| with |S|/c(h - S) < t, by the oracle."""
+    edges = normalize_edges(h.edges())
+    for size in range(h.n - 1):
+        for s in combinations(range(h.n), size):
+            c = _component_count_after(h.n, edges, set(s))
+            if c >= 2 and size < t * c:
+                return size
+    return None
 
 
 @pytest.mark.parametrize("text", ["wheel:8", "turan:10,5"])
 def test_definition_decider_stops_at_each_first_witness(monkeypatch, text):
-    """One sweep of G, then one of G-e per edge tried, each read up to its
-    first S with |S|/c(G-e-S) < t and no further, and no mask below a
-    sweep's degree floor 2*delta - n + 2 has its components counted."""
-    import sys
-
-    import toughlab.mintough as mintough
-
+    """One sweep of G, then one of G-e per edge tried, each read size by
+    size up to the size of its first S with |S|/c(G-e-S) < t and no
+    further, with no mask listed, and no position below a sweep's degree
+    floor 2*delta - n + 2 or past its first window flooded."""
     events: list = []
-    sweep = toughness_module._sweep
+    _record_sweeps(monkeypatch, events)
+    top = toughness_module._Sweep.top
 
-    def recorded(size, separators):
-        for mask, c in separators:
-            events.append(("yield", size, mask, c))
-            yield mask, c
-            events.append(("pull",))
+    def read(self, size):
+        c = top(self, size)
+        events.append(("top", size, c))
+        return c
 
-    def recording(h):
-        events.append(("sweep", h))
-        for size, separators in sweep(h):
-            yield size, recorded(size, separators)
-            events.append(("pull",))
-
-    monkeypatch.setattr(toughness_module, "_sweep", recording)
-    monkeypatch.setattr(mintough, "_sweep", recording)
+    monkeypatch.setattr(toughness_module._Sweep, "top", read)
     g = _named(text)
-    sys.settrace(_masks_read(sweep, events))
-    try:
-        verdict = is_minimally_tough_by_definition(g)
-    finally:
-        sys.settrace(None)
+    verdict = is_minimally_tough_by_definition(g)
     assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
     t = verdict.toughness
     starts = [i for i, event in enumerate(events) if event[0] == "sweep"]
     assert [events[i][1] for i in starts] == [g] + [delete_edge(g, u, v) for u, v in g.edges()]
     for k, (i, j) in enumerate(zip(starts, starts[1:] + [len(events)])):
         h, segment = events[i][1], events[i + 1 : j]
-        reads = [event for event in segment if event[0] == "read"]
-        assert reads and min(size for _, size, _ in reads) >= 2 * min(h.degrees()) - h.n + 2, text
+        floods = [size for kind, *rest in segment if kind == "flood" for size in rest[1:]]
+        assert floods and min(floods) >= 2 * min(h.degrees()) - h.n + 2, (text, k)
+        assert max(floods) <= _s_max(h), (text, k)
         if k == 0:  # the pass over G
             continue
-        first = next(at for at, event in enumerate(segment) if event[0] == "yield" and event[1] < t * event[3])
-        # no witness before the first, and nothing read or pulled after it
-        assert segment[first + 1 :] == [] and reads[-1][1:] == segment[first][1:3], (text, k)
+        tops = [(size, c) for kind, *rest in segment if kind == "top" for size, c in [rest]]
+        witness = _first_witness_size(h, t)
+        # every size up to the first witness's is read, in order, and no more
+        assert [size for size, _ in tops] == list(range(witness + 1)), (text, k)
+        assert tops[-1][1] and witness < t * tops[-1][1], (text, k)
+        assert all(kind in ("flood", "top") for kind, *_ in segment), (text, k)
 
 
 # -- dominating edges ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property-based differential tests on random graphs.
 
-The separator sweep is checked on 0-7 and 9-13 vertices; the deciders,
+The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
 toughness and local connectivity on 9-11 vertices, orders past the
 enumerated census (n <= 8), so the checks here reach graphs no exhaustive
 test sees; canonical codes up to 10 vertices and graph6 up to 32.  Examples are derandomized, so every run draws the same
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toughlab.toughness as toughness_module
 from toughlab.canon import _is_canonical, canonical_code, canonical_form
 from toughlab.connectivity import local_connectivity
 from toughlab.families import make_named, parse_family_spec
@@ -23,7 +24,7 @@ from toughlab.mintough import (
     is_minimally_tough_by_definition,
     is_nontrivially_minimally_tough,
 )
-from toughlab.toughness import _sweep, tough_separators, toughness
+from toughlab.toughness import _sweep, iterate_separators, tough_separators, toughness
 
 from oracles import (
     _component_count_after,
@@ -182,35 +183,81 @@ def complete_multipartite_graphs(draw, n: int) -> Graph:
     return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13])
+def _check_sweep(g: Graph, sizes) -> None:
+    """The sweep of ``g`` against the oracle on the given sizes: every
+    separator by (size, bitmask) and its component count."""
+    edges = normalize_edges(g.edges())
+    sweep = _sweep(g)
+    assert list(sweep) == list(range(max(g.n - 1, 0)))
+    got = [(size, mask, c) for size in sizes for mask, c in sweep.separators(size)]
+    want = []
+    for size in sizes:
+        for s in combinations(range(g.n), size):
+            c = _component_count_after(g.n, edges, set(s))
+            if c >= 2:
+                want.append((size, sum(1 << x for x in s), c))
+    assert got == sorted(want)
+    for size in sizes:
+        assert sweep.top(size) == max((c for s, _, c in want if s == size), default=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13, 16, 17, 18])
 @settings(derandomize=True, deadline=None, max_examples=5)
 @given(data=st.data())
 def test_sweep_matches_oracle(n, data):
-    """The split neighbourhood tables meet at h = n//2, so odd n and n <= 3
-    are drawn too: every size in order, every separator by (size, bitmask)
-    and its component count.  Dense and complete multipartite draws have a
-    positive degree floor, below which the sweep reads nothing."""
+    """Every size in order, every separator by (size, bitmask), its
+    component count and each size's largest.  Sizes past the first window
+    are listed too.  From 17 vertices on, the positions index the low 16
+    and each subset of the rest is a block.  From 16 on, the sizes 0-3 and
+    n-4..n-2 are checked, a few thousand oracle counts a graph where all
+    sizes take 2^n; they reach every block of both windows.  Dense and
+    complete multipartite draws have a positive degree floor, below which
+    the sweep floods nothing."""
     g = data.draw(st.one_of(random_graphs(n, n, (15, 30, 50, 70, 85, 95)), complete_multipartite_graphs(n)))
-    edges = normalize_edges(g.edges())
-    sizes, got = [], []
-    for size, separators in _sweep(g):
-        sizes.append(size)
-        got += [(size, mask, c) for mask, c in separators]
-    assert sizes == list(range(max(g.n - 1, 0)))
-    want = sorted((len(s), sum(1 << x for x in s)) for s in ref_separators(g.n, edges))
-    assert [(size, mask) for size, mask, _ in got] == want
-    for _, mask, c in got:
-        assert c == _component_count_after(g.n, edges, {x for x in range(g.n) if mask >> x & 1})
+    _check_sweep(g, range(n - 1) if n < 16 else [*range(4), *range(n - 4, n - 1)])
+
+
+def _record_windows(monkeypatch) -> list[tuple[int, int]]:
+    """The (lo, hi) size window of each block the sweeps flood, in order."""
+    flood, windows = toughness_module._Sweep._flood, []
+
+    def recorded(self, lo, hi, block):
+        windows.append((lo, hi))
+        return flood(self, lo, hi, block)
+
+    monkeypatch.setattr(toughness_module._Sweep, "_flood", recorded)
+    return windows
 
 
 @pytest.mark.parametrize("text", ["turan:12,6", "turan:10,5"])
-def test_degree_floor_is_tight(text):
+def test_degree_floor_is_tight(monkeypatch, text):
     """K_{2,...,2} minus all parts but one leaves two isolated vertices: the
-    least separator has 2*delta - n + 2 vertices, and the sweep yields it."""
+    least separator has 2*delta - n + 2 vertices, the sweep yields it, and
+    no smaller size is flooded."""
+    windows = _record_windows(monkeypatch)
     g = make_named(parse_family_spec(text))
     floor = 2 * min(g.degrees()) - g.n + 2
     assert min(len(s) for s in ref_separators(g.n, normalize_edges(g.edges()))) == floor
-    assert next(size for size, separators in _sweep(g) if next(separators, None)) == floor
+    sweep = _sweep(g)
+    assert next(size for size in sweep if sweep.separators(size)) == floor
+    assert min(lo for lo, _ in windows) == floor
+
+
+@pytest.mark.parametrize("text", ["path:8", "doublestar:3,4", "cycle:9"])
+def test_listing_past_the_first_window(monkeypatch, text):
+    """s_max < n - 2 here, so the bounded pass floods one window and the
+    full listing a second, past s_max; both agree with the oracle."""
+    windows = _record_windows(monkeypatch)
+    g = make_named(parse_family_spec(text))
+    tough_separators(g)
+    (first,) = set(windows)
+    assert first[1] < g.n - 2
+    windows.clear()
+    got = [(len(s), s.bits) for s in iterate_separators(g)]
+    assert sorted(set(windows)) == [first, (first[1] + 1, g.n - 2)]
+    want = sorted((len(s), sum(1 << x for x in s)) for s in ref_separators(g.n, normalize_edges(g.edges())))
+    assert got == want
+    _check_sweep(g, range(g.n - 1))
 
 
 @st.composite
