@@ -9,7 +9,6 @@ the classification results on small graphs.
 from .canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from .classes import (
     CLASS_PREDICATES,
-    ChordalityReport,
     CographPartition,
     MultipartiteParts,
     SimplicialPairDecomposition,
@@ -28,7 +27,6 @@ from .classes import (
     is_p4_free,
     is_split,
     is_weakly_chordal,
-    recognize_chordal,
     simplicial_pair_decomposition,
     simplicial_vertices,
 )

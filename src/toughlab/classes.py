@@ -1,15 +1,19 @@
 """Recognizers for the graph classes the classification theorems quantify
 over, plus the structural decompositions their proofs use.
 
-Chordality is decided by maximum-cardinality search with an explicit
-perfect-elimination-ordering verification; a negative verdict carries an
-induced cycle of length >= 4 as certificate.  Induced-subgraph search is a
-plain ordered backtracking with adjacency/degree pruning -- fine at desk
-scale, which is all this package promises; it can pin one pattern vertex
-per automorphism orbit to a given vertex, to find only copies through it.
-For the hereditary classes the census sweeps (P4-free, net-free, co-chordal,
-co-forest) there are also tests that decide g from g - v by looking only
-through v.
+Chordality has one rule, ``_has_hole_through``: a graph has a hole (an
+induced cycle of length >= 4) through v iff some component of it minus N[v]
+sees two non-adjacent neighbours of v.  ``is_chordal`` asks it of each
+vertex i in the subgraph on 0..i, ``is_co_chordal`` of the complement's
+rows, and the census of the new vertex only (``has_co_hole_through``); a
+hole as a witness comes from ``find_induced_cycle``.
+
+Induced-subgraph search is a plain ordered backtracking with
+adjacency/degree pruning -- fine at desk scale, which is all this package
+promises; it can pin one pattern vertex per automorphism orbit to a given
+vertex, to find only copies through it.  For the hereditary classes the
+census sweeps (P4-free, net-free, co-chordal, co-forest) there are also
+tests that decide g from g - v by looking only through v.
 """
 from __future__ import annotations
 
@@ -32,67 +36,46 @@ from .graphs import CrossCheckError, Graph, VertexSet, _bits, _complement_rows, 
 # -- chordality ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChordalityReport:
-    chordal: bool
-    #: a perfect elimination ordering when chordal
-    elimination_order: tuple[int, ...] | None
-    #: an induced cycle of length >= 4 when not
-    hole: VertexSet | None
-
-
-def _mcs_order(g: Graph) -> list[int]:
-    """Maximum cardinality search visit order (ties by least vertex)."""
-    weights = [0] * g.n
-    visited = 0
-    order = []
-    for _ in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not visited >> v & 1 and (best == -1 or weights[v] > weights[best]):
-                best = v
-        order.append(best)
-        visited |= 1 << best
-        for u in _bits(g.adj[best] & ~visited):
-            weights[u] += 1
-    return order
-
-
 def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
     """True iff the vertices of ``mask`` are pairwise adjacent in the rows ``adj``."""
     return all(not mask & ~adj[u] & ~(1 << u) for u in _bits(mask))
 
 
-def _is_peo(g: Graph, order: list[int]) -> bool:
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
-    for i, v in enumerate(order):
-        later = 0
-        for u in _bits(g.adj[v]):
-            if position[u] > i:
-                later |= 1 << u
-        if not _is_clique(g.adj, later):
-            return False
-    return True
+def _has_hole_through(rows: tuple[int, ...], v: int, within: int) -> bool:
+    """True iff the subgraph induced on ``within`` (a mask holding v) of the
+    graph with neighbourhood masks ``rows`` has a hole (an induced cycle of
+    length >= 4) through v.  Exact for any graph.
+
+    Let N be v's neighbourhood there.  There is a hole through v iff some
+    component C of the rest minus N[v] has two non-adjacent neighbours
+    a, b in N.  If v, a, c_1, ..., c_k, b is a hole, a and b are
+    non-adjacent (the cycle is induced and has length >= 4) and the c_i
+    miss N[v], so they lie in one component C with neighbours a and b.
+    Conversely, a shortest a-b path through C is induced and has length
+    >= 2, and no vertex of C is adjacent to v, so v closes it into a hole.
+    """
+    near = rows[v] & within
+    for comp in _component_masks(rows, within & ~near & ~(1 << v)):
+        attached = 0
+        for c in _bits(comp):
+            attached |= rows[c]
+        if not _is_clique(rows, attached & near):
+            return True
+    return False
 
 
-def recognize_chordal(g: Graph) -> ChordalityReport:
-    order = list(reversed(_mcs_order(g)))
-    if _is_peo(g, order):
-        return ChordalityReport(True, tuple(order), None)
-    hole = find_induced_cycle(g, 4)
-    if hole is None:
-        raise CrossCheckError("no perfect elimination ordering, yet no hole")
-    return ChordalityReport(False, None, hole)
+def _is_chordal_rows(rows: tuple[int, ...]) -> bool:
+    """No hole through i in the subgraph induced on 0..i, for each i: every
+    hole has a largest vertex, and lies in the subgraph up to it."""
+    return not any(_has_hole_through(rows, i, (2 << i) - 1) for i in range(len(rows)))
 
 
 def is_chordal(g: Graph) -> bool:
-    return _is_peo(g, list(reversed(_mcs_order(g))))
+    return _is_chordal_rows(g.adj)
 
 
 def is_co_chordal(g: Graph) -> bool:
-    return is_chordal(complement(g))
+    return _is_chordal_rows(_complement_rows(g))
 
 
 def simplicial_vertices(g: Graph) -> VertexSet:
@@ -291,26 +274,8 @@ def has_net_through(g: Graph, v: int) -> bool:
 
 
 def has_co_hole_through(g: Graph, v: int) -> bool:
-    """For g whose complement H has H - v chordal: True iff H has a hole
-    (an induced cycle of length >= 4) through v.
-
-    Let N be v's neighbourhood in H.  H has a hole through v iff some
-    component C of H - N[v] has two neighbours a, b in N with a, b
-    non-adjacent.  If v, a, c_1, ..., c_k, b is a hole, a and b are
-    non-adjacent (the cycle is induced and has length >= 4) and the c_i
-    miss N[v], so they lie in one component C with neighbours a and b.
-    Conversely, a shortest a-b path through C is induced and has length
-    >= 2, and no vertex of C is adjacent to v, so v closes it into a hole.
-    """
-    h = _complement_rows(g)
-    near = h[v]
-    for comp in _component_masks(h, g.full_mask & ~near & ~(1 << v)):
-        attached = 0
-        for c in _bits(comp):
-            attached |= h[c]
-        if not _is_clique(h, attached & near):
-            return True
-    return False
+    """True iff the complement of g has a hole through v (``_has_hole_through``)."""
+    return _has_hole_through(_complement_rows(g), v, g.full_mask)
 
 
 def has_co_cycle_through(g: Graph, v: int) -> bool:

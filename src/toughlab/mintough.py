@@ -48,7 +48,7 @@ from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
 from .toughness import (
-    Toughness, _sweep, _tough_pass, format_toughness, toughness,
+    Toughness, _Sweep, _separator_masks, _sweep, _tough_pass, format_toughness, toughness,
 )
 
 
@@ -132,22 +132,28 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
     """
     if not g.has_edge(u, v):
         raise ValueError("cond2 candidates are defined for edges")
-    sweep = _sweep(g)
-    masks = (mask for size in sweep for mask, _ in sweep.separators(size))
-    for mask in _uv_separators(g, masks, u, v):
+    for mask in _uv_separators(g, _separator_masks(g), u, v):
         yield VertexSet(mask, g.n)
 
 
-def _cond2_masks(p: int, q: int, kept: Iterable) -> list[int]:
-    """The separators of the pass with |S| < t*(c(G-S)+1) at t = p/q."""
-    return [mask for size, mask, c in kept if size * q < p * (c + 1)]
+def _cond2_masks(p: int, q: int, sweep: _Sweep, tops: list[tuple[int, int]]) -> list[int]:
+    """The separators of the pass with |S| < t*(c(G-S)+1) at t = p/q, by
+    (size, bitmask).  For an integer c, c + 1 > s*q/p iff c >= s*q // p,
+    so each size s is listed from that c; at t = 0 there are none."""
+    if not p:
+        return []
+    masks = []
+    for size, top in tops:
+        least = max(2, size * q // p)
+        if top >= least:
+            masks += [mask for mask, _ in sweep.separators(size, least)]
+    return masks
 
 
-def _edge_witnesses(g: Graph, p: int, q: int, kept: Iterable) -> Iterator[EdgeWitness]:
+def _edge_witnesses(g: Graph, p: int, q: int, separators: list[int]) -> Iterator[EdgeWitness]:
     """The criterion at t = p/q, edge by edge in lexicographic order:
-    kappa(u,v) with cond1, and the first cond2 separator of the pass that
+    kappa(u,v) with cond1, and the first of the cond2 ``separators`` that
     avoids u and v and separates them in G-uv."""
-    separators = _cond2_masks(p, q, kept)
     for u, v in g.edges():
         kappa = local_connectivity(g, u, v)
         hit = next(_uv_separators(g, separators, u, v), None)
@@ -159,9 +165,9 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
     """Decide via the per-edge criterion; returns full per-edge witnesses."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
-    p, q, kept = _tough_pass(g)
+    p, q, sweep, tops = _tough_pass(g)
     t = Fraction(p, q)
-    witnesses = list(_edge_witnesses(g, p, q, kept))
+    witnesses = list(_edge_witnesses(g, p, q, _cond2_masks(p, q, sweep, tops)))
     failing = next((w.edge for w in witnesses if not w.cond1 and not w.cond2), None)
     if failing is None:
         return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses
@@ -175,10 +181,10 @@ def is_nontrivially_minimally_tough(g: Graph) -> bool:
     cond1; then a cond2 separator of the pass; only then a max-flow."""
     if g.is_complete() or g.is_edgeless():
         return False
-    p, q, kept = _tough_pass(g)
+    p, q, sweep, tops = _tough_pass(g)
     if p == 0:
         return False
-    separators = _cond2_masks(p, q, kept)
+    separators = _cond2_masks(p, q, sweep, tops)
     degrees = g.degrees()
     for u, v in g.edges():
         if min(degrees[u], degrees[v]) * q < 2 * p + q:
@@ -208,8 +214,7 @@ def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
     independently for every edge, and CrossCheckError is raised if they
     differ."""
     full = g.full_mask
-    sweep = _sweep(g)
-    sep_masks = [mask for size in sweep for mask, _ in sweep.separators(size)]
+    sep_masks = list(_separator_masks(g))
     co_dist = distances(complement(g))
     out = []
     for u, v in g.edges():

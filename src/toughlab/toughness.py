@@ -235,19 +235,19 @@ def _sweep(g: Graph) -> _Sweep:
     return _Sweep(g)
 
 
-def _tough_pass(g: Graph) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
-    """Toughness p/q of a non-complete graph, and the separators that matter.
+def _tough_pass(g: Graph) -> tuple[int, int, _Sweep, list[tuple[int, int]]]:
+    """Toughness p/q of a non-complete graph, and where its separators lie.
 
     Keeps the least ratio |S|/c(G-S) of the sweep as integers p/q, from each
     size's largest c, and stops before the first size s with
-    s*q > p*(n-s).  Returns p, q and a lazy listing, by (size, bitmask), of
-    (size, mask, c) for every S read with size*q <= p*(c+1): each S
-    attaining p/q, and each cond2 candidate |S| < t*(c+1).  A reader that
+    s*q > p*(n-s).  Returns p, q, the sweep and (size, largest c) for each
+    size read that has a separator, ascending.  A reader lists only the S it
+    needs, each size from its own least c (``_Sweep.separators``); one that
     needs only p/q lists nothing.
     """
     n = g.n
     p, q = 1, 0  # no separator yet: an infinite ratio
-    read: list[int] = []
+    tops: list[tuple[int, int]] = []
     sweep = _sweep(g)
     for size in sweep:
         if size * q > p * (n - size):
@@ -256,17 +256,19 @@ def _tough_pass(g: Graph) -> tuple[int, int, Iterator[tuple[int, int, int]]]:
         if size * q < p * c:
             p, q = size, c
         if c:
-            read.append(size)
+            tops.append((size, c))
     if q == 0:
         raise CrossCheckError(f"non-complete graph on {n} vertices has no separator")
+    return p, q, sweep, tops
 
-    def kept() -> Iterator[tuple[int, int, int]]:
-        for size in read:  # p = 0 only when size 0 is all there is
-            least = max(2, -(-size * q // p) - 1) if p else 2
-            for mask, c in sweep.separators(size, least):
-                yield size, mask, c
 
-    return p, q, kept()
+def _separator_masks(g: Graph) -> Iterator[int]:
+    """The full listing: the mask of every S with c(G - S) >= 2, ascending
+    by (size, bitmask)."""
+    sweep = _sweep(g)
+    for size in sweep:
+        for mask, _ in sweep.separators(size):
+            yield mask
 
 
 def iterate_separators(g: Graph) -> Iterator[VertexSet]:
@@ -275,16 +277,13 @@ def iterate_separators(g: Graph) -> Iterator[VertexSet]:
     Yields the empty set first when g is disconnected.  Complete graphs
     (including K_0 and K_1) have no separators.
     """
-    sweep = _sweep(g)
-    for size in sweep:
-        for mask, _ in sweep.separators(size):
-            yield VertexSet(mask, g.n)
+    return (VertexSet(mask, g.n) for mask in _separator_masks(g))
 
 
 def toughness(g: Graph) -> Toughness:
     if g.is_complete():
         return INFINITE_TOUGHNESS
-    p, q, _ = _tough_pass(g)
+    p, q, _, _ = _tough_pass(g)
     return Fraction(p, q)
 
 
@@ -301,11 +300,14 @@ def tough_separators(g: Graph) -> list[ToughWitness]:
     """All separators S with |S|/c(G-S) == toughness(g), ascending (size, bitmask)."""
     if g.is_complete():
         raise ValueError("complete graphs have no separators")
-    p, q, kept = _tough_pass(g)
+    # no S has |S|/c(G-S) < p/q, so an S of a size whose largest c attains
+    # p/q attains it iff its c is that largest; at p = 0 only size 0 does
+    p, q, sweep, tops = _tough_pass(g)
     return [
         ToughWitness(VertexSet(mask, g.n), c, Fraction(size, c))
-        for size, mask, c in kept
-        if size * q == p * c
+        for size, top in tops
+        if size * q == p * top
+        for mask, c in sweep.separators(size, top)
     ]
 
 

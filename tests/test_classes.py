@@ -1,5 +1,6 @@
 """Graph-class recognizers against subset-sweep reference predicates."""
 import math
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -22,7 +23,6 @@ from toughlab.classes import (
     is_p4_free,
     is_split,
     is_weakly_chordal,
-    recognize_chordal,
     simplicial_pair_decomposition,
     simplicial_vertices,
 )
@@ -79,28 +79,7 @@ def test_registry_order_is_the_cli_column_order():
     )
 
 
-# -- chordality certificates ------------------------------------------------------
-
-
-def test_chordal_certificates_exhaustive():
-    for n in range(7):
-        for g in enumerate_graphs(n):
-            report = recognize_chordal(g)
-            assert report.chordal == O.ref_is_chordal(g.n, g.edges())
-            if report.chordal:
-                order = report.elimination_order
-                assert sorted(order) == list(range(g.n))
-                later = set(range(g.n))
-                for v in order:
-                    later.discard(v)
-                    nbrs = [w for w in later if g.has_edge(v, w)]
-                    for i, a in enumerate(nbrs):
-                        for b in nbrs[i + 1 :]:
-                            assert g.has_edge(a, b), "elimination order is not perfect"
-            else:
-                hole = list(report.hole)
-                assert len(hole) >= 4
-                assert O._induces_cycle(O.normalize_edges(g.edges()), hole)
+# -- simplicial vertices -----------------------------------------------------------
 
 
 def test_simplicial_vertices_definition():
@@ -190,11 +169,18 @@ def test_orbit_representatives_against_permutations(spec):
     assert classes._orbit_representatives(pattern) == tuple(sorted(set(orbit_of)))
 
 
-#: each one-new-vertex test, with the whole-graph test of its hereditary class
+@lru_cache(maxsize=None)
+def _co_chordal_by_search(g: Graph) -> bool:
+    """Co-chordality by the induced-cycle search: is_co_chordal folds the
+    same hole test as has_co_hole_through."""
+    return find_induced_cycle(complement(g), 4) is None
+
+
+#: each one-new-vertex test, with a whole-graph test of its hereditary class
 _THROUGH_TESTS = {
     "has_p4_through": is_p4_free,
     "has_net_through": is_net_free,
-    "has_co_hole_through": is_co_chordal,
+    "has_co_hole_through": _co_chordal_by_search,
     "has_co_cycle_through": is_complement_of_forest,
 }
 
@@ -298,12 +284,6 @@ def test_simplicial_pair_decomposition_none_cases():
 
 
 # -- invariant guards: each raises when the fact it relies on is broken ----------------
-
-
-def test_recognize_chordal_guard_needs_a_hole(monkeypatch):
-    monkeypatch.setattr(classes, "find_induced_cycle", lambda g, min_length: None)
-    with pytest.raises(CrossCheckError, match="yet no hole"):
-        recognize_chordal(_named("cycle:4"))
 
 
 def test_cograph_partition_guard_needs_disconnected_parts(monkeypatch):

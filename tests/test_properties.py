@@ -3,8 +3,9 @@
 The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
 toughness and local connectivity on 9-11 vertices, orders past the
 enumerated census (n <= 8), so the checks here reach graphs no exhaustive
-test sees; canonical codes up to 10 vertices and graph6 up to 32.  Examples are derandomized, so every run draws the same
-graphs.
+test sees; chordality on 8-10 and 32 vertices, canonical codes up to 10
+vertices and graph6 up to 32.  Examples are derandomized, so every run
+draws the same graphs.
 """
 from itertools import combinations
 
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 import toughlab.toughness as toughness_module
 from toughlab.canon import _is_canonical, canonical_code, canonical_form
+from toughlab.classes import is_chordal, is_co_chordal
 from toughlab.connectivity import local_connectivity
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import HEADER, Graph6Error, parse_graph6, write_graph6
-from toughlab.graphs import MAX_VERTICES, Graph, relabel
+from toughlab.graphs import MAX_VERTICES, Graph, complement, relabel
 from toughlab.mintough import (
     MinToughStatus,
     is_minimally_tough_by_criterion,
@@ -29,7 +31,9 @@ from toughlab.toughness import _sweep, iterate_separators, tough_separators, tou
 from oracles import (
     _component_count_after,
     normalize_edges,
+    ref_complement_edges,
     ref_components,
+    ref_is_chordal,
     ref_separators,
     ref_toughness,
 )
@@ -333,3 +337,62 @@ def test_parse_graph6_raises_only_graph6_error(text):
 @given(any_graphs())
 def test_graph6_round_trip(g):
     assert parse_graph6(write_graph6(g)) == g
+
+
+@st.composite
+def chordal_graphs(draw, nmin: int, nmax: int) -> Graph:
+    """Each vertex v joined to a clique of the graph on 0..v-1, a drawn
+    subset of a greedy clique grown from a drawn vertex's neighbourhood, and
+    the result relabelled: read backwards the insertion order is a perfect
+    elimination order, so the graph is chordal."""
+    n = draw(st.integers(nmin, nmax))
+    adj = [0] * n
+    for v in range(1, n):
+        w = draw(st.integers(0, v - 1))
+        clique = 1 << w
+        for u in range(v):
+            if adj[w] >> u & 1 and clique & ~adj[u] == 0 and draw(st.booleans()):
+                clique |= 1 << u
+        clique &= draw(st.integers(0, (1 << v) - 1)) | (1 << w)
+        for u in range(v):
+            if clique >> u & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return relabel(Graph(n, tuple(adj)), draw(st.permutations(range(n))))
+
+
+@st.composite
+def planted_holes(draw, graphs) -> Graph:
+    """A graph drawn from ``graphs`` whose edges among k >= 4 drawn vertices
+    are replaced by a k-cycle through them, so they induce C_k."""
+    g = draw(graphs)
+    k = draw(st.integers(4, min(g.n, 12)))
+    cycle = draw(st.permutations(range(g.n)))[:k]
+    inside = set(cycle)
+    edges = [e for e in g.edges() if not (e[0] in inside and e[1] in inside)]
+    edges += [tuple(sorted((cycle[i], cycle[i - 1]))) for i in range(k)]
+    return Graph.from_edges(g.n, edges)
+
+
+@_SETTINGS
+@given(st.one_of(random_graphs(8, 10, (10, 20, 30, 50, 70, 80, 90)),
+                 chordal_graphs(8, 10), chordal_graphs(8, 10).map(complement),
+                 planted_holes(chordal_graphs(8, 10))))
+def test_chordality_matches_oracle(g):
+    edges = g.edges()
+    assert is_chordal(g) == ref_is_chordal(g.n, edges)
+    assert is_co_chordal(g) == ref_is_chordal(g.n, ref_complement_edges(g.n, edges))
+
+
+@_SETTINGS
+@given(chordal_graphs(32, 32))
+def test_chordal_on_32_vertices(g):
+    assert is_chordal(g)
+    assert is_co_chordal(complement(g))
+
+
+@_SETTINGS
+@given(planted_holes(chordal_graphs(32, 32)))
+def test_planted_hole_on_32_vertices(g):
+    assert not is_chordal(g)
+    assert not is_co_chordal(complement(g))
