@@ -3,10 +3,10 @@
 The canonical code of a graph is the graph6 encoding of its minimal
 adjacency matrix: the relabelling whose upper-triangle bitstring (read in
 graph6 column order) is lexicographically smallest.  The search is a
-branch-and-bound over vertex placements: at depth j the candidate's column
-(its adjacency pattern to the placed prefix) is compared against the best
-known code; worse prefixes are cut, and candidates that differ by a
-transposition automorphism of the whole graph are explored only once.
+branch-and-bound over vertex placements: at depth j only the candidates
+with the least column (adjacency pattern to the placed prefix) go on; a
+prefix worse than the best known code is cut, and candidates that differ
+by a transposition automorphism of the whole graph are explored once.
 
 Enumeration is orderly (Read 1978; McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998).  The code is read column by column, so if
@@ -61,7 +61,6 @@ from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbenc
 from .graphs import Graph, _bits, relabel
 
 _MAX_CANON = 10
-_INF = 1 << 62
 
 
 def _swap_equiv(adj: tuple[int, ...], a: int, b: int) -> bool:
@@ -71,48 +70,45 @@ def _swap_equiv(adj: tuple[int, ...], a: int, b: int) -> bool:
 
 
 def _canonical_placement(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    """placement[i] = original vertex put at position i of the minimal code."""
-    if n == 0:
-        return ()
-    best_cols = [_INF] * n
+    """placement[i] = original vertex put at position i of the minimal code.
+
+    Narrowing the unused vertices through the placed ones in order, each to
+    its non-neighbours when any remain, leaves the ties for the least column.
+    """
+    best: list[int] = []  # the columns of the least code found so far
     best_perm: list[int] = []
     placed: list[int] = []
-    used = 0
 
-    def dfs() -> None:
-        nonlocal used
-        j = len(placed)
+    def dfs(j: int, unused: int) -> None:
         if j == n:
             best_perm[:] = placed
             return
-        cands = []
-        for v in range(n):
-            if used >> v & 1:
+        ties, col = unused, 0
+        for p in placed:
+            rest = ties & ~adj[p]
+            if rest:
+                ties, col = rest, col << 1
+            else:
+                col = col << 1 | 1
+        if j == len(best):
+            best.append(col)
+        elif col > best[j]:
+            return
+        elif col < best[j]:
+            best[j:] = [col]
+        tried: list[int] = []
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
+            if any(_swap_equiv(adj, t, v) for t in tried):
                 continue
-            val = 0
-            av = adj[v]
-            for p in placed:
-                val = (val << 1) | (av >> p & 1)
-            cands.append((val, v))
-        cands.sort()
-        tried: list[tuple[int, int]] = []
-        for val, v in cands:
-            if val > best_cols[j]:
-                break
-            if any(tval == val and _swap_equiv(adj, tv, v) for tval, tv in tried):
-                continue
-            tried.append((val, v))
-            if val < best_cols[j]:
-                best_cols[j] = val
-                for k in range(j + 1, n):
-                    best_cols[k] = _INF
+            tried.append(v)
             placed.append(v)
-            used |= 1 << v
-            dfs()
+            dfs(j + 1, unused ^ low)
             placed.pop()
-            used ^= 1 << v
 
-    dfs()
+    dfs(0, (1 << n) - 1)
     return tuple(best_perm)
 
 

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
@@ -157,6 +156,7 @@ def _drive(
     fn = partial(_process_record, worker)
     jobs = min(jobs, os.cpu_count() or 1)  # the pool forks every worker at once
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return _emit(pool.map(fn, records, chunksize=16))
     return _emit(map(fn, records))

@@ -14,12 +14,13 @@ computed verdict and the predicted family codes disagree.
 
 Everything is driven off canonical codes, kept as graph6 text, so that
 reports are byte-identical across runs and print the code itself.  The
-census keeps one record per class, canon's code and graph.  Membership in
-the four hereditary classes (P4-free, co-chordal, net-free co-chordal,
-co-forest) comes from one flag table per order, each record's flags from
-its canonical parent's plus one test anchored at its last vertex
-(``_flags``).  Expensive per-graph facts (toughness, minimal-toughness
-verdicts, co-diameter) are memoized per code and shared by all scans.
+census keeps one graph per class, in the order of canon's sorted codes,
+and a code's record is found by bisecting them.  Membership in the four
+hereditary classes (P4-free, co-chordal, net-free co-chordal, co-forest)
+comes from one flag table per order, each record's flags from its
+canonical parent's plus one test anchored at its last vertex (``_flags``).
+Expensive per-graph facts (toughness, minimal-toughness verdicts,
+co-diameter) are memoized per code and shared by all scans.
 """
 from __future__ import annotations
 
@@ -65,9 +66,8 @@ PROBE_N_MAX = 9
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> dict[str, Graph]:
-    graphs = tuple(enumerate_graphs(n))  # before the codes: perfbench/traced.py times this draw
-    return dict(zip(census_codes(n), graphs))
+def _census(n: int) -> tuple[Graph, ...]:
+    return tuple(enumerate_graphs(n))  # in census_codes(n) order
 
 
 #: the class flags of a census record, one bit per hereditary class
@@ -95,7 +95,7 @@ def _flags(n: int) -> bytes:
     up = _flags(n - 1)
     v = n - 1
     out = bytearray()
-    for g, parent in zip(_census(n).values(), census_parents(n)):
+    for g, parent in zip(_census(n), census_parents(n)):
         have, flags = up[parent], 0
         if have & _P4_FREE and not has_p4_through(g, v):
             flags |= _P4_FREE
@@ -111,7 +111,8 @@ def _flags(n: int) -> bytes:
 
 @lru_cache(maxsize=None)
 def _graph_of(code: str) -> Graph:
-    return _census(ord(code[0]) - 63)[code]
+    n = ord(code[0]) - 63
+    return _census(n)[bisect_left(census_codes(n), code)]
 
 
 @lru_cache(maxsize=None)
@@ -283,10 +284,11 @@ KRIESELL_CLASS_FILTERS = tuple(key for key, klass in _CLASSES.items() if klass.k
 @lru_cache(maxsize=None)
 def _members(klass: str, n: int) -> tuple[str, ...]:
     """The census codes on n vertices in a class of _CLASSES, or all for "all"."""
+    _census(n)  # the records before canon's codes: perfbench/traced.py times this draw
     if klass == "all":
-        return tuple(_census(n))
+        return census_codes(n)
     member = _CLASSES[klass].member
-    return tuple(code for code, flags in zip(_census(n), _flags(n)) if member(code, flags))
+    return tuple(code for code, flags in zip(census_codes(n), _flags(n)) if member(code, flags))
 
 
 def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:

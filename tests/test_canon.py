@@ -62,6 +62,19 @@ def test_canonical_code_invariant_under_relabeling():
         assert canonical_code(relabel(g, perm)) == canonical_code(g)
 
 
+def test_canonical_code_is_the_least_relabelled_code():
+    # the definition: the least graph6 text over all relabellings, here of a
+    # shuffled copy of each class so the search starts from no census labelling
+    rng = random.Random(54)
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            least = min(write_graph6(relabel(h, list(p))) for p in permutations(range(n)))
+            assert canonical_code(h) == least
+
+
 def test_canonical_code_separates_classes_exhaustively():
     # all labeled graphs on 5 vertices, deduplicated two ways
     cells = list(combinations(range(5), 2))

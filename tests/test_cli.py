@@ -203,7 +203,7 @@ def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr("toughlab.cli.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: 3)
     path = tmp_path / "in.g6"
     path.write_text("\n".join(write_graph6(g) for g in enumerate_graphs(5)) + "\n")
@@ -217,6 +217,18 @@ def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
     want = _run(capsys, ["tough", str(path)])[1]
     assert _run(capsys, ["tough", "--jobs", "1000000", str(path)])[1] == want
     assert requested == [3, 3]
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # only --jobs > 1 imports the process pool, so a one-process run skips it
+    src = Path(toughlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = ("import sys, toughlab.cli\n"
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_jobs_must_be_positive(capsys):
@@ -306,10 +318,22 @@ def test_verify_all_small(capsys):
          "9695a9c7251cf2cfbaae2697c375e0bd35ed8b3f10cd26e852cdd83eef64922f"),
         (["probe", "--nmax", "7", "--format", "json"],
          "47598428982048ac2e1fdaebd5fb103e39af37c973a07249e410beea03ad0fa3"),
+        (["verify", "all", "--nmax", "8", "--format", "json"],
+         "79d3364b8275e94a443af88e55d4a07347a71da403d290be86fdbac6e43384f5"),
+        (["probe", "--nmax", "8", "--format", "json"],
+         "3a4e07a070702186b6b705dacd9b743a96185accf9152556157e817a46661e69"),
+        pytest.param(
+            ["verify", "all", "--nmax", "9", "--format", "json"],
+            "6251dddf21a4b28469a7d855bad479b5c33efadaefdcd446bae0d1a3adb8ab3e",
+            marks=pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"),
+                                     reason="set TOUGHLAB_SLOW=1 (n = 9 census)"),
+        ),
     ],
-    ids=["verify-all-json", "verify-all-table", "probe-json"],
+    ids=["verify-all-json", "verify-all-table", "probe-json", "verify-all-json-8",
+         "probe-json-8", "verify-all-json-9"],
 )
-def test_report_bytes_frozen(capsys, argv, digest):
+def test_report_bytes_frozen(capsys, monkeypatch, argv, digest):
+    monkeypatch.setenv(NMAX_OVERRIDE_ENV, "1")  # lets n = 9 past the gate
     rc, out, _ = _run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
