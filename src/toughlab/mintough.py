@@ -7,12 +7,9 @@ NON_TRIVIAL: connected, non-complete, every edge deletion strictly drops t.
 
 Two independent deciders:
 
-* by definition — after every single-edge deletion, read the separator
-  sweep of G-e (``toughness._sweep``) size by size, from each size's
-  largest c(G-e-S), up to the first size with |S|/c < t, which proves
-  t(G-e) < t.  The sweep of G-e ends before the first size s with
-  s/(n-s) > t; when no size lies below t, one attaining t means
-  t(G-e) = t, and none at all is a rise, which edge deletion cannot cause;
+* by definition — compare t(G-e) (``toughness``) with t for every
+  single-edge deletion; t(G-e) = t keeps the edge, and t(G-e) > t is a
+  rise, which edge deletion cannot cause;
 * by edge criterion — an edge uv is deletable-without-dropping unless
   (cond1) its local connectivity is below 2t+1, or (cond2) some separator S
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
@@ -47,9 +44,7 @@ from .connectivity import _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
-from .toughness import (
-    Toughness, _Sweep, _separator_masks, _sweep, _tough_pass, format_toughness, toughness,
-)
+from .toughness import Toughness, _Sweep, _separator_masks, _tough_pass, format_toughness, toughness
 
 
 class MinToughStatus(Enum):
@@ -78,34 +73,16 @@ class EdgeWitness:
     separator: VertexSet | None  # first (size, bitmask)-ascending cond2 witness
 
 
-def _compare_toughness(h: Graph, p: int, q: int) -> int:
-    """The sign of t(h) - p/q for a non-complete h, from the sweep of h: -1
-    at its first size whose largest c(h - S) has |S|/c < p/q, else 0 if some
-    size's largest c attains p/q, else 1.  No S of a size s with
-    s*q > p*(n-s) reaches p/q, so the sweep ends there."""
-    sign, sweep = 1, _sweep(h)
-    for size in sweep:
-        if size * q > p * (h.n - size):
-            break
-        c = sweep.top(size)  # 0 when no s-set separates h
-        if size * q < p * c:
-            return -1
-        if c and size * q == p * c:
-            sign = 0
-    return sign
-
-
 def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
     """Compare t(G-e) with t(G) for every edge e, in lexicographic order."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g))
     t = toughness(g)
     for u, v in g.edges():
-        h = delete_edge(g, u, v)
-        sign = _compare_toughness(h, t.numerator, t.denominator)
-        if sign > 0:  # edge deletion can never raise toughness
-            raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {toughness(h)}")
-        if sign == 0:
+        t_e = toughness(delete_edge(g, u, v))
+        if t_e > t:  # edge deletion can never raise toughness
+            raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {t_e}")
+        if t_e == t:
             return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, (u, v))
     return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t)
 

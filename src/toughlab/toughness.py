@@ -16,8 +16,7 @@ tough_separators and the criterion deciders read the sweep through one
 bounded pass, ``_tough_pass``, with one stop rule: an s-set leaves at most
 n-s components, so the pass ends before the first s with s/(n-s) > best
 (strict, so ties are kept).  A cond2 witness S of an edge uv leaves uv in
-G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.  The definition
-decider reads the sweep of each G - e itself, under the same stop rule.
+G - S, so |S| < t*(c+1) <= t*(n-|S|) lies inside the pass.
 
 The sweep is bit-sliced.  A position S indexes a subset of the low
 min(n, 16) vertices, and each vertex v has a plane: one int whose bit S is
@@ -33,11 +32,9 @@ this sweep takes one step per vertex for all 2^16 subsets of a block.
 
 Positions are flooded a window of sizes at a time.  With v of least degree
 delta and c0 = c(G - N(v)) >= 2, t <= delta/c0, so the bounded pass reads no
-size past s_max = max(delta, n*delta // (c0 + delta)).  Nor does the
-definition decider's comparison with a t' from outside: either
-delta/c0 < t' and it stops by size delta, or t' <= delta/c0 bounds its stop
-in the same way.  So the first window is [floor, s_max], and the sizes
-above it are flooded in one more window only when a full listing asks.
+size past s_max = max(delta, n*delta // (c0 + delta)).  So there are two
+windows, [floor, s_max] for the pass and [s_max + 1, n - 2], flooded only
+when a full listing reads past the pass.
 """
 from __future__ import annotations
 
@@ -157,8 +154,8 @@ class _Sweep:
         if n:
             c0 = _component_count(g.adj, g.full_mask & ~g.adj[degrees.index(delta)])
             self.s_max = max(delta, n * delta // (c0 + delta))
-        #: (lo, hi, {block: levels}) for each window flooded, ascending
-        self.windows: list[tuple[int, int, dict[int, list[int]]]] = []
+        #: {block: levels} of each window flooded, by its least size
+        self.windows: dict[int, dict[int, list[int]]] = {}
         #: (high bits, levels, weight class) of each block holding s-sets
         self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
 
@@ -166,13 +163,10 @@ class _Sweep:
         return iter(range(max(self.n - 1, 0)))
 
     def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
-        for window in self.windows:
-            if window[0] <= size <= window[1]:
-                return window
-        lo = self.windows[-1][1] + 1 if self.windows else self.floor
-        hi = max(self.n - 2 if self.windows else self.s_max, size)
-        self.windows.append((lo, hi, {}))
-        return self.windows[-1]
+        """(lo, hi, {block: levels}) of the window holding ``size``: the
+        pass's [floor, s_max] or the listing's [s_max + 1, n - 2]."""
+        lo, hi = (self.floor, self.s_max) if size <= self.s_max else (self.s_max + 1, self.n - 2)
+        return lo, hi, self.windows.setdefault(lo, {})
 
     def _flood(self, lo: int, hi: int, block: int) -> list[int]:
         """The levels of block H over the positions with lo <= |S| <= hi."""

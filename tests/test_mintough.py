@@ -56,13 +56,24 @@ def test_deciders_agree_exhaustively():
             assert by_def == by_crit, g
 
 
-def test_deciders_match_reference_up_to_5():
-    for n in range(6):
+def test_deciders_match_reference_up_to_7():
+    """Every class on at most 7 vertices against the brute-force oracle:
+    t, the verdicts, and the definition decider's failing edge, the least
+    edge whose deletion keeps t."""
+    for n in range(8):
         for g in enumerate_graphs(n):
-            want = ref_is_minimally_tough(g.n, g.edges())
+            edges = normalize_edges(g.edges())
+            t = ref_toughness(g.n, edges)
+            want = ref_is_minimally_tough(g.n, edges)
             verdict = is_minimally_tough_by_definition(g)
-            assert (verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH) == want
-            assert is_nontrivially_minimally_tough(g) == want
+            assert verdict.toughness == t, g
+            assert (verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH) == want, g
+            assert is_nontrivially_minimally_tough(g) == want, g
+            if verdict.status is MinToughStatus.NOT_MIN_TOUGH:
+                keeper = next(e for e in g.edges() if ref_toughness(g.n, edges - {e}) >= t)
+                assert verdict.failing_edge == keeper, g
+            else:
+                assert verdict.failing_edge is None, g
 
 
 def test_boolean_decider_matches_the_criterion_up_to_7():
@@ -289,8 +300,6 @@ def _record_sweeps(monkeypatch, events: list) -> None:
     """Appends ("sweep", g) to ``events`` for each sweep begun,
     ("flood", block, size) for each size of each block flooded, and
     ("list", size) for each size whose masks are listed."""
-    import toughlab.mintough as mintough
-
     sweep, flood = toughness_module._sweep, toughness_module._Sweep._flood
     separators = toughness_module._Sweep.separators
 
@@ -308,7 +317,6 @@ def _record_sweeps(monkeypatch, events: list) -> None:
         return separators(self, size, least)
 
     monkeypatch.setattr(toughness_module, "_sweep", recording)
-    monkeypatch.setattr(mintough, "_sweep", recording)
     monkeypatch.setattr(toughness_module._Sweep, "_flood", recorded)
     monkeypatch.setattr(toughness_module._Sweep, "separators", listed)
 
@@ -342,37 +350,40 @@ def _s_max(h: Graph) -> int:
     return max(delta, h.n * delta // (c0 + delta))
 
 
-def _first_witness_size(h: Graph, t: Fraction) -> int | None:
-    """The least |S| with |S|/c(h - S) < t, by the oracle."""
+def _bounded_pass_sizes(h: Graph) -> list[int]:
+    """The sizes a bounded pass over ``h`` reads, by the oracle: 0 up to,
+    and not including, the first size s above the least size attaining
+    t(h) with s/(n-s) > t(h), or every size 0..n-2 if there is none."""
     edges = normalize_edges(h.edges())
-    for size in range(h.n - 1):
-        for s in combinations(range(h.n), size):
-            c = _component_count_after(h.n, edges, set(s))
-            if c >= 2 and size < t * c:
-                return size
-    return None
+    t = ref_toughness(h.n, edges)
+    least = next(
+        size for size in range(h.n - 1) for s in combinations(range(h.n), size)
+        if (c := _component_count_after(h.n, edges, set(s))) >= 2 and Fraction(size, c) == t
+    )
+    stop = next((size for size in range(least + 1, h.n - 1) if Fraction(size, h.n - size) > t), h.n - 1)
+    return list(range(stop))
 
 
-@pytest.mark.parametrize("text", ["wheel:8", "turan:10,5"])
-def test_definition_decider_stops_at_each_first_witness(monkeypatch, text):
-    """One sweep of G, then one of G-e per edge tried, each read size by
-    size up to the size of its first S with |S|/c(G-e-S) < t and no
+@pytest.mark.parametrize("text", ["wheel:8", "turan:10,5", "cycle:9"])
+def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
+    """One sweep of G, then one of G-e per edge, each the bounded pass of
+    ``toughness``: every size in order up to the pass's stop and no
     further, with no mask listed, and no position below a sweep's degree
-    floor 2*delta - n + 2 or past its first window flooded."""
+    floor 2*delta - n + 2 or past its first window flooded.  Each G-e of
+    C9 is P9, with t = 1/2 = 3/6 at size 3, so its pass reads size 3 and
+    stops only before size 4: the stop is strict."""
     events: list = []
     _record_sweeps(monkeypatch, events)
     top = toughness_module._Sweep.top
 
     def read(self, size):
-        c = top(self, size)
-        events.append(("top", size, c))
-        return c
+        events.append(("top", size))
+        return top(self, size)
 
     monkeypatch.setattr(toughness_module._Sweep, "top", read)
     g = _named(text)
     verdict = is_minimally_tough_by_definition(g)
     assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
-    t = verdict.toughness
     starts = [i for i, event in enumerate(events) if event[0] == "sweep"]
     assert [events[i][1] for i in starts] == [g] + [delete_edge(g, u, v) for u, v in g.edges()]
     for k, (i, j) in enumerate(zip(starts, starts[1:] + [len(events)])):
@@ -380,13 +391,8 @@ def test_definition_decider_stops_at_each_first_witness(monkeypatch, text):
         floods = [size for kind, *rest in segment if kind == "flood" for size in rest[1:]]
         assert floods and min(floods) >= 2 * min(h.degrees()) - h.n + 2, (text, k)
         assert max(floods) <= _s_max(h), (text, k)
-        if k == 0:  # the pass over G
-            continue
-        tops = [(size, c) for kind, *rest in segment if kind == "top" for size, c in [rest]]
-        witness = _first_witness_size(h, t)
-        # every size up to the first witness's is read, in order, and no more
-        assert [size for size, _ in tops] == list(range(witness + 1)), (text, k)
-        assert tops[-1][1] and witness < t * tops[-1][1], (text, k)
+        tops = [size for kind, *rest in segment if kind == "top" for size in rest]
+        assert tops == _bounded_pass_sizes(h), (text, k)
         assert all(kind in ("flood", "top") for kind, *_ in segment), (text, k)
 
 
