@@ -23,32 +23,47 @@ The pass that builds a level also keeps each record's code, which orders
 the level, and the index of its parent (``census_codes``, ``census_parents``).
 
 The 2**k children of one canonical parent P on k vertices are decided in one
-walk of P's tie tree (``_canonical_children``), not in 2**k searches that
-each repeat it.  A set of masks is one 2**k-bit int, and ``L[v]`` is the set
-of masks that contain v.  On a path that places only vertices of P, a child's
-columns among those vertices are P's, so the path is a tie path of the child
-iff it is one of P.  P is canonical, so no vertex of P beats P's columns on
-any such path: its own search found none, and a twin it skipped leads to
-the same columns as the twin it tried.  Only the new vertex can, and its
-column at a node with placement pi has bit i = m[pi_i], so it depends only
-on the mask m.  The walk has three rules:
+walk of their common tie tree (``_canonical_children``), not in 2**k searches
+that each repeat it.  A set of masks is one 2**k-bit int, and ``L[v]`` is the
+set of masks that contain v.  Child m is P plus the new vertex k joined to m;
+its own labelling gives the bound: column j < k is P's column j, column k is
+m, whose bit i is m[i].  A node is a placement pi of positions 0..j-1 with the
+set of masks for which pi is a tie path of the child (its columns equal the
+bound's).  A candidate c's bit i at the node is the set of masks where c is
+adjacent to pi_i: ``L[pi_i]`` when c is the new vertex, ``L[c]`` when pi_i
+is, and all masks or none otherwise.  Read in order, the masks where c's
+column is below the bound (0 where it has 1 at the first difference) are not
+canonical: c at position j starts a smaller code.  They are rejected, and c
+is entered with the masks where it is equal.  So every tie path of each
+child is walked with its mask, until the mask is rejected, and a mask
+survives iff it is canonical.  Candidates are compared in three ways, all by
+that one rule:
 
-* internal node (pi placed, next position d): reject the masks whose
-  new-vertex column is below P's column d, and queue the masks where it is
-  equal, since there the new vertex is a tie candidate (the child's search
-  skips it when a twin came first; exploring it anyway changes no verdict);
-* leaf (pi is an automorphism sigma of P, the new vertex last): reject the
-  masks m whose bits read through sigma, m[sigma_0], m[sigma_1], ..., come
-  out below m;
-* descent: enter a tie candidate v only for the masks where no earlier tie
-  candidate t that is a twin of v in P (the transposition (t v) is an
-  automorphism) has m[t] = m[v]
-  (``masks &= L[t] ^ L[v]``), since exactly then t and v are twins in the
-  child and its search skips v.
+* new vertex unplaced, j < k: the bound's column is P's, and so are the
+  columns of P's candidates, for every mask, on a tie path of P.  P is
+  canonical, so none of them is below: P's search found none there, and a
+  twin it skipped leads to the same columns as the twin it tried.  They are
+  narrowed together and only the new vertex is compared;
+* new vertex at position ``at``, j < k: a vertex x of P reads m[x] at ``at``
+  and fixed bits elsewhere.  Before ``at`` the candidates are narrowed
+  together, and one below the bound there is below for every mask of the
+  node.  Where the bound has 1 at ``at``, x is below for the masks without x
+  and ties at ``at`` for those with x; where it has 0, x ties for the masks
+  without x and is above for the others.  The candidates still tied at
+  ``at`` are narrowed on to j, and one below the bound after ``at`` is below
+  for every mask where it tied at ``at``;
+* j = k: one candidate is left and the bound is m itself, so its column is
+  compared with m position by position.  With the new vertex as candidate, pi
+  is an automorphism sigma of P, and this rejects the m whose bits read
+  through sigma, m[sigma_0], m[sigma_1], ..., come out below m.
 
-Each queued node is then finished, for each mask still alive, by the child's
-own search from that node with the new vertex placed (``_tie_search``, whose
-root call is ``_is_canonical``).  The masks left are the canonical children.
+Twins: a candidate v is entered only for the masks where no earlier tie
+candidate t that is a twin of v in P (the transposition (t v) is an
+automorphism) has m[t] = m[v] (``masks &= L[t] ^ L[v]``).  Exactly then
+(t v) is an automorphism of the child, and its search skips v.  Twins of the
+child have equal columns at every node that places neither, and (t v) maps
+the subtree below v onto the subtree below t with the same columns, so
+skipping v rejects nothing that t does not.
 """
 from __future__ import annotations
 
@@ -139,52 +154,6 @@ def are_isomorphic(g1: Graph, g2: Graph) -> bool:
 # -- enumeration ---------------------------------------------------------------
 
 
-def _is_canonical(n: int, adj: tuple[int, ...]) -> bool:
-    """True iff the identity labelling of ``adj`` already gives the minimal code."""
-    return _tie_search(n, adj, ())
-
-
-def _tie_search(n: int, adj: tuple[int, ...], start: tuple[int, ...]) -> bool:
-    """True iff no tie path below the placement ``start`` beats ``adj``'s own columns.
-
-    The branch and bound of ``_canonical_placement`` with the graph's own
-    columns as a fixed bound: it fails at the first candidate column that is
-    strictly smaller, and descends only on equal columns.  Position i of the
-    bound's column j is bit i of ``adj[j]``, so the candidates are narrowed
-    one placed vertex at a time with bitmasks.  ``start`` must be a tie
-    path; from the root (``()``) this is the whole canonicity test.
-    """
-    placed = list(start)
-
-    def dfs(j: int, unused: int) -> bool:
-        if j == n:
-            return True
-        ties = unused  # candidates whose column equals the bound so far
-        own = adj[j]
-        for i, p in enumerate(placed):
-            if own >> i & 1:
-                if ties & ~adj[p]:
-                    return False  # a candidate has 0 where the bound has 1
-                ties &= adj[p]
-            else:
-                ties &= ~adj[p]
-        tried: list[int] = []
-        while ties:
-            low = ties & -ties
-            ties ^= low
-            v = low.bit_length() - 1
-            if tried and any(_swap_equiv(adj, t, v) for t in tried):
-                continue
-            tried.append(v)
-            placed.append(v)
-            if not dfs(j + 1, unused ^ low):
-                return False
-            placed.pop()
-        return True
-
-    return dfs(len(placed), ((1 << n) - 1) ^ sum(1 << p for p in placed))
-
-
 @lru_cache(maxsize=None)
 def _masks_containing(k: int) -> tuple[int, ...]:
     """``L[v]``: the masks m < 2**k that contain v, as one 2**k-bit set (bit m)."""
@@ -200,61 +169,88 @@ def _child_rows(prows: tuple[int, ...], mask: int) -> tuple[int, ...]:
 def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
     """The masks whose child of the canonical graph ``prows`` is canonical, as a 2**k-bit set.
 
-    One walk of the parent's tie tree decides every child at once (see the
-    module docstring): the new vertex's column is compared against the
-    bound for all masks together, automorphisms of the parent reject the
-    masks they map below themselves, and the masks where the new vertex ties
-    are finished by ``_tie_search`` from that node, one child at a time.
+    One walk of the child's tie tree decides every child at once (see the
+    module docstring): at each node every candidate's column is compared
+    with the bound for all masks together, and the masks where a candidate
+    falls below it are rejected.
     """
     L = _masks_containing(k)
-    alive = (1 << (1 << k)) - 1
-    queued: list[tuple[tuple[int, ...], int]] = []
-    placed: list[int] = []
+    full = (1 << (1 << k)) - 1
+    alive = full
+    placed: list[int] = []  # vertices of the child; k, the new vertex, sits at position ``at``
 
-    def walk(j: int, unused: int, masks: int) -> None:
+    def walk(j: int, unused: int, masks: int, at: int) -> None:
         nonlocal alive
         masks &= alive
         if not masks:
             return
-        lt, eq = 0, masks  # masks whose new-vertex column is below / equal to the bound
-        if j == k:  # placed is an automorphism of the parent; the new vertex comes last
-            for i, p in enumerate(placed):
-                lt |= eq & L[i] & ~L[p]
-                eq &= ~(L[i] ^ L[p])
+        lt, eq = 0, masks  # masks where the candidate's column is below / equal to the bound
+        if j == k:  # one candidate left; the bound is m itself, bit i = m[i]
+            if unused:  # the last vertex x of the parent, with bit m[x] at ``at``
+                x = unused.bit_length() - 1
+                cols = [L[x] if p == k else full if prows[p] >> x & 1 else 0 for p in placed]
+            else:  # the new vertex
+                cols = [L[p] for p in placed]
+            for i, col in enumerate(cols):
+                lt |= eq & L[i] & ~col
+                eq &= ~(L[i] ^ col)
             alive &= ~lt
             return
         own = prows[j]
         ties = unused
-        for i, p in enumerate(placed):
-            if own >> i & 1:
-                lt |= eq & ~L[p]
-                eq &= L[p]
-                ties &= prows[p]
-            else:
-                eq &= ~L[p]
-                ties &= ~prows[p]
-        alive &= ~lt
-        if eq:
-            queued.append(((*placed, k), eq))
+        if at < 0:  # the new vertex is a candidate; the parent's vertices tie for every mask
+            for i, p in enumerate(placed):
+                if own >> i & 1:
+                    lt |= eq & ~L[p]
+                    eq &= L[p]
+                    ties &= prows[p]
+                else:
+                    eq &= ~L[p]
+                    ties &= ~prows[p]
+            alive &= ~lt
+        else:  # vertex x reads m[x] at ``at`` and fixed bits elsewhere
+            for i in range(at):
+                p = placed[i]
+                if own >> i & 1:
+                    if ties & ~prows[p]:
+                        alive &= ~masks  # a candidate is below the bound for every mask
+                        return
+                    ties &= prows[p]
+                else:
+                    ties &= ~prows[p]
+            tied, losers = ties, 0  # tied after ``at`` too / below the bound after ``at``
+            for i in range(at + 1, j):
+                p = placed[i]
+                if own >> i & 1:
+                    losers |= tied & ~prows[p]
+                    tied &= prows[p]
+                else:
+                    tied &= ~prows[p]
+            high = own >> at & 1
         tried: list[int] = []
-        while ties:
-            low = ties & -ties
-            ties ^= low
-            v = low.bit_length() - 1
+        for v in _bits(ties):
             enter = masks
+            if at >= 0:
+                enter = masks & (L[v] if high else ~L[v])  # v ties at ``at``
+                lt = masks ^ enter if high else 0  # v is below at ``at``
+                if losers >> v & 1:
+                    lt |= enter
+                alive &= ~lt
+                if not (tied >> v & 1 and enter):
+                    continue
             for t in tried:
                 if _swap_equiv(prows, t, v):
                     enter &= L[t] ^ L[v]  # a twin t with m[t] == m[v] went first
             tried.append(v)
             placed.append(v)
-            walk(j + 1, unused ^ low, enter)
+            walk(j + 1, unused ^ 1 << v, enter, at)
+            placed.pop()
+        if at < 0 and eq:  # last: P's subtrees have rejected masks more cheaply
+            placed.append(k)
+            walk(j + 1, unused, eq, j)
             placed.pop()
 
-    walk(0, (1 << k) - 1, alive)
-    for start, masks in queued:
-        for m in _bits(masks & alive):
-            if not _tie_search(k + 1, _child_rows(prows, m), start):
-                alive ^= 1 << m
+    walk(0, (1 << k) - 1, alive, -1)
     return alive
 
 

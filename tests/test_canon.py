@@ -12,7 +12,7 @@ import pytest
 from toughlab.canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from toughlab.connectivity import is_connected
 from toughlab.families import make_named, parse_family_spec
-from toughlab.graph6 import write_graph6
+from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import Graph, delete_vertex, relabel
 
 from oracles import ref_canonical_key
@@ -194,6 +194,10 @@ def _canonical_parents() -> list[Graph]:
     # a triangle with a two-edge tail: the smallest parent with a child whose
     # new vertex ties the bound early and loses only deeper in the search
     graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]))
+    # the smallest parents with a child rejected only where a vertex of the
+    # parent, after the new vertex, falls below the bound: before the new
+    # vertex's position, at it, and after it
+    graphs += [parse_graph6(text) for text in ("E@rO", "F?LuG", "F@]uG")]
     graphs += [_random_graph(rng, k, p) for k in range(2, 8) for p in (0.3, 0.5, 0.7)]
     return [canonical_form(g) for g in graphs]
 

@@ -4,8 +4,8 @@ The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
 toughness and local connectivity on 9-11 vertices, orders past the
 enumerated census (n <= 8), so the checks here reach graphs no exhaustive
 test sees; chordality on 8-10 and 32 vertices, canonical codes up to 10
-vertices and graph6 up to 32.  Examples are derandomized, so every run
-draws the same graphs.
+vertices, the enumeration's walk on parents of 5-8 vertices and graph6 up to
+32.  Examples are derandomized, so every run draws the same graphs.
 """
 from itertools import combinations
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toughlab.toughness as toughness_module
-from toughlab.canon import _is_canonical, canonical_code, canonical_form
+from toughlab.canon import _canonical_children, _child_rows, canonical_code, canonical_form
 from toughlab.classes import is_chordal, is_co_chordal
 from toughlab.connectivity import local_connectivity
 from toughlab.families import make_named, parse_family_spec
@@ -280,21 +280,18 @@ def relabellings(draw, graphs) -> tuple[Graph, list[int]]:
     return g, draw(st.permutations(range(g.n)))
 
 
-# sparse and dense graphs too: their canonical searches meet the most ties
+# sparse and dense graphs too: their canonical searches meet the most ties.
+# Enumeration walks only children of canonical parents, so this covers every
+# input the walk gets.
 @_SETTINGS
-@given(relabellings(st.one_of(random_graphs(6, 9, (5, 15, 30, 50, 70, 85, 95)), circulant_graphs())))
-def test_is_canonical_matches_canonical_form(case):
-    g, perm = case
-    c = canonical_form(g)
-    assert _is_canonical(c.n, c.adj)
-    # one transposition away from canonical is where a wrong accept hides
-    near = []
-    for a, b in combinations(range(g.n), 2):
-        swap = list(range(g.n))
-        swap[a], swap[b] = b, a
-        near.append(relabel(c, swap))
-    for h in [g, relabel(c, perm), *near]:
-        assert _is_canonical(h.n, h.adj) == (canonical_form(h) == h)
+@given(st.one_of(random_graphs(5, 8, (5, 15, 30, 50, 70, 85, 95)), circulant_graphs(5, 8)))
+def test_canonical_children_of_random_parents_match_canonical_form(g):
+    parent = canonical_form(g)
+    k = parent.n
+    got = _canonical_children(k, parent.adj)
+    for m in range(1 << k):
+        child = Graph(k + 1, _child_rows(parent.adj, m))
+        assert (got >> m & 1) == (canonical_form(child) == child), m
 
 
 @_SETTINGS
