@@ -279,7 +279,7 @@ def _census(n: int) -> _Level:
     graphs, codes, parents = [], [], array("I")
     for i, parent in enumerate(_census(n - 1)):
         for m in _bits(_canonical_children(n - 1, parent.adj)):
-            child = Graph(n, _child_rows(parent.adj, m))
+            child = Graph._trusted(n, _child_rows(parent.adj, m))
             graphs.append(child)
             codes.append(write_graph6(child))
             parents.append(i)

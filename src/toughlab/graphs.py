@@ -101,6 +101,18 @@ class Graph:
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph with rows ``adj``, unchecked.  Only for rows that are
+        symmetric, loopless and within 0..n-1 by construction, as a census
+        child's are: a valid parent's rows plus a new vertex n-1, joined in
+        both directions to the vertices of a mask below 2**(n-1).  Rows from
+        anywhere else go through the checks of ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:

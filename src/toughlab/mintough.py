@@ -26,7 +26,9 @@ The criterion decider lists every witness, kappa included.  The boolean
 ``is_nontrivially_minimally_tough`` needs only the verdict, so it tries
 each edge's cheapest proof first (kappa(u,v) <= min(deg u, deg v), then
 the cond2 separators, then a max-flow) and stops at the first edge that
-meets neither condition.
+meets neither condition.  Its pass and per-edge loop (``_criterion_holds``)
+read either the graph's own sweep or, for the census, the graph's lane of
+one flood over all children of its canonical parent (``toughness._Siblings``).
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -44,7 +46,7 @@ from .connectivity import _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
-from .toughness import Toughness, _Sweep, _separator_masks, _tough_pass, format_toughness, toughness
+from .toughness import Toughness, _Counts, _separator_masks, _tough_pass, format_toughness, toughness
 
 
 class MinToughStatus(Enum):
@@ -113,7 +115,7 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
         yield VertexSet(mask, g.n)
 
 
-def _cond2_masks(p: int, q: int, sweep: _Sweep, tops: list[tuple[int, int]]) -> list[int]:
+def _cond2_masks(p: int, q: int, sweep: _Counts, tops: list[tuple[int, int]]) -> list[int]:
     """The separators of the pass with |S| < t*(c(G-S)+1) at t = p/q, by
     (size, bitmask).  For an integer c, c + 1 > s*q/p iff c >= s*q // p,
     so each size s is listed from that c; at t = 0 there are none."""
@@ -158,7 +160,14 @@ def is_nontrivially_minimally_tough(g: Graph) -> bool:
     cond1; then a cond2 separator of the pass; only then a max-flow."""
     if g.is_complete() or g.is_edgeless():
         return False
-    p, q, sweep, tops = _tough_pass(g)
+    return _criterion_holds(g)
+
+
+def _criterion_holds(g: Graph, counts: _Counts | None = None) -> bool:
+    """``is_nontrivially_minimally_tough`` of a graph neither complete nor
+    edgeless, reading its component counts from ``counts`` (a sibling lane,
+    ``toughness._Siblings``) or, by default, from its own sweep."""
+    p, q, sweep, tops = _tough_pass(g, counts)
     if p == 0:
         return False
     separators = _cond2_masks(p, q, sweep, tops)

@@ -35,6 +35,16 @@ delta and c0 = c(G - N(v)) >= 2, t <= delta/c0, so the bounded pass reads no
 size past s_max = max(delta, n*delta // (c0 + delta)).  So there are two
 windows, [floor, s_max] for the pass and [s_max + 1, n - 2], flooded only
 when a full listing reads past the pass.
+
+The census floods the children of one canonical parent together
+(``_Siblings``).  Siblings share every edge of the parent and differ only
+in the edges to the new vertex, so each child is a lane of 2^n positions
+in one flood: the parent's neighbour entries flood in every lane, and each
+edge to the new vertex only in the lanes whose child has it (``_peel``'s
+masked entries).  The pass reads a lane (``_Lane``) as it reads one
+graph's sweep, through ``_Counts``: a lane's largest c per size comes from
+folding its block to one bit, for all lanes at once, and its separators
+from its block shifted out.
 """
 from __future__ import annotations
 
@@ -101,10 +111,17 @@ def _positions(x: int) -> Iterator[int]:
         at = digits.find("1", at + 1)
 
 
-def _peel(nbrs: list[list[int]], rest: list[int]) -> list[int]:
+def _peel(
+    nbrs: list[list[int]], rest: list[int], masked: list[list[tuple[int, int]]] | None = None
+) -> list[int]:
     """Levels of c(G - S) over all positions S at once: bit S of rest[v] is
     set iff v is in G - S, and bit S of entry k of the result iff
     c(G - S) >= k + 2.
+
+    ``nbrs[v]`` lists the neighbours of v at every position, and
+    ``masked[v]``, if given, the entries (u, lanes) of those that are
+    neighbours only at the positions set in lanes (``_Siblings``; a single
+    graph has none).
 
     Each round seeds the component of every position at its least vertex
     left and floods it by passes over the vertices, alternately forward and
@@ -130,6 +147,9 @@ def _peel(nbrs: list[list[int]], rest: list[int]) -> list[int]:
                     x = y = comp[v]
                     for u in nbrs[v]:
                         y |= comp[u]
+                    if masked:
+                        for u, lanes in masked[v]:
+                            y |= comp[u] & lanes
                     y &= r
                     if y != x:
                         comp[v] = y
@@ -139,28 +159,63 @@ def _peel(nbrs: list[list[int]], rest: list[int]) -> list[int]:
             rest[v] ^= x
 
 
-class _Sweep:
+def _window_bounds(g: Graph) -> tuple[int, int]:
+    """The sizes [floor, s_max] a bounded pass over g can find a separator
+    in (see the module docstring): floor = 2*delta - n + 2 and
+    s_max = max(delta, n*delta // (c0 + delta))."""
+    n = g.n
+    if not n:
+        return 0, 0
+    degrees = g.degrees()
+    delta = min(degrees)
+    c0 = _component_count(g.adj, g.full_mask & ~g.adj[degrees.index(delta)])
+    return max(2 * delta - n + 2, 0), max(delta, n * delta // (c0 + delta))
+
+
+class _Counts:
+    """What a bounded pass reads of the component counts of one graph on n
+    vertices: iterating gives the sizes 0..n-2, ``top(size)`` the largest
+    c(G - S) >= 2 over the s-sets (0 if none separates), and
+    ``separators(size, least)`` the s-sets with c >= least, listed from the
+    (high bits, levels, weight class) of each block holding s-sets
+    (``_layer``).  A subclass gives ``top`` and ``_layer``: ``_Sweep`` for
+    one graph, ``_Lane`` for one of a parent's children."""
+
+    n: int
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(max(self.n - 1, 0)))
+
+    def separators(self, size: int, least: int = 2) -> list[tuple[int, int]]:
+        """(mask, c) for each s-set S with c = c(G - S) >= least, by mask."""
+        out = []
+        for high, levels, weight in self._layer(size):
+            found = []
+            for k in range(least - 2, len(levels)):
+                x = levels[k] & weight
+                if not x:
+                    break
+                if k + 1 < len(levels):
+                    x &= ~levels[k + 1]
+                found += [(high | b, k + 2) for b in _positions(x)]
+            found.sort()
+            out += found
+        return out
+
+
+class _Sweep(_Counts):
     """The component counts of one graph, flooded a window and a block at a
     time as sizes are read."""
 
     def __init__(self, g: Graph):
-        n = self.n = g.n
-        self.low = min(n, _LOW)
+        self.n = g.n
+        self.low = min(g.n, _LOW)
         self.nbrs = [list(_bits(row)) for row in g.adj]
-        degrees = g.degrees()
-        delta = min(degrees, default=0)
-        self.floor = max(2 * delta - n + 2, 0)
-        self.s_max = 0
-        if n:
-            c0 = _component_count(g.adj, g.full_mask & ~g.adj[degrees.index(delta)])
-            self.s_max = max(delta, n * delta // (c0 + delta))
+        self.floor, self.s_max = _window_bounds(g)
         #: {block: levels} of each window flooded, by its least size
         self.windows: dict[int, dict[int, list[int]]] = {}
         #: (high bits, levels, weight class) of each block holding s-sets
         self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(max(self.n - 1, 0)))
 
     def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
         """(lo, hi, {block: levels}) of the window holding ``size``: the
@@ -206,22 +261,6 @@ class _Sweep:
                     break
         return best
 
-    def separators(self, size: int, least: int = 2) -> list[tuple[int, int]]:
-        """(mask, c) for each s-set S with c = c(G - S) >= least, by mask."""
-        out = []
-        for high, levels, weight in self._layer(size):
-            found = []
-            for k in range(least - 2, len(levels)):
-                x = levels[k] & weight
-                if not x:
-                    break
-                if k + 1 < len(levels):
-                    x &= ~levels[k + 1]
-                found += [(high | b, k + 2) for b in _positions(x)]
-            found.sort()
-            out += found
-        return out
-
 
 def _sweep(g: Graph) -> _Sweep:
     """The separator sweep of g: iterating it gives the sizes 0..n-2,
@@ -229,20 +268,109 @@ def _sweep(g: Graph) -> _Sweep:
     return _Sweep(g)
 
 
-def _tough_pass(g: Graph) -> tuple[int, int, _Sweep, list[tuple[int, int]]]:
+class _Siblings:
+    """The component counts of the children of one parent on k vertices,
+    each child the parent plus a vertex k joined to its own mask, flooded
+    together over the sizes [least floor, greatest s_max] of their passes.
+
+    Child i is lane i: the 2^n positions from bit i*2^n, n = k + 1, every
+    vertex a bit of the position (no high blocks), whose planes are
+    ``_subset_planes(n)`` replicated over the lanes by one multiply.  The parent's neighbour entries flood unmasked, and each edge
+    vk is masked by the lanes whose child has it.  ``top(size)`` gives each
+    lane's largest c at once: a lane's block of ``levels[c - 2] & W_s`` is
+    folded to its first bit, from the largest c down, and each lane takes
+    the first c it is found at.  ``lane(i)`` is child i's view.
+    """
+
+    def __init__(self, parent: Graph, children: Sequence[Graph]):
+        k = parent.n
+        n = self.n = k + 1
+        span = 1 << n
+        bounds = [_window_bounds(child) for child in children]
+        self.most = max(hi for _, hi in bounds)
+        #: bit i*2^n for each lane i: multiplying by it replicates a lane
+        self.ones = sum(1 << i * span for i in range(len(children)))
+        planes, weights = _subset_planes(n)
+        window = 0
+        for j in range(min(lo for lo, _ in bounds), self.most + 1):
+            window |= weights[j]
+        rest = [(plane & window) * self.ones for plane in planes]
+        joined = [0] * k  # bit i*2^n set iff child i has the edge vk
+        for i, child in enumerate(children):
+            for v in _bits(child.adj[k]):
+                joined[v] |= 1 << i * span
+        lanes = [(v, bits * ((1 << span) - 1)) for v, bits in enumerate(joined) if bits]
+        masked = [[] for _ in range(k)] + [lanes]
+        for v, mask in lanes:
+            masked[v].append((k, mask))
+        self.levels = _peel([list(_bits(row)) for row in parent.adj] + [[]], rest, masked)
+        self.tops: dict[int, list[int]] = {}
+
+    def top(self, size: int) -> list[int]:
+        """The largest c(G - S) >= 2 over the s-sets of each lane (0 if none
+        separates)."""
+        tops = self.tops.get(size)
+        if tops is None:
+            if size > self.most:
+                raise CrossCheckError(f"size {size} lies past every sibling's s_max")
+            n, left = self.n, self.ones
+            tops = self.tops[size] = [0] * left.bit_count()
+            weight = _subset_planes(n)[1][size] * left
+            for k in range(len(self.levels) - 1, -1, -1):
+                x = self.levels[k] & weight
+                shift = 1 << n
+                while shift > 1:
+                    shift >>= 1
+                    x |= x >> shift
+                x &= left
+                for b in _positions(x):
+                    tops[b >> n] = k + 2
+                left ^= x
+                if not left:
+                    break
+        return tops
+
+    def lane(self, i: int) -> "_Lane":
+        return _Lane(self, i)
+
+
+class _Lane(_Counts):
+    """Child i of a ``_Siblings``: its tops from the sibling fold, and its
+    separators from its own block of the levels, shifted out when first
+    listed."""
+
+    def __init__(self, siblings: _Siblings, i: int):
+        self.n, self.siblings, self.i = siblings.n, siblings, i
+        self.levels: list[int] | None = None
+
+    def top(self, size: int) -> int:
+        return self.siblings.top(size)[self.i]
+
+    def _layer(self, size: int) -> list[tuple[int, list[int], int]]:
+        if self.levels is None:
+            span = 1 << self.n
+            block, at = (1 << span) - 1, self.i * span
+            self.levels = [levels >> at & block for levels in self.siblings.levels]
+        return [(0, self.levels, _subset_planes(self.n)[1][size])]
+
+
+def _tough_pass(
+    g: Graph, counts: _Counts | None = None
+) -> tuple[int, int, _Counts, list[tuple[int, int]]]:
     """Toughness p/q of a non-complete graph, and where its separators lie.
 
-    Keeps the least ratio |S|/c(G-S) of the sweep as integers p/q, from each
-    size's largest c, and stops before the first size s with
-    s*q > p*(n-s).  Returns p, q, the sweep and (size, largest c) for each
-    size read that has a separator, ascending.  A reader lists only the S it
-    needs, each size from its own least c (``_Sweep.separators``); one that
-    needs only p/q lists nothing.
+    Reads ``counts`` (a sibling lane) or, by default, the sweep of g.  Keeps
+    the least ratio |S|/c(G-S) as integers p/q, from each size's largest c,
+    and stops before the first size s with s*q > p*(n-s).  Returns p, q,
+    the counts read and (size, largest c) for each size read that has a
+    separator, ascending.  A reader lists only the S it needs, each size
+    from its own least c (``_Counts.separators``); one that needs only p/q
+    lists nothing.
     """
     n = g.n
     p, q = 1, 0  # no separator yet: an infinite ratio
     tops: list[tuple[int, int]] = []
-    sweep = _sweep(g)
+    sweep = _sweep(g) if counts is None else counts
     for size in sweep:
         if size * q > p * (n - size):
             break

@@ -19,12 +19,16 @@ and a code's record is found by bisecting them.  Membership in the four
 hereditary classes (P4-free, co-chordal, net-free co-chordal, co-forest)
 comes from one flag table per order, each record's flags from its
 canonical parent's plus one test anchored at its last vertex (``_flags``).
-Expensive per-graph facts (toughness, minimal-toughness verdicts,
-co-diameter) are memoized per code and shared by all scans.
+The minimal-toughness verdicts come from one table per order, filled
+parent by parent as codes are asked for, each parent's children the lanes
+of one flood (``_verdicts``); a code's verdict is found by bisecting, as
+its record is.
+Toughness and co-diameter are memoized per code and shared by all scans.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -50,8 +54,13 @@ from .connectivity import co_diameter
 from .families import Family, FamilySpec, make_named
 from .graph6 import parse_graph6, write_graph6  # read by perfbench/traced.py
 from .graphs import MAX_VERTICES, Graph
-from .mintough import CrossCheckError, is_nontrivially_minimally_tough, universal_vertices
-from .toughness import Toughness, format_toughness, toughness
+from .mintough import (
+    CrossCheckError,
+    _criterion_holds,
+    is_nontrivially_minimally_tough,
+    universal_vertices,
+)
+from .toughness import Toughness, _Siblings, format_toughness, toughness
 
 DEFAULT_N_MAX = 8
 #: the largest l whose families fit in MAX_VERTICES vertices: doublestar:l,l
@@ -109,10 +118,43 @@ def _flags(n: int) -> bytes:
     return bytes(out)
 
 
+#: a census record's verdict before its parent's lanes are flooded
+_UNDECIDED = 2
+
+
+@lru_cache(maxsize=None)
+def _verdicts(n: int) -> tuple[bytearray, dict[int, array]]:
+    """Whether each census record on n vertices is non-trivially minimally
+    tough, in census order, and the records the table leaves undecided, by
+    canonical parent.
+
+    Complete and edgeless records are not, and the rest are _UNDECIDED until
+    a code among them is asked for (``_mintough``).  Then all children of
+    its parent are decided at once: they are the lanes of one flood
+    (``toughness._Siblings``), and each lane's verdict is the boolean
+    decider's criterion read from its lane.  A scan of one class thus
+    floods only its members' parents, and a parent's lanes are dropped once
+    its children are decided.
+    """
+    table = bytearray(len(_census(n)))
+    undecided: dict[int, array] = {}
+    for i, (g, parent) in enumerate(zip(_census(n), census_parents(n))):
+        if not (g.is_complete() or g.is_edgeless()):
+            table[i] = _UNDECIDED
+            undecided.setdefault(parent, array("I")).append(i)
+    return table, undecided
+
+
+def _record(code: str) -> tuple[int, int]:
+    """(n, index) of the census record of code."""
+    n = ord(code[0]) - 63
+    return n, bisect_left(census_codes(n), code)
+
+
 @lru_cache(maxsize=None)
 def _graph_of(code: str) -> Graph:
-    n = ord(code[0]) - 63
-    return _census(n)[bisect_left(census_codes(n), code)]
+    n, i = _record(code)
+    return _census(n)[i]
 
 
 @lru_cache(maxsize=None)
@@ -122,13 +164,21 @@ def _tau_of(code: str) -> Toughness:
 
 @lru_cache(maxsize=None)
 def _mintough(code: str) -> bool:
-    return is_nontrivially_minimally_tough(_graph_of(code))
+    n, i = _record(code)
+    table, undecided = _verdicts(n)
+    if table[i] == _UNDECIDED:
+        parent, records = census_parents(n)[i], _census(n)
+        kids = undecided.pop(parent)
+        siblings = _Siblings(_census(n - 1)[parent], [records[k] for k in kids])
+        for lane, k in enumerate(kids):
+            table[k] = _criterion_holds(records[k], siblings.lane(lane))
+    return bool(table[i])
 
 
 @lru_cache(maxsize=None)
 def _is_cochordal(code: str) -> bool:
-    n = ord(code[0]) - 63
-    return bool(_flags(n)[bisect_left(census_codes(n), code)] & _CO_CHORDAL)
+    n, i = _record(code)
+    return bool(_flags(n)[i] & _CO_CHORDAL)
 
 
 @lru_cache(maxsize=None)

@@ -146,27 +146,32 @@ def test_enumeration_does_not_canonize(monkeypatch):
 
 
 def test_census_builds_one_graph_per_class(monkeypatch):
-    # children extend their parent's rows; no code is parsed back into a Graph,
-    # and each record's code is written once, to sort the level
+    # children extend their parent's rows through the trusted constructor,
+    # unvalidated; no code is parsed back into a Graph, and each record's
+    # code is written once, to sort the level
     import toughlab.canon as canon
 
     canon._census(5)  # level 5 comes from the cache below
-    built, written = [], []
-    validate = Graph.__post_init__
+    built, validated, written = [], [], []
+    trusted = Graph._trusted.__func__
 
-    def counting(self):
-        built.append(self)
-        validate(self)
+    def counting(cls, n, adj):
+        built.append(trusted(cls, n, adj))
+        return built[-1]
 
     def writing(g):
         written.append(g)
         return write_graph6(g)
 
-    monkeypatch.setattr(Graph, "__post_init__", counting)
+    monkeypatch.setattr(Graph, "_trusted", classmethod(counting))
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: validated.append(g))
     monkeypatch.setattr(canon, "write_graph6", writing)
     level = canon._census.__wrapped__(6)
     assert len(level) == len(built) == len(written) == ALL_COUNTS[6]
     assert {id(g) for g in level} == {id(g) for g in built} == {id(g) for g in written}
+    assert not validated
+    monkeypatch.undo()
+    assert all(Graph(g.n, g.adj) == g for g in level)  # the rows pass the checks
 
 
 def test_each_record_extends_its_parent():

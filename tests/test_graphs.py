@@ -18,6 +18,7 @@ from toughlab.graphs import (
     relabel,
 )
 from toughlab.canon import enumerate_graphs
+from toughlab.graph6 import parse_graph6
 
 from oracles import normalize_edges
 
@@ -80,6 +81,28 @@ def test_from_edges_validation():
         Graph.from_edges(3, [(-1, 0)])
     with pytest.raises(ValueError):
         Graph(MAX_VERTICES + 1, tuple([0] * (MAX_VERTICES + 1)))
+
+
+def test_rows_from_outside_the_census_are_checked(monkeypatch):
+    """Only the census builds graphs unchecked (``Graph._trusted``): the
+    public constructor refuses bad rows, and from_edges and graph6 parsing
+    build through its checks."""
+    bad = [(3, (2, 0, 0), "asymmetric edge"), (2, (1, 0), "loop at vertex 0"),
+           (3, (8, 0, 0), "mentions vertices >= 3"), (3, (0, 0), "adjacency length")]
+    for n, rows, message in bad:
+        with pytest.raises(ValueError, match=message):
+            Graph(n, rows)
+    checked = []
+    check = Graph.__post_init__
+
+    def recording(g):
+        checked.append(g)
+        check(g)
+
+    monkeypatch.setattr(Graph, "__post_init__", recording)
+    g = Graph.from_edges(3, [(0, 1)])
+    h = parse_graph6("B_")
+    assert checked == [g, h] and g == h == Graph._trusted(3, (2, 1, 0))
 
 
 def test_duplicate_edges_collapse():

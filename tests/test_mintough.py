@@ -1,17 +1,20 @@
 """Minimal-toughness deciders, edge conditions, and structural helpers."""
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 import toughlab.toughness as toughness_module
-from toughlab.canon import canonical_code, enumerate_graphs
+from toughlab.canon import canonical_code, census_parents, enumerate_graphs
 from toughlab.families import Family, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6
 from toughlab.graphs import Graph, _bits, delete_edge
 from toughlab.mintough import (
     MinToughStatus,
+    _cond2_masks,
+    _criterion_holds,
     check_2t_regular_shortcut,
     check_join_condition,
     classify_universal_vertex_graph,
@@ -24,7 +27,7 @@ from toughlab.mintough import (
     universal_vertices,
     verdict_to_json,
 )
-from toughlab.toughness import tough_separators, toughness
+from toughlab.toughness import _Siblings, _tough_pass, tough_separators, toughness
 
 from oracles import (
     _component_count_after,
@@ -56,6 +59,13 @@ def test_deciders_agree_exhaustively():
             assert by_def == by_crit, g
 
 
+@lru_cache(maxsize=None)
+def _oracle(g: Graph) -> tuple:
+    """t(g) and its non-trivial minimal toughness, by the brute-force oracle."""
+    edges = normalize_edges(g.edges())
+    return ref_toughness(g.n, edges), ref_is_minimally_tough(g.n, edges)
+
+
 def test_deciders_match_reference_up_to_7():
     """Every class on at most 7 vertices against the brute-force oracle:
     t, the verdicts, and the definition decider's failing edge, the least
@@ -63,8 +73,7 @@ def test_deciders_match_reference_up_to_7():
     for n in range(8):
         for g in enumerate_graphs(n):
             edges = normalize_edges(g.edges())
-            t = ref_toughness(g.n, edges)
-            want = ref_is_minimally_tough(g.n, edges)
+            t, want = _oracle(g)
             verdict = is_minimally_tough_by_definition(g)
             assert verdict.toughness == t, g
             assert (verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH) == want, g
@@ -84,6 +93,48 @@ def test_boolean_decider_matches_the_criterion_up_to_7():
             verdict, _ = is_minimally_tough_by_criterion(g)
             want = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
             assert is_nontrivially_minimally_tough(g) == want, g
+
+
+def _census_lanes(n: int):
+    """(record, lane) for each census record on n vertices that is neither
+    complete nor edgeless, its lane from one sibling flood per canonical
+    parent."""
+    records, up = list(enumerate_graphs(n)), list(enumerate_graphs(n - 1))
+    children: dict[int, list[Graph]] = {}
+    for g, parent in zip(records, census_parents(n)):
+        if not (g.is_complete() or g.is_edgeless()):
+            children.setdefault(parent, []).append(g)
+    for parent, kids in children.items():
+        siblings = _Siblings(up[parent], kids)
+        yield from ((g, siblings.lane(i)) for i, g in enumerate(kids))
+
+
+def test_sibling_lanes_match_the_per_graph_pass():
+    """Every census record on 2..8 vertices read from its sibling lane: the
+    bounded pass gives toughness(g) and the sizes, largest counts and cond2
+    separators of g's own sweep, and the criterion gives the boolean
+    decider's verdict."""
+    for n in range(2, 9):
+        for g, lane in _census_lanes(n):
+            p, q, _, tops = _tough_pass(g, lane)
+            assert Fraction(p, q) == toughness(g), g
+            own_p, own_q, sweep, own_tops = _tough_pass(g)
+            assert (p, q, tops) == (own_p, own_q, own_tops), g
+            assert _cond2_masks(p, q, lane, tops) == _cond2_masks(p, q, sweep, tops), g
+            assert _criterion_holds(g, lane) == is_nontrivially_minimally_tough(g), g
+
+
+def test_sibling_lanes_match_oracles_up_to_7():
+    """The lanes share ``_peel`` with the per-graph sweep, so they are also
+    checked against the oracle, which shares nothing with either: t and the
+    verdict of every class on 2..7 vertices that is neither complete nor
+    edgeless."""
+    for n in range(2, 8):
+        for g, lane in _census_lanes(n):
+            t, minimal = _oracle(g)
+            p, q, _, _ = _tough_pass(g, lane)
+            assert Fraction(p, q) == t, g
+            assert _criterion_holds(g, lane) == minimal, g
 
 
 def test_trivial_statuses():

@@ -3,10 +3,12 @@
 The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
 toughness and local connectivity on 9-11 vertices, orders past the
 enumerated census (n <= 8), so the checks here reach graphs no exhaustive
-test sees; chordality on 8-10 and 32 vertices, canonical codes up to 10
-vertices, the enumeration's walk on parents of 5-8 vertices and graph6 up to
-32.  Examples are derandomized, so every run draws the same graphs.
+test sees; the census's sibling lanes on random parents with random child
+masks on 8-10 vertices; chordality on 8-10 and 32 vertices, canonical codes
+up to 10 vertices, the enumeration's walk on parents of 5-8 vertices and
+graph6 up to 32.  Examples are derandomized, so every run draws the same graphs.
 """
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -22,11 +24,19 @@ from toughlab.graph6 import HEADER, Graph6Error, parse_graph6, write_graph6
 from toughlab.graphs import MAX_VERTICES, Graph, complement, relabel
 from toughlab.mintough import (
     MinToughStatus,
+    _criterion_holds,
     is_minimally_tough_by_criterion,
     is_minimally_tough_by_definition,
     is_nontrivially_minimally_tough,
 )
-from toughlab.toughness import _sweep, iterate_separators, tough_separators, toughness
+from toughlab.toughness import (
+    _Siblings,
+    _sweep,
+    _tough_pass,
+    iterate_separators,
+    tough_separators,
+    toughness,
+)
 
 from oracles import (
     _component_count_after,
@@ -34,6 +44,7 @@ from oracles import (
     ref_complement_edges,
     ref_components,
     ref_is_chordal,
+    ref_is_minimally_tough,
     ref_separators,
     ref_toughness,
 )
@@ -262,6 +273,51 @@ def test_listing_past_the_first_window(monkeypatch, text):
     want = sorted((len(s), sum(1 << x for x in s)) for s in ref_separators(g.n, normalize_edges(g.edges())))
     assert got == want
     _check_sweep(g, range(g.n - 1))
+
+
+@st.composite
+def sibling_families(draw) -> tuple[Graph, list[Graph]]:
+    """A graph on 8-10 vertices, random or a perturbed minimally tough one,
+    and siblings of it: the graph minus its last vertex is the parent, and
+    each child joins a new last vertex to the graph's own mask or to one of
+    0-3 random masks, as the census builds children.  They need not be
+    canonical, and two may be equal; complete and edgeless ones are dropped,
+    as the census decides them without a flood."""
+    members = [m for m in _COND2_GRAPHS if m.n <= 10]
+    members += [make_named(parse_family_spec(text)) for text in _FAMILIES]
+    g = draw(st.one_of(random_graphs(8, 10), perturbed_graphs([m for m in members if m.n <= 10])))
+    k = g.n - 1
+    parent = Graph(k, tuple(row & ~(1 << k) for row in g.adj[:k]))
+    masks = [g.adj[k]] + draw(st.lists(st.integers(0, (1 << k) - 1), max_size=3))
+    children = [Graph(g.n, _child_rows(parent.adj, m)) for m in masks]
+    return parent, [h for h in children if not (h.is_complete() or h.is_edgeless())]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(sibling_families())
+def test_sibling_lanes_of_random_parents_match_oracle(family):
+    """One flood over the children of a random parent on 8-10 vertices,
+    each child a lane, against the oracle for each child: every separator
+    by mask with its component count and each size's largest count, on
+    every size the flood covers, then t from the bounded pass and the
+    verdict from the criterion."""
+    parent, children = family
+    if not children:
+        return
+    siblings = _Siblings(parent, children)
+    for i, g in enumerate(children):
+        lane, edges = siblings.lane(i), normalize_edges(g.edges())
+        for size in range(siblings.most + 1):
+            want = []
+            for s in combinations(range(g.n), size):
+                c = _component_count_after(g.n, edges, set(s))
+                if c >= 2:
+                    want.append((sum(1 << x for x in s), c))
+            assert lane.separators(size) == sorted(want), (i, size)
+            assert lane.top(size) == max((c for _, c in want), default=0), (i, size)
+        p, q, _, _ = _tough_pass(g, lane)
+        assert Fraction(p, q) == ref_toughness(g.n, edges), i
+        assert _criterion_holds(g, lane) == ref_is_minimally_tough(g.n, edges), i
 
 
 @st.composite

@@ -10,6 +10,7 @@ from toughlab.classes import find_induced_cycle, is_complement_of_forest, is_net
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import MAX_VERTICES, Graph, complement
+from toughlab.mintough import is_nontrivially_minimally_tough
 from toughlab.verify import (
     KRIESELL_CLASS_FILTERS,
     TABLE1_L_MAX,
@@ -217,6 +218,32 @@ def test_class_flags_match_the_recognizers():
 def test_class_flags_match_the_recognizers_9():
     counts = _flag_counts(9)
     assert (counts["p4-free"], counts["co-chordal"], counts["co-forest"]) == (1532, 14524, 153)
+
+
+def _verdict_hits(n: int) -> int:
+    """The minimally tough records on n vertices, after checking every
+    census verdict, decided parent by parent in sibling lanes, against the
+    per-graph boolean decider; asking for every code leaves the table
+    decided."""
+    import toughlab.verify as verify
+
+    hits = 0
+    for code, g in zip(census_codes(n), verify._census(n)):
+        got = verify._mintough(code)
+        assert got == is_nontrivially_minimally_tough(g), code
+        hits += got
+    table, undecided = verify._verdicts(n)
+    assert list(table) == [verify._mintough(code) for code in census_codes(n)] and not undecided
+    return hits
+
+
+def test_census_verdicts_match_the_per_graph_decider():
+    assert [_verdict_hits(n) for n in range(1, 9)] == [0, 0, 1, 3, 6, 13, 31, 85]
+
+
+@pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"), reason="set TOUGHLAB_SLOW=1 (n = 9 census)")
+def test_census_verdicts_match_the_per_graph_decider_9():
+    assert _verdict_hits(9) == 275
 
 
 def test_value_row_ok_logic():
