@@ -271,17 +271,29 @@ class _Level(tuple):
         return level
 
 
+def _child_code(code: str, k: int, mask: int) -> str:
+    """The graph6 code of the parent with code ``code`` on k vertices plus a
+    last vertex joined to ``mask``: the parent's k(k-1)/2 bits, then column
+    k (bit i = mask[i], first), the last character zero-padded."""
+    filled = k * (k - 1) // 2 % 6  # the parent's bits in its last character
+    body, bits = (code[1:-1], ord(code[-1]) - 63 >> 6 - filled) if filled else (code[1:], 0)
+    width = filled + k
+    bits = (bits << k | int(f"{mask:0{k}b}"[::-1], 2)) << -width % 6
+    chars = [chr(63 + (bits >> shift & 63)) for shift in range((width - 1) // 6 * 6, -1, -6)]
+    return chr(64 + k) + body + "".join(chars)
+
+
 @lru_cache(maxsize=None)
 def _census(n: int) -> _Level:
     if n == 0:
         empty = Graph.empty(0)
         return _Level((empty,), (write_graph6(empty),), array("I"))
     graphs, codes, parents = [], [], array("I")
-    for i, parent in enumerate(_census(n - 1)):
+    up = _census(n - 1)
+    for i, parent in enumerate(up):
         for m in _bits(_canonical_children(n - 1, parent.adj)):
-            child = Graph._trusted(n, _child_rows(parent.adj, m))
-            graphs.append(child)
-            codes.append(write_graph6(child))
+            graphs.append(Graph._trusted(n, _child_rows(parent.adj, m)))
+            codes.append(_child_code(up.codes[i], n - 1, m))
             parents.append(i)
     order = sorted(range(len(codes)), key=codes.__getitem__)
     return _Level(tuple([graphs[j] for j in order]), tuple([codes[j] for j in order]),

@@ -8,12 +8,11 @@ vertex i in the subgraph on 0..i, ``is_co_chordal`` of the complement's
 rows, and the census of the new vertex only (``has_co_hole_through``); a
 hole as a witness comes from ``find_induced_cycle``.
 
-Induced-subgraph search is a plain ordered backtracking with
-adjacency/degree pruning -- fine at desk scale, which is all this package
-promises; it can pin one pattern vertex per automorphism orbit to a given
-vertex, to find only copies through it.  For the hereditary classes the
-census sweeps (P4-free, net-free, co-chordal, co-forest) there are also
-tests that decide g from g - v by looking only through v.
+Induced-subgraph search is a plain ordered backtracking over the whole
+graph with adjacency/degree pruning -- fine at desk scale.  For the
+hereditary classes the census sweeps (P4-free, net-free, co-chordal,
+co-forest) there are also tests that decide g from g - v by looking only
+through v: mask kernels anchored at v, which share no code with the search.
 """
 from __future__ import annotations
 
@@ -25,6 +24,7 @@ from typing import Callable
 from .connectivity import (
     _component_count,
     _component_masks,
+    co_diameter,
     distances,
     is_connected,
     max_bipartite_matching,
@@ -112,46 +112,12 @@ def is_split(g: Graph) -> bool:
 # -- induced-subgraph search ------------------------------------------------------
 
 
-def contains_induced(g: Graph, pattern: Graph, through: int | None = None) -> VertexSet | None:
+def contains_induced(g: Graph, pattern: Graph) -> VertexSet | None:
     """A vertex set of g inducing ``pattern``, or None.
 
-    With ``through``, only copies that contain that vertex of g count: one
-    pattern vertex per automorphism orbit of the pattern is pinned to it in
-    turn.  Every copy through ``through`` maps some pattern vertex p there,
-    and composing it with an automorphism that takes p's orbit
-    representative to p gives a copy that maps the representative there.
-
     Deterministic: pattern vertices are matched in a fixed
-    connectivity-then-degree order (the pinned one first), g candidates
-    ascending.
+    connectivity-then-degree order, g candidates ascending.
     """
-    if through is None:
-        return _induced_copy(g, pattern, None)
-    if not 0 <= through < g.n:
-        raise ValueError(f"vertex {through} outside 0..{g.n - 1}")
-    for p in _orbit_representatives(pattern):
-        hit = _induced_copy(g, pattern, (p, through))
-        if hit is not None:
-            return hit
-    return None
-
-
-@lru_cache(maxsize=None)
-def _orbit_representatives(pattern: Graph) -> tuple[int, ...]:
-    """The least vertex of each automorphism orbit of ``pattern``, ascending.
-
-    An induced copy of a graph in itself is an automorphism, so u and w
-    share an orbit iff the copy search pinning u to w finds one.
-    """
-    reps: list[int] = []
-    for w in range(pattern.n):
-        if all(_induced_copy(pattern, pattern, (r, w)) is None for r in reps):
-            reps.append(w)
-    return tuple(reps)
-
-
-def _induced_copy(g: Graph, pattern: Graph, pin: tuple[int, int] | None) -> VertexSet | None:
-    """The one induced-subgraph search; ``pin`` = (p, w) maps pattern vertex p to w."""
     k = pattern.n
     if k > g.n:
         return None
@@ -160,9 +126,6 @@ def _induced_copy(g: Graph, pattern: Graph, pin: tuple[int, int] | None) -> Vert
     pdeg = pattern.degrees()
     order: list[int] = []
     chosen = 0
-    if pin is not None:
-        order.append(pin[0])
-        chosen = 1 << pin[0]
     while len(order) < k:
         best, best_key = -1, None
         for v in range(k):
@@ -177,7 +140,6 @@ def _induced_copy(g: Graph, pattern: Graph, pin: tuple[int, int] | None) -> Vert
     image = [0] * k
     used = 0
     full = g.full_mask
-    first = full if pin is None else 1 << pin[1]
 
     def dfs(i: int) -> bool:
         nonlocal used
@@ -185,7 +147,7 @@ def _induced_copy(g: Graph, pattern: Graph, pin: tuple[int, int] | None) -> Vert
             return True
         pv = order[i]
         row = pattern.adj[pv]
-        cand = (first if i == 0 else full) & ~used
+        cand = full & ~used
         for j in range(i):
             if row >> order[j] & 1:
                 cand &= g.adj[image[j]]
@@ -264,13 +226,47 @@ def is_hereditary_nbhd_helly(g: Graph) -> bool:
 
 
 def has_p4_through(g: Graph, v: int) -> bool:
-    """True iff some induced P_4 of g contains v."""
-    return contains_induced(g, _P4, through=v) is not None
+    """True iff some induced P_4 of g contains v: v-a-b-c with b outside
+    N[v], or a-v-b-c with b in N(v) - N(a).  Either way c is a neighbour of
+    b outside N[v] and N(a), so for each a the rows of its b must meet that."""
+    adj, near = g.adj, g.adj[v]
+    far = g.full_mask & ~near & ~(1 << v)
+    for a in _bits(near):
+        row, reach = adj[a], 0
+        for b in _bits(row & far | near & ~row & ~(1 << a)):
+            reach |= adj[b]
+        if reach & far & ~row:
+            return True
+    return False
+
+
+def _picks(adj: tuple[int, ...], first: int, second: int, third: int) -> bool:
+    """True iff a vertex of each mask can be picked, pairwise non-adjacent."""
+    for a in _bits(first):
+        for b in _bits(second & ~adj[a]):
+            if third & ~adj[a] & ~adj[b]:
+                return True
+    return False
 
 
 def has_net_through(g: Graph, v: int) -> bool:
-    """True iff some induced net of g contains v."""
-    return contains_induced(g, _NET, through=v) is not None
+    """True iff some induced net of g contains v.  The net is a triangle
+    xyz with a pendant at each corner taken from its private neighbourhood
+    (``own``), the pendants pairwise non-adjacent; its automorphisms reach
+    every corner and every pendant, so v is a corner, of a triangle vab, or
+    the pendant of a corner a, of a triangle ayz with y, z outside N[v]."""
+    adj, near = g.adj, g.adj[v]
+    own = lambda x, y, z: adj[x] & ~adj[y] & ~adj[z]
+    for a in _bits(near):
+        for b in _bits(near & adj[a] & ~((2 << a) - 1)):
+            if _picks(adj, own(v, a, b), own(a, b, v), own(b, v, a)):
+                return True
+        far = adj[a] & ~near & ~(1 << v)
+        for y in _bits(far):
+            for z in _bits(far & adj[y] & ~((2 << y) - 1)):
+                if _picks(adj, 1 << v, own(y, z, a), own(z, a, y)):
+                    return True
+    return False
 
 
 def has_co_hole_through(g: Graph, v: int) -> bool:
@@ -365,8 +361,7 @@ def simplicial_pair_decomposition(g: Graph) -> SimplicialPairDecomposition | Non
     h = complement(g)
     if not is_chordal(h):
         return None
-    table = distances(h)
-    d = table.diameter()
+    table, d = distances(h), co_diameter(g)
     if math.isinf(d) or d < 3:
         return None
     simp = list(simplicial_vertices(h))

@@ -62,7 +62,7 @@ def _gate_nmax(n: int, least: int = 1) -> None:
     if n > _MAX_CANON:
         raise CliError(f"enumeration is limited to n <= {_MAX_CANON}")
     if n >= 9:
-        cost = ("n = 9 takes about 15 seconds to enumerate and about 45 seconds for "
+        cost = ("n = 9 takes about 10 seconds to enumerate and about 30 seconds for "
                 "'verify all' on 2 vCPUs, n = 10 far longer")
         if not os.environ.get(NMAX_OVERRIDE_ENV):
             raise CliError(f"n = {n} is slow: {cost}; set {NMAX_OVERRIDE_ENV}=1 to allow it")

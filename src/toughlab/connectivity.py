@@ -3,14 +3,16 @@ via unit-capacity max-flow on the vertex-split digraph, and bipartite
 matching.
 
 All distance values are either exact ints or math.inf (never a large finite
-stand-in).  Local connectivity of adjacent vertices follows Menger's
-convention: the edge itself counts as one internally disjoint path, so
-kappa(u,v) = 1 + kappa_{G-uv}(u,v).  ``local_connectivity`` is one exact
-max-flow kernel (Even & Tarjan, SIAM J. Comput. 1975) on the split digraph
-of G-uv, whose residual is one bitmask per node: x_in is node x, x_out is
-node n+x, and the arcs x_out->y_in are the adjacency mask of x itself.  It
-preloads the paths u-w-v through common neighbours and stops once the flow
-reaches min(deg(u), deg(v)) in G-uv; both shortcuts are exact.
+stand-in), from one frontier BFS over rows (``_levels``); ``co_diameter``
+reads the complement's rows and builds no complement ``Graph``.  Local
+connectivity of adjacent vertices follows Menger's convention: the edge
+itself counts as one internally disjoint path, so kappa(u,v) = 1 +
+kappa_{G-uv}(u,v).  ``local_connectivity`` is one exact max-flow kernel
+(Even & Tarjan, SIAM J. Comput. 1975) on the split digraph of G-uv, whose
+residual is one bitmask per node: x_in is node x, x_out is node n+x, and
+the arcs x_out->y_in are the adjacency mask of x itself.  It preloads
+the paths u-w-v through common neighbours and stops once the flow reaches
+min(deg(u), deg(v)) in G-uv; both shortcuts are exact.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, VertexSet, _as_mask, _bits, complement
+from .graphs import Graph, VertexSet, _as_mask, _bits, _complement_rows
 
 # -- components --------------------------------------------------------------
 
@@ -79,38 +81,45 @@ class DistanceTable:
     def eccentricity(self, v: int) -> int | float:
         return max(self.rows[v], default=0)
 
-    def diameter(self) -> int | float:
-        return max((max(row) for row in self.rows), default=0)
+
+def _levels(rows: tuple[int, ...], src: int) -> list[int]:
+    """The BFS levels from src over ``rows``: masks at distance 0, 1, ..."""
+    levels, seen, frontier = [], 1 << src, 1 << src
+    while frontier:
+        levels.append(frontier)
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return levels
 
 
 def distances(g: Graph) -> DistanceTable:
-    rows = []
-    for src in range(g.n):
-        row: list[int | float] = [math.inf] * g.n
-        row[src] = 0
-        seen = 1 << src
-        frontier = seen
-        d = 0
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= ~seen
-            d += 1
-            for v in _bits(nxt):
+    rows = [[math.inf] * g.n for _ in range(g.n)]
+    for src, row in enumerate(rows):
+        for d, level in enumerate(_levels(g.adj, src)):
+            for v in _bits(level):
                 row[v] = d
-            seen |= nxt
-            frontier = nxt
-        rows.append(tuple(row))
-    return DistanceTable(tuple(rows))
+    return DistanceTable(tuple(map(tuple, rows)))
+
+
+def _diameter(rows: tuple[int, ...]) -> int | float:
+    """math.inf if the BFS from vertex 0 misses a vertex (the levels are
+    disjoint, so their sum is the set reached), else the largest eccentricity."""
+    if rows and sum(_levels(rows, 0)) != (1 << len(rows)) - 1:
+        return math.inf
+    return max((len(_levels(rows, src)) - 1 for src in range(len(rows))), default=0)
 
 
 def diameter(g: Graph) -> int | float:
-    return distances(g).diameter()
+    return _diameter(g.adj)
 
 
 def co_diameter(g: Graph) -> int | float:
-    return diameter(complement(g))
+    return _diameter(_complement_rows(g))
 
 
 # -- local connectivity via max-flow ------------------------------------------

@@ -22,13 +22,14 @@ before the first size s with s/(n-s) > t) gives t and every S with
 |S| < t*(c(G-S)+1), ascending by (size, bitmask), and each edge takes the
 first that avoids u and v and separates them in G-uv.  A witness keeps uv
 in G-S, so c(G-S) <= n-|S|-1, |S| < t*(n-|S|), and none lies past the stop.
-The criterion decider lists every witness, kappa included.  The boolean
-``is_nontrivially_minimally_tough`` needs only the verdict, so it tries
-each edge's cheapest proof first (kappa(u,v) <= min(deg u, deg v), then
-the cond2 separators, then a max-flow) and stops at the first edge that
-meets neither condition.  Its pass and per-edge loop (``_criterion_holds``)
-read either the graph's own sweep or, for the census, the graph's lane of
-one flood over all children of its canonical parent (``toughness._Siblings``).
+The criterion decider lists every witness, kappa by max-flow included.
+The boolean ``is_nontrivially_minimally_tough`` needs only the verdict,
+whatever the edge order, so it tries the cheapest proof first: a degree
+or common-neighbour bound on kappa, then a size bound on cond2 (every
+witness of uv holds N(u) & N(v)), then the separators, listed once, and a
+max-flow last.  Its pass and per-edge loop (``_criterion_holds``) read the
+graph's own sweep or, for the census, its lane of one flood over all
+children of its canonical parent (``toughness._Siblings``).
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -45,7 +46,7 @@ from .canon import canonical_code
 from .connectivity import _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
-from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
+from .graphs import CrossCheckError, Graph, VertexSet, _bits, complement, delete_edge, join
 from .toughness import Toughness, _Counts, _separator_masks, _tough_pass, format_toughness, toughness
 
 
@@ -154,10 +155,7 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
 
 
 def is_nontrivially_minimally_tough(g: Graph) -> bool:
-    """Connected, non-complete and minimally tough: the criterion, edge by
-    edge, cheapest test first, stopping at the first edge that meets neither
-    condition.  min(deg u, deg v) bounds kappa(u,v), so a low degree proves
-    cond1; then a cond2 separator of the pass; only then a max-flow."""
+    """Connected, non-complete and minimally tough, by ``_criterion_holds``."""
     if g.is_complete() or g.is_edgeless():
         return False
     return _criterion_holds(g)
@@ -166,18 +164,29 @@ def is_nontrivially_minimally_tough(g: Graph) -> bool:
 def _criterion_holds(g: Graph, counts: _Counts | None = None) -> bool:
     """``is_nontrivially_minimally_tough`` of a graph neither complete nor
     edgeless, reading its component counts from ``counts`` (a sibling lane,
-    ``toughness._Siblings``) or, by default, from its own sweep."""
+    ``toughness._Siblings``) or, by default, from its own sweep.  For an
+    edge uv, 1 + |N(u) & N(v)| <= kappa(u,v) <= min(deg u, deg v), and a
+    cond2 witness holds N(u) & N(v), or some u-w-v survives in G-uv-S."""
     p, q, sweep, tops = _tough_pass(g, counts)
     if p == 0:
         return False
+    bound, adj = 2 * p + q, g.adj
+    largest = max((size for size, top in tops if top >= max(2, size * q // p)), default=-1)
+    high = sum(1 << x for x, row in enumerate(adj) if row.bit_count() * q >= bound)
+    edges = []  # (cond1 still open, u, v) for each edge no degree decides
+    for u in _bits(high):
+        for v in _bits(adj[u] & high & ~((2 << u) - 1)):
+            common = (adj[u] & adj[v]).bit_count()
+            disproved = (1 + common) * q >= bound
+            if disproved and common > largest:
+                return False
+            edges.append((not disproved, u, v))
+    if not edges:
+        return True
     separators = _cond2_masks(p, q, sweep, tops)
-    degrees = g.degrees()
-    for u, v in g.edges():
-        if min(degrees[u], degrees[v]) * q < 2 * p + q:
-            continue
-        if next(_uv_separators(g, separators, u, v), None) is not None:
-            continue
-        if local_connectivity(g, u, v) * q >= 2 * p + q:
+    for open_, u, v in sorted(edges):
+        if next(_uv_separators(g, separators, u, v), None) is None \
+                and (not open_ or local_connectivity(g, u, v) * q >= bound):
             return False
     return True
 

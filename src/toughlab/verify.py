@@ -50,7 +50,7 @@ from .classes import (  # read by perfbench/traced.py
     is_net_free,
     is_p4_free,
 )
-from .connectivity import co_diameter
+from .connectivity import _component_masks, co_diameter
 from .families import Family, FamilySpec, make_named
 from .graph6 import parse_graph6, write_graph6  # read by perfbench/traced.py
 from .graphs import MAX_VERTICES, Graph
@@ -128,18 +128,23 @@ def _verdicts(n: int) -> tuple[bytearray, dict[int, array]]:
     tough, in census order, and the records the table leaves undecided, by
     canonical parent.
 
-    Complete and edgeless records are not, and the rest are _UNDECIDED until
-    a code among them is asked for (``_mintough``).  Then all children of
-    its parent are decided at once: they are the lanes of one flood
-    (``toughness._Siblings``), and each lane's verdict is the boolean
-    decider's criterion read from its lane.  A scan of one class thus
-    floods only its members' parents, and a parent's lanes are dropped once
-    its children are decided.
+    Complete, edgeless and disconnected records are not: a record is
+    connected iff its last vertex meets every component of its parent.  The
+    rest are _UNDECIDED until a code among them is asked for (``_mintough``).
+    Then all children of its parent are decided at once: they are the lanes
+    of one flood (``toughness._Siblings``), and each lane's verdict is the
+    boolean decider's criterion read from its lane.  A scan of one class
+    thus floods only its members' parents, and a parent's lanes are dropped
+    once its children are decided.
     """
     table = bytearray(len(_census(n)))
     undecided: dict[int, array] = {}
+    up = _census(n - 1)
+    parts = [_component_masks(p.adj, p.full_mask) for p in up]
     for i, (g, parent) in enumerate(zip(_census(n), census_parents(n))):
-        if not (g.is_complete() or g.is_edgeless()):
+        mask = g.adj[-1]
+        if all(part & mask for part in parts[parent]) \
+                and not (mask == up[parent].full_mask and up[parent].is_complete()):
             table[i] = _UNDECIDED
             undecided.setdefault(parent, array("I")).append(i)
     return table, undecided

@@ -1,9 +1,11 @@
 """Graph-class recognizers against subset-sweep reference predicates."""
 import math
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toughlab.canon import are_isomorphic, enumerate_graphs
 from toughlab.classes import (
@@ -136,37 +138,66 @@ def test_contains_induced_against_reference():
                     assert are_isomorphic(induced_subgraph(g, hit), pattern)
 
 
-def test_contains_induced_through_a_vertex_against_reference():
-    patterns = {
-        "path:4": (4, [(0, 1), (1, 2), (2, 3)]),
-        "star:3": (4, [(0, 1), (0, 2), (0, 3)]),
-        "net": (6, O.NET_EDGES),
-    }
-    for spec, (pn, pedges) in patterns.items():
-        pattern = _named(spec)
-        for n in range(7):
-            for g in enumerate_graphs(n):
-                covered = O.ref_vertices_in_induced(g.n, g.edges(), pn, pedges)
-                for v in range(n):
-                    hit = contains_induced(g, pattern, through=v)
-                    assert (hit is not None) == (v in covered)
-                    if hit is not None:
-                        assert v in hit
-                        assert are_isomorphic(induced_subgraph(g, hit), pattern)
-    with pytest.raises(ValueError):
-        contains_induced(Graph.empty(3), _named("path:2"), through=3)
+#: each anchored kernel with its pattern for the oracle: order and edges
+_ANCHORED = {
+    "has_p4_through": (4, ((0, 1), (1, 2), (2, 3))),
+    "has_net_through": (6, tuple(O.NET_EDGES)),
+}
 
 
-@pytest.mark.parametrize("spec", ["path:4", "net", "star:3", "cycle:5", "doublestar:1,2", "path:1"])
-def test_orbit_representatives_against_permutations(spec):
-    pattern = _named(spec)
-    edges = set(pattern.edges())
-    orbit_of = list(range(pattern.n))
-    for perm in permutations(range(pattern.n)):
-        if {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges:
-            for u in range(pattern.n):
-                orbit_of[perm[u]] = min(orbit_of[perm[u]], orbit_of[u], u)
-    assert classes._orbit_representatives(pattern) == tuple(sorted(set(orbit_of)))
+def _covered(g: Graph, pn: int, pedges) -> set[int]:
+    """The vertices of g in an induced copy of the pattern, by
+    ``ref_vertices_in_induced`` asked of each pn-subset of g whose degrees
+    are the pattern's (a copy's are), so that only those pay its
+    permutation search."""
+    want = sorted(sum(v in e for e in pedges) for v in range(pn))
+    covered: set[int] = set()
+    for subset in combinations(range(g.n), pn):
+        mask = sum(1 << x for x in subset)
+        if sorted((g.adj[x] & mask).bit_count() for x in subset) != want:
+            continue
+        edges = [(i, j) for (i, a), (j, b) in combinations(enumerate(subset), 2) if g.has_edge(a, b)]
+        if O.ref_vertices_in_induced(pn, edges, pn, pedges):
+            covered.update(subset)
+    return covered
+
+
+def _check_anchored(name: str, g: Graph) -> int:
+    """The anchored kernel ``name`` at every vertex of g against the oracle;
+    the number of vertices some copy of its pattern passes through."""
+    pn, pedges = _ANCHORED[name]
+    covered = _covered(g, pn, pedges)
+    for v in range(g.n):
+        assert getattr(classes, name)(g, v) == (v in covered), (name, g, v)
+    return len(covered)
+
+
+@pytest.mark.parametrize("name", sorted(_ANCHORED))
+def test_anchored_kernels_against_the_oracle(name):
+    # every class in canonical and in reversed labelling, since canonical
+    # labels put vertices of high degree last
+    hits = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            hits += _check_anchored(name, g) + _check_anchored(name, relabel(g, range(n - 1, -1, -1)))
+    assert hits
+
+
+@st.composite
+def _random_graphs(draw) -> Graph:
+    """G(n, p) on 8-11 vertices at one of a few densities, in percent."""
+    n = draw(st.integers(8, 11))
+    pairs = list(combinations(range(n), 2))
+    percent = draw(st.sampled_from((15, 25, 40, 60)))
+    rolls = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, roll in zip(pairs, rolls) if roll < percent])
+
+
+@pytest.mark.parametrize("name", sorted(_ANCHORED))
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(g=_random_graphs())
+def test_anchored_kernels_against_the_oracle_on_8_to_11_vertices(name, g):
+    _check_anchored(name, g)
 
 
 @lru_cache(maxsize=None)

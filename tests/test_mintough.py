@@ -86,13 +86,29 @@ def test_deciders_match_reference_up_to_7():
 
 
 def test_boolean_decider_matches_the_criterion_up_to_7():
-    """The boolean decider tries the degree bound on kappa, then cond2, and
-    a max-flow last; its verdict is the criterion's on every class."""
-    for n in range(8):
+    """The boolean decider bounds kappa by degrees and common neighbours,
+    bounds cond2 by the sizes of the pass, then lists cond2 separators and
+    runs a max-flow last; its verdict is the criterion's, which reads kappa
+    by max-flow on every edge, on every class with n <= 8."""
+    for n in range(9):
         for g in enumerate_graphs(n):
             verdict, _ = is_minimally_tough_by_criterion(g)
             want = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
             assert is_nontrivially_minimally_tough(g) == want, g
+
+
+@pytest.mark.parametrize("text", ["multipartite:2,2,3", "conet"])
+def test_common_neighbours_disprove_cond1_without_a_flow(monkeypatch, text):
+    """On these graphs an edge with 1 + |N(u) & N(v)| >= 2t + 1, which
+    fails cond1 by that bound alone, also fails cond2: the verdict needs no
+    max-flow."""
+    import toughlab.mintough as mintough_module
+
+    def refuse(*args):
+        raise AssertionError("the boolean decider ran a max-flow")
+
+    monkeypatch.setattr(mintough_module, "local_connectivity", refuse)
+    assert not is_nontrivially_minimally_tough(_named(text))
 
 
 def _census_lanes(n: int):
@@ -378,18 +394,24 @@ def _record_sweeps(monkeypatch, events: list) -> None:
 def test_one_separator_pass_per_call(monkeypatch, decide):
     """No mask has c(G - S) computed twice in one call: the call reads one
     sweep, floods each size of each block of it once, and lists the masks
-    of each size at most once."""
+    of each size at most once.  The boolean decider lists only when some
+    edge needs cond2, and on wheel:8 every edge meets cond1 by degree."""
     events: list = []
     _record_sweeps(monkeypatch, events)
     chorded = Graph.from_edges(10, _named("cycle:10").edges() + [(0, 5)])
-    for g in (_named("wheel:8"), chorded):
+    wheel = _named("wheel:8")
+    for g in (wheel, chorded):
         events.clear()
         decide(g)
         floods = [event for event in events if event[0] == "flood"]
         lists = [event for event in events if event[0] == "list"]
         assert events[0] == ("sweep", g) and events.count(events[0]) == 1, (decide.__name__, g.edges())
         assert floods and len(floods) == len(set(floods)), (decide.__name__, g.edges())
-        assert lists and len(lists) == len(set(lists)), (decide.__name__, g.edges())
+        assert len(lists) == len(set(lists)), (decide.__name__, g.edges())
+        if decide is not is_nontrivially_minimally_tough:
+            assert lists, (decide.__name__, g.edges())
+        elif g is wheel:
+            assert not lists, g.edges()
 
 
 def _s_max(h: Graph) -> int:

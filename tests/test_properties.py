@@ -3,7 +3,7 @@
 The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
 toughness and local connectivity on 9-11 vertices, orders past the
 enumerated census (n <= 8), so the checks here reach graphs no exhaustive
-test sees; the census's sibling lanes on random parents with random child
+test sees; the common-neighbour bound on local connectivity on 2-12; the census's sibling lanes on random parents with random child
 masks on 8-10 vertices; chordality on 8-10 and 32 vertices, canonical codes
 up to 10 vertices, the enumeration's walk on parents of 5-8 vertices and
 graph6 up to 32.  Examples are derandomized, so every run draws the same graphs.
@@ -169,6 +169,16 @@ def test_local_connectivity_matches_menger_cut(case):
     g, pairs = case
     for u, v in pairs:
         assert local_connectivity(g, u, v) == _menger_cut(g, u, v) + g.has_edge(u, v), (u, v)
+
+
+@_SETTINGS
+@given(st.one_of(random_graphs(2, 12, (20, 50, 80)), family_graphs(12)))
+def test_common_neighbours_bound_local_connectivity(g):
+    """uv and the paths u-w-v through common neighbours w are internally
+    disjoint, so kappa(u,v) >= 1 + |N(u) & N(v)| on every edge: the bound
+    the boolean decider disproves cond1 by."""
+    for u, v in g.edges():
+        assert 1 + (g.adj[u] & g.adj[v]).bit_count() <= local_connectivity(g, u, v), (u, v)
 
 
 @_SETTINGS
