@@ -63,7 +63,16 @@ automorphism) has m[t] = m[v] (``masks &= L[t] ^ L[v]``).  Exactly then
 (t v) is an automorphism of the child, and its search skips v.  Twins of the
 child have equal columns at every node that places neither, and (t v) maps
 the subtree below v onto the subtree below t with the same columns, so
-skipping v rejects nothing that t does not.
+skipping v rejects nothing that t does not.  P's twins are one table per
+parent, bit t of ``twins[v]`` set iff (t v) is an automorphism of P, and a
+node intersects it with the set of candidates it has tried.
+
+Every mask set in the walk is a non-negative int, and no complement is
+taken in it: the masks that miss v are ``N[v]``, cached per k next to
+``L``, and the non-neighbours of p in P are ``nrows[p]``, per parent.  A
+level's pass writes each record's rows from its parent's, the new vertex's
+bit set on the rows of its mask, and its code as the parent's whole
+characters and a tail looked up per k (``_code_tails``).
 """
 from __future__ import annotations
 
@@ -160,10 +169,21 @@ def _masks_containing(k: int) -> tuple[int, ...]:
     return tuple(sum(1 << m for m in range(1 << k) if m >> v & 1) for v in range(k))
 
 
+@lru_cache(maxsize=None)
+def _masks_missing(k: int) -> tuple[int, ...]:
+    """``N[v]``: the masks m < 2**k that miss v, ``L[v]``'s complement."""
+    full = (1 << (1 << k)) - 1
+    return tuple(full ^ masks for masks in _masks_containing(k))
+
+
 def _child_rows(prows: tuple[int, ...], mask: int) -> tuple[int, ...]:
     """The rows of the parent ``prows`` plus a last vertex joined to ``mask``."""
-    new_bit = 1 << len(prows)
-    return tuple([row | new_bit if mask >> i & 1 else row for i, row in enumerate(prows)] + [mask])
+    new_bit, rows = 1 << len(prows), [*prows, mask]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        rows[low.bit_length() - 1] |= new_bit
+    return tuple(rows)
 
 
 def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
@@ -174,9 +194,15 @@ def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
     with the bound for all masks together, and the masks where a candidate
     falls below it are rejected.
     """
-    L = _masks_containing(k)
-    full = (1 << (1 << k)) - 1
-    alive = full
+    L, N = _masks_containing(k), _masks_missing(k)
+    alive = full = (1 << (1 << k)) - 1
+    nrows = [(1 << k) - 1 ^ row for row in prows]
+    twins = [0] * k  # bit t of twins[v] set iff (t v) is an automorphism of P
+    for v in range(k):
+        for t in range(v):
+            if _swap_equiv(prows, t, v):
+                twins[v] |= 1 << t
+                twins[t] |= 1 << v
     placed: list[int] = []  # vertices of the child; k, the new vertex, sits at position ``at``
 
     def walk(j: int, unused: int, masks: int, at: int) -> None:
@@ -192,58 +218,67 @@ def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
             else:  # the new vertex
                 cols = [L[p] for p in placed]
             for i, col in enumerate(cols):
-                lt |= eq & L[i] & ~col
-                eq &= ~(L[i] ^ col)
-            alive &= ~lt
+                differ = L[i] ^ col  # the masks where the column and the bound differ at i
+                lt |= eq & L[i] & differ
+                eq ^= eq & differ
+            alive ^= alive & lt
             return
         own = prows[j]
         ties = unused
         if at < 0:  # the new vertex is a candidate; the parent's vertices tie for every mask
             for i, p in enumerate(placed):
                 if own >> i & 1:
-                    lt |= eq & ~L[p]
+                    lt |= eq & N[p]
                     eq &= L[p]
                     ties &= prows[p]
                 else:
-                    eq &= ~L[p]
-                    ties &= ~prows[p]
-            alive &= ~lt
+                    eq &= N[p]
+                    ties &= nrows[p]
+            alive ^= alive & lt
         else:  # vertex x reads m[x] at ``at`` and fixed bits elsewhere
             for i in range(at):
                 p = placed[i]
                 if own >> i & 1:
-                    if ties & ~prows[p]:
-                        alive &= ~masks  # a candidate is below the bound for every mask
+                    if ties & nrows[p]:
+                        alive ^= alive & masks  # a candidate is below the bound for every mask
                         return
                     ties &= prows[p]
                 else:
-                    ties &= ~prows[p]
+                    ties &= nrows[p]
             tied, losers = ties, 0  # tied after ``at`` too / below the bound after ``at``
             for i in range(at + 1, j):
                 p = placed[i]
                 if own >> i & 1:
-                    losers |= tied & ~prows[p]
+                    losers |= tied & nrows[p]
                     tied &= prows[p]
                 else:
-                    tied &= ~prows[p]
+                    tied &= nrows[p]
             high = own >> at & 1
-        tried: list[int] = []
-        for v in _bits(ties):
+        tried = 0
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            v = low.bit_length() - 1
             enter = masks
             if at >= 0:
-                enter = masks & (L[v] if high else ~L[v])  # v ties at ``at``
-                lt = masks ^ enter if high else 0  # v is below at ``at``
-                if losers >> v & 1:
+                if high:  # v ties at ``at`` where m[v] = 1 and is below where m[v] = 0
+                    enter, lt = masks & L[v], masks & N[v]
+                else:  # v ties where m[v] = 0 and is above elsewhere
+                    enter, lt = masks & N[v], 0
+                if losers & low:
                     lt |= enter
-                alive &= ~lt
-                if not (tied >> v & 1 and enter):
+                if lt:
+                    alive ^= alive & lt
+                if not (tied & low and enter):
                     continue
-            for t in tried:
-                if _swap_equiv(prows, t, v):
-                    enter &= L[t] ^ L[v]  # a twin t with m[t] == m[v] went first
-            tried.append(v)
+            twin = twins[v] & tried
+            while twin:  # a twin t with m[t] == m[v] went first
+                t = twin & -twin
+                twin ^= t
+                enter &= L[t.bit_length() - 1] ^ L[v]
+            tried |= low
             placed.append(v)
-            walk(j + 1, unused ^ 1 << v, enter, at)
+            walk(j + 1, unused ^ low, enter, at)
             placed.pop()
         if at < 0 and eq:  # last: P's subtrees have rejected masks more cheaply
             placed.append(k)
@@ -271,16 +306,23 @@ class _Level(tuple):
         return level
 
 
-def _child_code(code: str, k: int, mask: int) -> str:
-    """The graph6 code of the parent with code ``code`` on k vertices plus a
-    last vertex joined to ``mask``: the parent's k(k-1)/2 bits, then column
-    k (bit i = mask[i], first), the last character zero-padded."""
+@lru_cache(maxsize=None)
+def _code_tails(k: int) -> tuple[str, ...]:
+    """The closing characters of a child's graph6 code on k + 1 vertices.
+
+    The code is the parent's k(k-1)/2 bits, then column k (bit i = mask[i],
+    first), zero-padded to whole characters.  All but the parent's last
+    ``filled`` bits sit in whole characters of its code; entry
+    ``b << k | mask`` is the characters of those b bits, then the column
+    reversed, padded."""
     filled = k * (k - 1) // 2 % 6  # the parent's bits in its last character
-    body, bits = (code[1:-1], ord(code[-1]) - 63 >> 6 - filled) if filled else (code[1:], 0)
     width = filled + k
-    bits = (bits << k | int(f"{mask:0{k}b}"[::-1], 2)) << -width % 6
-    chars = [chr(63 + (bits >> shift & 63)) for shift in range((width - 1) // 6 * 6, -1, -6)]
-    return chr(64 + k) + body + "".join(chars)
+    shifts = range((width - 1) // 6 * 6, -1, -6)
+    columns = [int(f"{mask:0{k}b}"[::-1], 2) for mask in range(1 << k)]
+    return tuple(
+        "".join([chr(63 + ((b << k | column) << -width % 6 >> shift & 63)) for shift in shifts])
+        for b in range(1 << filled) for column in columns
+    )
 
 
 @lru_cache(maxsize=None)
@@ -289,11 +331,16 @@ def _census(n: int) -> _Level:
         empty = Graph.empty(0)
         return _Level((empty,), (write_graph6(empty),), array("I"))
     graphs, codes, parents = [], [], array("I")
-    up = _census(n - 1)
+    k, up = n - 1, _census(n - 1)
+    filled, tails = k * (k - 1) // 2 % 6, _code_tails(k)
     for i, parent in enumerate(up):
-        for m in _bits(_canonical_children(n - 1, parent.adj)):
-            graphs.append(Graph._trusted(n, _child_rows(parent.adj, m)))
-            codes.append(_child_code(up.codes[i], n - 1, m))
+        prows, code = parent.adj, up.codes[i]
+        # the child's code: its order, the parent's whole characters, a tail
+        head = chr(63 + n) + code[1:-1] if filled else chr(63 + n) + code[1:]
+        base = ord(code[-1]) - 63 >> 6 - filled << k if filled else 0
+        for m in _bits(_canonical_children(k, prows)):
+            graphs.append(Graph._trusted(n, _child_rows(prows, m)))
+            codes.append(head + tails[base | m])
             parents.append(i)
     order = sorted(range(len(codes)), key=codes.__getitem__)
     return _Level(tuple([graphs[j] for j in order]), tuple([codes[j] for j in order]),

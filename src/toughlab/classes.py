@@ -11,8 +11,9 @@ hole as a witness comes from ``find_induced_cycle``.
 Induced-subgraph search is a plain ordered backtracking over the whole
 graph with adjacency/degree pruning -- fine at desk scale.  For the
 hereditary classes the census sweeps (P4-free, net-free, co-chordal,
-co-forest) there are also tests that decide g from g - v by looking only
-through v: mask kernels anchored at v, which share no code with the search.
+co-forest, complete multipartite) there are also tests that decide g from
+g - v by looking only through v: mask kernels anchored at v, which share no
+code with the search.
 """
 from __future__ import annotations
 
@@ -236,6 +237,22 @@ def has_p4_through(g: Graph, v: int) -> bool:
         for b in _bits(row & far | near & ~row & ~(1 << a)):
             reach |= adj[b]
         if reach & far & ~row:
+            return True
+    return False
+
+
+def has_co_p3_through(g: Graph, v: int) -> bool:
+    """True iff some induced K1+K2 (the complement of P_3) of g contains v:
+    v apart from an edge ab of its non-neighbours, or v in an edge va with
+    a non-neighbour b of both.  g is complete multipartite iff it has no
+    induced K1+K2 (non-adjacency is then an equivalence)."""
+    adj, near = g.adj, g.adj[v]
+    far = g.full_mask ^ near ^ 1 << v
+    for a in _bits(far):
+        if adj[a] & far:
+            return True
+    for a in _bits(near):
+        if adj[a] & far != far:
             return True
     return False
 

@@ -46,7 +46,7 @@ from .canon import canonical_code
 from .connectivity import _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
-from .graphs import CrossCheckError, Graph, VertexSet, _bits, complement, delete_edge, join
+from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
 from .toughness import Toughness, _Counts, _separator_masks, _tough_pass, format_toughness, toughness
 
 
@@ -97,10 +97,10 @@ def _uv_separators(g: Graph, masks: Iterable[int], u: int, v: int) -> Iterator[i
     """The masks that avoid u and v and separate them in G-uv."""
     avoid, full = (1 << u) | (1 << v), g.full_mask
     adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
     for mask in masks:
-        if not mask & avoid and not _flood(adj, 1 << u, full & ~mask) >> v & 1:
+        if not mask & avoid and not _flood(adj, 1 << u, full ^ mask) >> v & 1:
             yield mask
 
 
@@ -171,12 +171,27 @@ def _criterion_holds(g: Graph, counts: _Counts | None = None) -> bool:
     if p == 0:
         return False
     bound, adj = 2 * p + q, g.adj
-    largest = max((size for size, top in tops if top >= max(2, size * q // p)), default=-1)
-    high = sum(1 << x for x, row in enumerate(adj) if row.bit_count() * q >= bound)
+    largest = -1  # the largest size of the pass with a cond2 candidate
+    for size, top in reversed(tops):
+        if top >= size * q // p:
+            largest = size
+            break
+    high = 0  # the vertices whose degree leaves cond1 open
+    for x, row in enumerate(adj):
+        if row.bit_count() * q >= bound:
+            high |= 1 << x
     edges = []  # (cond1 still open, u, v) for each edge no degree decides
-    for u in _bits(high):
-        for v in _bits(adj[u] & high & ~((2 << u) - 1)):
-            common = (adj[u] & adj[v]).bit_count()
+    while high:
+        low = high & -high
+        high ^= low
+        u = low.bit_length() - 1
+        row = adj[u]
+        later = row & high  # the neighbours of u past it that degree leaves open
+        while later:
+            bit = later & -later
+            later ^= bit
+            v = bit.bit_length() - 1
+            common = (row & adj[v]).bit_count()
             disproved = (1 + common) * q >= bound
             if disproved and common > largest:
                 return False

@@ -31,10 +31,14 @@ per count reached, 8 KB each past 16 vertices, while its sweep lives.  A
 this sweep takes one step per vertex for all 2^16 subsets of a block.
 
 Positions are flooded a window of sizes at a time.  With v of least degree
-delta and c0 = c(G - N(v)) >= 2, t <= delta/c0, so the bounded pass reads no
-size past s_max = max(delta, n*delta // (c0 + delta)).  So there are two
-windows, [floor, s_max] for the pass and [s_max + 1, n - 2], flooded only
-when a full listing reads past the pass.
+delta and c0 = c(G - N(v)), t <= delta/c0, so the bounded pass reads no size
+past s_max = max(delta, n*delta // (c0 + delta)); a lower bound on c0 gives
+a larger s_max that is still safe.  So there are two windows, [floor,
+s_max] for the pass and [s_max + 1, n - 2], flooded only when a full listing
+reads past the pass.  A non-complete graph has c0 >= 2 (v is isolated in
+G - N(v), beside a non-neighbour), and a sibling lane is sized from that
+bound and its child's least degree, read from the parent's degrees and the
+child's mask, so sizing a lane floods nothing.
 
 The census floods the children of one canonical parent together
 (``_Siblings``).  Siblings share every edge of the parent and differ only
@@ -42,9 +46,11 @@ in the edges to the new vertex, so each child is a lane of 2^n positions
 in one flood: the parent's neighbour entries flood in every lane, and each
 edge to the new vertex only in the lanes whose child has it (``_peel``'s
 masked entries).  The pass reads a lane (``_Lane``) as it reads one
-graph's sweep, through ``_Counts``: a lane's largest c per size comes from
-folding its block to one bit, for all lanes at once, and its separators
-from its block shifted out.
+graph's sweep, through ``_Counts``: each size's largest c is one list per
+flood with an entry per lane (``_Tops``), for a lane from its block of each
+level folded to one bit, all lanes at once, and its separators from the
+levels a listing reads, shifted out of the flood.  Every mask the sweep
+and the flood build is a non-negative int: a complement is an XOR.
 """
 from __future__ import annotations
 
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .connectivity import _component_count, is_connected
 from .families import Family, FamilySpec
@@ -101,16 +107,6 @@ def _blocks(high: int, least: int, most: int) -> tuple[int, ...]:
     return tuple(sorted(sum(1 << k for k in ks) for ks in sets))
 
 
-def _positions(x: int) -> Iterator[int]:
-    """The set bits of ``x``, ascending, from one scan of its binary digits;
-    ``graphs._bits`` pays a big-int operation per bit."""
-    digits = bin(x)[:1:-1]
-    at = digits.find("1")
-    while at >= 0:
-        yield at
-        at = digits.find("1", at + 1)
-
-
 def _peel(
     nbrs: list[list[int]], rest: list[int], masked: list[list[tuple[int, int]]] | None = None
 ) -> list[int]:
@@ -133,7 +129,7 @@ def _peel(
     while True:
         comp, alive = [], 0
         for r in rest:
-            comp.append(r & ~alive)
+            comp.append(r ^ (r & alive))
             alive |= r
         if not alive:
             return alive_at[1:]
@@ -159,29 +155,41 @@ def _peel(
             rest[v] ^= x
 
 
-def _window_bounds(g: Graph) -> tuple[int, int]:
-    """The sizes [floor, s_max] a bounded pass over g can find a separator
-    in (see the module docstring): floor = 2*delta - n + 2 and
-    s_max = max(delta, n*delta // (c0 + delta))."""
-    n = g.n
-    if not n:
-        return 0, 0
-    degrees = g.degrees()
-    delta = min(degrees)
-    c0 = _component_count(g.adj, g.full_mask & ~g.adj[degrees.index(delta)])
+def _window_bounds(n: int, delta: int, c0: int) -> tuple[int, int]:
+    """The sizes [floor, s_max] a bounded pass over a graph on n vertices of
+    least degree delta can find a separator in (see the module docstring):
+    floor = 2*delta - n + 2 and s_max = max(delta, n*delta // (c0 + delta)),
+    c0 being c(G - N(v)) for v of least degree, or a lower bound on it.
+    Both are non-decreasing in delta."""
     return max(2 * delta - n + 2, 0), max(delta, n * delta // (c0 + delta))
+
+
+class _Tops(dict):
+    """size -> the largest c(G - S) >= 2 over the s-sets of each lane of a
+    flood (0 where none separates), one int per lane, from ``fold(size)``
+    the first time a size is read."""
+
+    def __init__(self, fold: Callable[[int], Sequence[int]]):
+        super().__init__()
+        self.fold = fold
+
+    def __missing__(self, size: int):
+        tops = self[size] = self.fold(size)
+        return tops
 
 
 class _Counts:
     """What a bounded pass reads of the component counts of one graph on n
-    vertices: iterating gives the sizes 0..n-2, ``top(size)`` the largest
-    c(G - S) >= 2 over the s-sets (0 if none separates), and
-    ``separators(size, least)`` the s-sets with c >= least, listed from the
-    (high bits, levels, weight class) of each block holding s-sets
-    (``_layer``).  A subclass gives ``top`` and ``_layer``: ``_Sweep`` for
-    one graph, ``_Lane`` for one of a parent's children."""
+    vertices, lane ``i`` of a flood: iterating gives the sizes 0..n-2,
+    ``tops[size][i]`` the largest c(G - S) >= 2 over the s-sets (0 if none
+    separates), and ``separators(size, least)`` the s-sets with c >= least,
+    listed from the (high bits, levels, weight class) of each block holding
+    s-sets (``_layer``).  A subclass gives ``tops`` and ``_layer``:
+    ``_Sweep`` for one graph, ``_Lane`` for one of a parent's children."""
 
     n: int
+    i: int = 0
+    tops: _Tops
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(max(self.n - 1, 0)))
@@ -189,15 +197,19 @@ class _Counts:
     def separators(self, size: int, least: int = 2) -> list[tuple[int, int]]:
         """(mask, c) for each s-set S with c = c(G - S) >= least, by mask."""
         out = []
-        for high, levels, weight in self._layer(size):
+        for high, levels, weight in self._layer(size, least):
             found = []
             for k in range(least - 2, len(levels)):
                 x = levels[k] & weight
                 if not x:
                     break
                 if k + 1 < len(levels):
-                    x &= ~levels[k + 1]
-                found += [(high | b, k + 2) for b in _positions(x)]
+                    x ^= x & levels[k + 1]
+                digits = bin(x)[:1:-1]  # bit b of x is digit b
+                b = digits.find("1")
+                while b >= 0:
+                    found.append((high | b, k + 2))
+                    b = digits.find("1", b + 1)
             found.sort()
             out += found
         return out
@@ -211,11 +223,16 @@ class _Sweep(_Counts):
         self.n = g.n
         self.low = min(g.n, _LOW)
         self.nbrs = [list(_bits(row)) for row in g.adj]
-        self.floor, self.s_max = _window_bounds(g)
+        degrees = g.degrees()
+        delta = min(degrees, default=0)
+        # c0 = c(G - N(v)) for v of least degree; the null graph has no v
+        c0 = _component_count(g.adj, g.full_mask ^ g.adj[degrees.index(delta)]) if g.n else 1
+        self.floor, self.s_max = _window_bounds(g.n, delta, c0)
         #: {block: levels} of each window flooded, by its least size
         self.windows: dict[int, dict[int, list[int]]] = {}
         #: (high bits, levels, weight class) of each block holding s-sets
         self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
+        self.tops = _Tops(self._top)
 
     def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
         """(lo, hi, {block: levels}) of the window holding ``size``: the
@@ -234,7 +251,7 @@ class _Sweep(_Counts):
         rest += [0 if block >> k & 1 else span for k in range(self.n - low)]
         return _peel(self.nbrs, rest)
 
-    def _layer(self, size: int) -> list[tuple[int, list[int], int]]:
+    def _layer(self, size: int, least: int = 2) -> list[tuple[int, list[int], int]]:
         """(high bits, levels, weight class) of each block holding s-sets,
         ascending, flooding the blocks not yet flooded."""
         layer = self.layers.get(size)
@@ -251,21 +268,26 @@ class _Sweep(_Counts):
                     layer.append((block << low, levels, weights[size - block.bit_count()]))
         return layer
 
-    def top(self, size: int) -> int:
-        """The largest c(G - S) >= 2 over the s-sets, or 0 if none has one."""
+    def _top(self, size: int) -> list[int]:
+        """[the largest c(G - S) >= 2 over the s-sets, or 0 if none has one]."""
         best = 0
         for _, levels, weight in self._layer(size):
             for k in range(len(levels) - 1, max(best, 1) - 2, -1):
                 if levels[k] & weight:
                     best = k + 2
                     break
-        return best
+        return [best]
 
 
 def _sweep(g: Graph) -> _Sweep:
     """The separator sweep of g: iterating it gives the sizes 0..n-2,
     ascending, and nothing is flooded until a size is read."""
     return _Sweep(g)
+
+
+#: entry h: the largest c(G - S) of a lane found at h of the levels of a
+#: size, h + 1, or 0 if none (``_Siblings._fold``)
+_HITS_TO_TOP = bytes([0, *range(2, 256), 255])
 
 
 class _Siblings:
@@ -275,60 +297,73 @@ class _Siblings:
 
     Child i is lane i: the 2^n positions from bit i*2^n, n = k + 1, every
     vertex a bit of the position (no high blocks), whose planes are
-    ``_subset_planes(n)`` replicated over the lanes by one multiply.  The parent's neighbour entries flood unmasked, and each edge
-    vk is masked by the lanes whose child has it.  ``top(size)`` gives each
-    lane's largest c at once: a lane's block of ``levels[c - 2] & W_s`` is
-    folded to its first bit, from the largest c down, and each lane takes
-    the first c it is found at.  ``lane(i)`` is child i's view.
+    ``_subset_planes(n)`` replicated over the lanes by one multiply.  The
+    parent's neighbour entries flood unmasked, and each edge vk is masked
+    by the lanes whose child has it.  ``tops[size]`` gives every lane's
+    largest c at once (``_fold``), and ``lane(i)`` is child i's view.  A
+    child neither complete nor edgeless has n >= 3, so a lane spans whole
+    bytes.
     """
 
     def __init__(self, parent: Graph, children: Sequence[Graph]):
         k = parent.n
         n = self.n = k + 1
         span = 1 << n
-        bounds = [_window_bounds(child) for child in children]
-        self.most = max(hi for _, hi in bounds)
+        stride = span >> 3  # bytes per lane
+        masks = [child.adj[k] for child in children]
+        # a child's least degree: its new vertex's, or the parent's, plus one
+        # if the mask holds every vertex of the parent's least degree
+        degrees = [row.bit_count() for row in parent.adj]
+        least = min(degrees)
+        lows = sum(1 << x for x, d in enumerate(degrees) if d == least)
+        deltas = [min(m.bit_count(), least + (m & lows == lows)) for m in masks]
+        floor = _window_bounds(n, min(deltas), 2)[0]  # c0 >= 2: no child is complete
+        self.most = _window_bounds(n, max(deltas), 2)[1]
         #: bit i*2^n for each lane i: multiplying by it replicates a lane
-        self.ones = sum(1 << i * span for i in range(len(children)))
+        self.ones = ones = int.from_bytes((1).to_bytes(stride, "little") * len(children), "little")
         planes, weights = _subset_planes(n)
         window = 0
-        for j in range(min(lo for lo, _ in bounds), self.most + 1):
+        for j in range(floor, self.most + 1):
             window |= weights[j]
-        rest = [(plane & window) * self.ones for plane in planes]
-        joined = [0] * k  # bit i*2^n set iff child i has the edge vk
-        for i, child in enumerate(children):
-            for v in _bits(child.adj[k]):
-                joined[v] |= 1 << i * span
-        lanes = [(v, bits * ((1 << span) - 1)) for v, bits in enumerate(joined) if bits]
+        rest = [(plane & window) * ones for plane in planes]
+        # lane i of ``joins`` holds child i's mask, so bit v of each lane
+        # shifts to the lane's first bit, and a lane's first bit b fills its
+        # block as (b << 2^n) - b
+        joins = int.from_bytes(b"".join([m.to_bytes(stride, "little") for m in masks]), "little")
+        lanes = []  # (v, the blocks of the lanes whose child has the edge vk)
+        for v in range(k):
+            first = joins >> v & ones
+            if first:
+                lanes.append((v, (first << span) - first))
         masked = [[] for _ in range(k)] + [lanes]
         for v, mask in lanes:
             masked[v].append((k, mask))
         self.levels = _peel([list(_bits(row)) for row in parent.adj] + [[]], rest, masked)
-        self.tops: dict[int, list[int]] = {}
+        self.tops = _Tops(self._fold)
 
-    def top(self, size: int) -> list[int]:
-        """The largest c(G - S) >= 2 over the s-sets of each lane (0 if none
-        separates)."""
-        tops = self.tops.get(size)
-        if tops is None:
-            if size > self.most:
-                raise CrossCheckError(f"size {size} lies past every sibling's s_max")
-            n, left = self.n, self.ones
-            tops = self.tops[size] = [0] * left.bit_count()
-            weight = _subset_planes(n)[1][size] * left
-            for k in range(len(self.levels) - 1, -1, -1):
-                x = self.levels[k] & weight
-                shift = 1 << n
-                while shift > 1:
-                    shift >>= 1
-                    x |= x >> shift
-                x &= left
-                for b in _positions(x):
-                    tops[b >> n] = k + 2
-                left ^= x
-                if not left:
-                    break
-        return tops
+    def _fold(self, size: int) -> bytes:
+        """Each lane's largest c(G - S) >= 2 over the s-sets (0 if none
+        separates).  Level k's block of each lane, ``levels[k] & W_s``, is
+        folded to the lane's first bit; the levels are nested (c >= k + 3
+        implies c >= k + 2), so a lane's largest c is 1 + the number of
+        levels it is found at, and adding the folded levels counts them in
+        the lane's first byte."""
+        if size > self.most:
+            raise CrossCheckError(f"size {size} lies past every sibling's s_max")
+        n, ones = self.n, self.ones
+        weight = _subset_planes(n)[1][size] * ones
+        hits = 0
+        for level in self.levels:
+            x = level & weight
+            if not x:
+                break
+            shift = 1 << n
+            while shift > 1:
+                shift >>= 1
+                x |= x >> shift
+            hits += x & ones
+        stride = 1 << n - 3  # bytes per lane
+        return hits.to_bytes(stride * ones.bit_count(), "little")[::stride].translate(_HITS_TO_TOP)
 
     def lane(self, i: int) -> "_Lane":
         return _Lane(self, i)
@@ -336,22 +371,26 @@ class _Siblings:
 
 class _Lane(_Counts):
     """Child i of a ``_Siblings``: its tops from the sibling fold, and its
-    separators from its own block of the levels, shifted out when first
-    listed."""
+    separators from its own block of the levels, each level shifted out
+    the first time a listing reads it."""
 
     def __init__(self, siblings: _Siblings, i: int):
         self.n, self.siblings, self.i = siblings.n, siblings, i
-        self.levels: list[int] | None = None
+        self.tops = siblings.tops
+        self.shifted: dict[int, int] = {}
 
-    def top(self, size: int) -> int:
-        return self.siblings.top(size)[self.i]
-
-    def _layer(self, size: int) -> list[tuple[int, list[int], int]]:
-        if self.levels is None:
-            span = 1 << self.n
-            block, at = (1 << span) - 1, self.i * span
-            self.levels = [levels >> at & block for levels in self.siblings.levels]
-        return [(0, self.levels, _subset_planes(self.n)[1][size])]
+    def _layer(self, size: int, least: int = 2) -> list[tuple[int, list[int], int]]:
+        """One block: the levels least - 2 .. top - 2 that a listing reads,
+        zeros below them (unread), and none past the top, which is empty at
+        this size."""
+        span, shifted, levels = 1 << self.n, self.shifted, self.siblings.levels
+        reads = []
+        for k in range(least - 2, self.tops[size][self.i] - 1):
+            level = shifted.get(k)
+            if level is None:
+                level = shifted[k] = levels[k] >> self.i * span & (1 << span) - 1
+            reads.append(level)
+        return [(0, [0] * (least - 2) + reads, _subset_planes(self.n)[1][size])]
 
 
 def _tough_pass(
@@ -374,7 +413,7 @@ def _tough_pass(
     for size in sweep:
         if size * q > p * (n - size):
             break
-        c = sweep.top(size)
+        c = sweep.tops[size][sweep.i]
         if size * q < p * c:
             p, q = size, c
         if c:

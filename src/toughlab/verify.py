@@ -15,10 +15,12 @@ computed verdict and the predicted family codes disagree.
 Everything is driven off canonical codes, kept as graph6 text, so that
 reports are byte-identical across runs and print the code itself.  The
 census keeps one graph per class, in the order of canon's sorted codes,
-and a code's record is found by bisecting them.  Membership in the four
-hereditary classes (P4-free, co-chordal, net-free co-chordal, co-forest)
-comes from one flag table per order, each record's flags from its
-canonical parent's plus one test anchored at its last vertex (``_flags``).
+and a code's record is found by bisecting them.  Membership in every
+classified class comes from one table of six flag bits per order (P4-free,
+co-chordal, net-free co-chordal, co-forest, complete multipartite, has a
+universal vertex), each record's flags from its canonical parent's plus
+one test anchored at its last vertex (``_flags``); only the co-diameter of
+COCHORDAL_GE3 is read per record.
 The minimal-toughness verdicts come from one table per order, filled
 parent by parent as codes are asked for, each parent's children the lanes
 of one flood (``_verdicts``); a code's verdict is found by bisecting, as
@@ -40,13 +42,14 @@ from .classes import (
     complete_multipartite_parts,
     has_co_cycle_through,
     has_co_hole_through,
+    has_co_p3_through,
     has_net_through,
     has_p4_through,
-    is_complete_multipartite,
 )
 from .classes import (  # read by perfbench/traced.py
     is_co_chordal,
     is_complement_of_forest,
+    is_complete_multipartite,
     is_net_free,
     is_p4_free,
 )
@@ -54,12 +57,8 @@ from .connectivity import _component_masks, co_diameter
 from .families import Family, FamilySpec, make_named
 from .graph6 import parse_graph6, write_graph6  # read by perfbench/traced.py
 from .graphs import MAX_VERTICES, Graph
-from .mintough import (
-    CrossCheckError,
-    _criterion_holds,
-    is_nontrivially_minimally_tough,
-    universal_vertices,
-)
+from .mintough import CrossCheckError, _criterion_holds, is_nontrivially_minimally_tough
+from .mintough import universal_vertices  # read by perfbench/traced.py
 from .toughness import Toughness, _Siblings, format_toughness, toughness
 
 DEFAULT_N_MAX = 8
@@ -79,18 +78,19 @@ def _census(n: int) -> tuple[Graph, ...]:
     return tuple(enumerate_graphs(n))  # in census_codes(n) order
 
 
-#: the class flags of a census record, one bit per hereditary class
+#: the class flags of a census record, one bit per class
 _P4_FREE, _CO_CHORDAL, _NET_FREE_CO_CHORDAL, _CO_FOREST = 1, 2, 4, 8
+_COMPLETE_MULTIPARTITE, _HAS_UNIVERSAL = 16, 32
 
 
 @lru_cache(maxsize=None)
 def _flags(n: int) -> bytes:
     """The class flags of the census records on n vertices, in census order.
 
-    Each class is hereditary and each record minus its last vertex v = n - 1
-    is its canonical parent (see ``canon``), so a record is in a class iff
-    its parent is and no forbidden structure passes through v (one that
-    misses v lies in the parent).  The null graph is in every class.
+    Each record minus its last vertex v = n - 1 is its canonical parent P
+    (see ``canon``).  The first five classes are hereditary, so a record is
+    in one iff its parent is and no forbidden structure passes through v
+    (one that misses v lies in the parent).  The null graph is in each.
 
     - P4-free: no induced P_4 through v.
     - co-chordal: no hole through v in the complement.
@@ -98,9 +98,17 @@ def _flags(n: int) -> bytes:
       through v.  A co-chordal record has a co-chordal parent, which is then
       net-free iff it is net-free co-chordal.
     - co-forest: no cycle through v in the complement.
+    - complete multipartite: no induced K1+K2 through v.
+    - has a universal vertex: v is universal, since a minimal labelling
+      puts a universal vertex last.  Were u universal at position i < v,
+      moving u last would keep the columns before i.  Column i, u's, is all
+      ones, so the moved labelling's column i, no larger, must equal it: the
+      vertex after u is adjacent to all before it, u too, so its column is
+      all ones as well; and so on up to v.
     """
     if n == 0:
-        return bytes([_P4_FREE | _CO_CHORDAL | _NET_FREE_CO_CHORDAL | _CO_FOREST])
+        return bytes([_P4_FREE | _CO_CHORDAL | _NET_FREE_CO_CHORDAL | _CO_FOREST
+                      | _COMPLETE_MULTIPARTITE])
     up = _flags(n - 1)
     v = n - 1
     out = bytearray()
@@ -114,6 +122,10 @@ def _flags(n: int) -> bytes:
                 flags |= _NET_FREE_CO_CHORDAL
         if have & _CO_FOREST and not has_co_cycle_through(g, v):
             flags |= _CO_FOREST
+        if have & _COMPLETE_MULTIPARTITE and not has_co_p3_through(g, v):
+            flags |= _COMPLETE_MULTIPARTITE
+        if g.adj[v] == (1 << v) - 1:
+            flags |= _HAS_UNIVERSAL
         out.append(flags)
     return bytes(out)
 
@@ -141,10 +153,15 @@ def _verdicts(n: int) -> tuple[bytearray, dict[int, array]]:
     undecided: dict[int, array] = {}
     up = _census(n - 1)
     parts = [_component_masks(p.adj, p.full_mask) for p in up]
+    full = (1 << n - 1) - 1
     for i, (g, parent) in enumerate(zip(_census(n), census_parents(n))):
         mask = g.adj[-1]
-        if all(part & mask for part in parts[parent]) \
-                and not (mask == up[parent].full_mask and up[parent].is_complete()):
+        if mask == full and up[parent].is_complete():
+            continue
+        for part in parts[parent]:
+            if not part & mask:
+                break
+        else:
             table[i] = _UNDECIDED
             undecided.setdefault(parent, array("I")).append(i)
     return table, undecided
@@ -315,9 +332,7 @@ class _Class:
 #: has no such filter)
 _CLASSES: dict[str, _Class] = {
     "p4-free": _Class("P4FREE", lambda c, f: f & _P4_FREE, _BASE, route=_condition3),
-    "complete-multipartite": _Class(
-        "MULTIPARTITE", lambda c, f: is_complete_multipartite(_graph_of(c)), _BASE
-    ),
+    "complete-multipartite": _Class("MULTIPARTITE", lambda c, f: f & _COMPLETE_MULTIPARTITE, _BASE),
     "cochordal-ge3": _Class(
         "COCHORDAL_GE3", lambda c, f: f & _CO_CHORDAL and _codiam_of(c) >= 3, _COCHORDAL
     ),
@@ -325,7 +340,7 @@ _CLASSES: dict[str, _Class] = {
                                 _COCHORDAL),
     "co-forest": _Class("COFOREST", lambda c, f: f & _CO_FOREST, _COFOREST),
     "universal": _Class(
-        "UNIVERSAL_LE_3_2", lambda c, f: universal_vertices(_graph_of(c)).bits, _UNIVERSAL,
+        "UNIVERSAL_LE_3_2", lambda c, f: f & _HAS_UNIVERSAL, _UNIVERSAL,
         kriesell=False, tau_cap=Fraction(3, 2),
     ),
 }

@@ -142,6 +142,7 @@ def test_contains_induced_against_reference():
 _ANCHORED = {
     "has_p4_through": (4, ((0, 1), (1, 2), (2, 3))),
     "has_net_through": (6, tuple(O.NET_EDGES)),
+    "has_co_p3_through": (3, ((0, 1),)),  # K1+K2
 }
 
 
@@ -213,6 +214,7 @@ _THROUGH_TESTS = {
     "has_net_through": is_net_free,
     "has_co_hole_through": _co_chordal_by_search,
     "has_co_cycle_through": is_complement_of_forest,
+    "has_co_p3_through": is_complete_multipartite,
 }
 
 

@@ -447,13 +447,13 @@ def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
     stops only before size 4: the stop is strict."""
     events: list = []
     _record_sweeps(monkeypatch, events)
-    top = toughness_module._Sweep.top
+    top = toughness_module._Sweep._top  # each size's largest c, read once per sweep
 
     def read(self, size):
         events.append(("top", size))
         return top(self, size)
 
-    monkeypatch.setattr(toughness_module._Sweep, "top", read)
+    monkeypatch.setattr(toughness_module._Sweep, "_top", read)
     g = _named(text)
     verdict = is_minimally_tough_by_definition(g)
     assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH

@@ -223,7 +223,7 @@ def _check_sweep(g: Graph, sizes) -> None:
                 want.append((size, sum(1 << x for x in s), c))
     assert got == sorted(want)
     for size in sizes:
-        assert sweep.top(size) == max((c for s, _, c in want if s == size), default=0)
+        assert sweep.tops[size][sweep.i] == max((c for s, _, c in want if s == size), default=0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 7, 9, 10, 11, 12, 13, 16, 17, 18])
@@ -324,7 +324,7 @@ def test_sibling_lanes_of_random_parents_match_oracle(family):
                 if c >= 2:
                     want.append((sum(1 << x for x in s), c))
             assert lane.separators(size) == sorted(want), (i, size)
-            assert lane.top(size) == max((c for _, c in want), default=0), (i, size)
+            assert lane.tops[size][lane.i] == max((c for _, c in want), default=0), (i, size)
         p, q, _, _ = _tough_pass(g, lane)
         assert Fraction(p, q) == ref_toughness(g.n, edges), i
         assert _criterion_holds(g, lane) == ref_is_minimally_tough(g.n, edges), i

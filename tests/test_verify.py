@@ -7,7 +7,13 @@ from functools import lru_cache
 import pytest
 
 from toughlab.canon import canonical_code, census_codes, enumerate_graphs
-from toughlab.classes import find_induced_cycle, is_complement_of_forest, is_net_free, is_p4_free
+from toughlab.classes import (
+    find_induced_cycle,
+    is_complement_of_forest,
+    is_complete_multipartite,
+    is_net_free,
+    is_p4_free,
+)
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import MAX_VERTICES, Graph, complement
@@ -15,6 +21,7 @@ from toughlab.mintough import (
     MinToughStatus,
     is_minimally_tough_by_criterion,
     is_nontrivially_minimally_tough,
+    universal_vertices,
 )
 from toughlab.verify import (
     KRIESELL_CLASS_FILTERS,
@@ -188,6 +195,8 @@ _FLAG_TESTS = {
     "co-chordal": (2, _co_chordal),
     "net-free co-chordal": (4, lambda g: _co_chordal(g) and is_net_free(g)),
     "co-forest": (8, is_complement_of_forest),
+    "complete multipartite": (16, is_complete_multipartite),
+    "universal vertex": (32, lambda g: bool(universal_vertices(g).bits)),
 }
 
 
@@ -210,19 +219,24 @@ def _flag_counts(n: int) -> dict[str, int]:
 def test_class_flags_match_the_recognizers():
     import toughlab.verify as verify
 
-    assert (verify._P4_FREE, verify._CO_CHORDAL, verify._NET_FREE_CO_CHORDAL,
-            verify._CO_FOREST) == tuple(bit for bit, _ in _FLAG_TESTS.values())
+    assert (verify._P4_FREE, verify._CO_CHORDAL, verify._NET_FREE_CO_CHORDAL, verify._CO_FOREST,
+            verify._COMPLETE_MULTIPARTITE, verify._HAS_UNIVERSAL) \
+        == tuple(bit for bit, _ in _FLAG_TESTS.values())
     for n in range(8):
         _flag_counts(n)
-    # P4-free: A000084; co-chordal: A048192; co-forest: A005195
+    # P4-free: A000084; co-chordal: A048192; co-forest: A005195; complete
+    # multipartite: the partitions of 8; a universal vertex: the 1,044
+    # graphs on 7 vertices, each joined to it
     assert _flag_counts(8) == {"p4-free": 522, "co-chordal": 2119,
-                               "net-free co-chordal": 1992, "co-forest": 76}
+                               "net-free co-chordal": 1992, "co-forest": 76,
+                               "complete multipartite": 22, "universal vertex": 1044}
 
 
 @pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"), reason="set TOUGHLAB_SLOW=1 (n = 9 census)")
 def test_class_flags_match_the_recognizers_9():
     counts = _flag_counts(9)
     assert (counts["p4-free"], counts["co-chordal"], counts["co-forest"]) == (1532, 14524, 153)
+    assert (counts["complete multipartite"], counts["universal vertex"]) == (30, 12346)
 
 
 def _verdict_hits(n: int) -> int:
