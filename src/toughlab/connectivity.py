@@ -54,7 +54,7 @@ def _component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
 
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by their least vertex."""
-    return [VertexSet(m, g.n) for m in _component_masks(g.adj, g.full_mask)]
+    return [VertexSet._trusted(m, g.n) for m in _component_masks(g.adj, g.full_mask)]
 
 
 def component_count_without(g: Graph, removed: VertexSet | Iterable[int]) -> int:

@@ -42,6 +42,17 @@ class VertexSet:
             raise ValueError("vertex-set bits outside universe")
 
     @classmethod
+    def _trusted(cls, bits: int, universe: int) -> "VertexSet":
+        """The set with ``bits``, unchecked.  Only for bits the program built
+        from a valid graph's own masks on ``universe`` vertices (a separator,
+        a component, a row); bits from anywhere else go through the checks
+        of ``__post_init__``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "bits", bits)
+        object.__setattr__(s, "universe", universe)
+        return s
+
+    @classmethod
     def from_vertices(cls, vertices: Iterable[int], universe: int) -> "VertexSet":
         mask = 0
         for v in vertices:

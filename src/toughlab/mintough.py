@@ -7,9 +7,9 @@ NON_TRIVIAL: connected, non-complete, every edge deletion strictly drops t.
 
 Two independent deciders:
 
-* by definition — compare t(G-e) (``toughness``) with t for every
-  single-edge deletion; t(G-e) = t keeps the edge, and t(G-e) > t is a
-  rise, which edge deletion cannot cause;
+* by definition — compare t(G-e) with t for every single-edge deletion;
+  t(G-e) = t keeps the edge, and t(G-e) > t is a rise, which edge deletion
+  cannot cause;
 * by edge criterion — an edge uv is deletable-without-dropping unless
   (cond1) its local connectivity is below 2t+1, or (cond2) some separator S
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
@@ -22,7 +22,11 @@ before the first size s with s/(n-s) > t) gives t and every S with
 |S| < t*(c(G-S)+1), ascending by (size, bitmask), and each edge takes the
 first that avoids u and v and separates them in G-uv.  A witness keeps uv
 in G-S, so c(G-S) <= n-|S|-1, |S| < t*(n-|S|), and none lies past the stop.
-The criterion decider lists every witness, kappa by max-flow included.
+The criterion decider lists every witness, kappa included: kappa(G) <=
+kappa(u,v) <= min(deg u, deg v) for an edge, so kappa(u,v) is kappa(G), the
+least size of the pass with a separator, wherever an end's degree is
+kappa(G), and a max-flow elsewhere.
+
 The boolean ``is_nontrivially_minimally_tough`` needs only the verdict,
 whatever the edge order, so it tries the cheapest proof first: a degree
 or common-neighbour bound on kappa, then a size bound on cond2 (every
@@ -30,6 +34,18 @@ witness of uv holds N(u) & N(v)), then the separators, listed once, and a
 max-flow last.  Its pass and per-edge loop (``_criterion_holds``) read the
 graph's own sweep or, for the census, its lane of one flood over all
 children of its canonical parent (``toughness._Siblings``).
+
+The definition decider floods G's sweep once and certifies each verdict by
+direct counts or by a full sweep.  For an edge uv, c(G-uv-S) differs from
+c(G-S), by one, only where S misses u and v and uv is a bridge of G-S, so
+t(G-uv) is read from G's sweep by one bridge flood per edge
+(``toughness._Bridged``).  The flood only proposes: a drop, t(G-uv) < t, is
+certified by recounting its S on G-uv's rows, and is kept as a witness that
+later edges try first, each by one direct count.  An edge with no drop
+fails once ``toughness`` of G-uv, the only ``Graph`` the decider builds,
+confirms t(G-uv) = t.  Neither decider reads the other's kernels: the
+criterion reads no bridge flood, and the definition no separator listing or
+max-flow.
 
 The criterion decider refuses nothing: disconnected non-edgeless inputs get
 t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
@@ -43,11 +59,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .canon import canonical_code
-from .connectivity import _flood, distances, local_connectivity
+from .connectivity import _component_count, _flood, distances, local_connectivity
 from .families import Family, FamilySpec, make_named
 from .graph6 import write_graph6
 from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
-from .toughness import Toughness, _Counts, _separator_masks, _tough_pass, format_toughness, toughness
+from .toughness import (Toughness, _Bridged, _Counts, _separator_masks, _tough_pass,
+                        format_toughness, toughness)
 
 
 class MinToughStatus(Enum):
@@ -77,16 +94,37 @@ class EdgeWitness:
 
 
 def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
-    """Compare t(G-e) with t(G) for every edge e, in lexicographic order."""
+    """Compare t(G-e) with t(G) for every edge e, in lexicographic order,
+    each t(G-e) read from G's sweep and certified as the module docstring
+    says."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g))
-    t = toughness(g)
+    p, q, sweep, _ = _tough_pass(g)
+    t = Fraction(p, q)
+    last = max(sweep.tops)  # the last size the pass read
+    full = g.full_mask
+    drops: list[int] = []  # the S that showed a drop on an earlier edge
     for u, v in g.edges():
+        ends = (1 << u) | (1 << v)
+        adj = list(g.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        if any(not s & ends and s.bit_count() * q < p * (c := _component_count(adj, full ^ s))
+               and c >= 2 for s in drops):
+            continue
+        p_e, q_e, bridged, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
+        if p_e * q < p * q_e:
+            s = bridged.found[p_e][1]
+            if s & ends or s.bit_count() != p_e or _component_count(adj, full ^ s) != q_e:
+                raise CrossCheckError(f"the bridge flood's drop at {(u, v)} does not recount")
+            drops.append(s)
+            continue
         t_e = toughness(delete_edge(g, u, v))
         if t_e > t:  # edge deletion can never raise toughness
             raise CrossCheckError(f"deleting {(u, v)} raised toughness from {t} to {t_e}")
-        if t_e == t:
-            return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, (u, v))
+        if t_e < t:
+            raise CrossCheckError(f"the bridge flood missed the drop to {t_e} at {(u, v)}")
+        return MinToughVerdict(MinToughStatus.NOT_MIN_TOUGH, t, (u, v))
     return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t)
 
 
@@ -113,7 +151,7 @@ def cond2_candidates(g: Graph, u: int, v: int) -> Iterator[VertexSet]:
     if not g.has_edge(u, v):
         raise ValueError("cond2 candidates are defined for edges")
     for mask in _uv_separators(g, _separator_masks(g), u, v):
-        yield VertexSet(mask, g.n)
+        yield VertexSet._trusted(mask, g.n)
 
 
 def _cond2_masks(p: int, q: int, sweep: _Counts, tops: list[tuple[int, int]]) -> list[int]:
@@ -130,14 +168,19 @@ def _cond2_masks(p: int, q: int, sweep: _Counts, tops: list[tuple[int, int]]) ->
     return masks
 
 
-def _edge_witnesses(g: Graph, p: int, q: int, separators: list[int]) -> Iterator[EdgeWitness]:
+def _edge_witnesses(
+    g: Graph, p: int, q: int, kappa_g: int, separators: list[int]
+) -> Iterator[EdgeWitness]:
     """The criterion at t = p/q, edge by edge in lexicographic order:
     kappa(u,v) with cond1, and the first of the cond2 ``separators`` that
-    avoids u and v and separates them in G-uv."""
+    avoids u and v and separates them in G-uv.  kappa(G) <= 1 + kappa(G-uv)
+    <= kappa(u,v) <= min(deg u, deg v), so kappa(u,v) = ``kappa_g``, kappa(G),
+    with no max-flow where an end's degree is kappa(G)."""
+    degrees = g.degrees()
     for u, v in g.edges():
-        kappa = local_connectivity(g, u, v)
+        kappa = kappa_g if min(degrees[u], degrees[v]) == kappa_g else local_connectivity(g, u, v)
         hit = next(_uv_separators(g, separators, u, v), None)
-        separator = None if hit is None else VertexSet(hit, g.n)
+        separator = None if hit is None else VertexSet._trusted(hit, g.n)
         yield EdgeWitness((u, v), kappa, kappa * q < 2 * p + q, hit is not None, separator)
 
 
@@ -147,7 +190,9 @@ def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[Edg
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
     p, q, sweep, tops = _tough_pass(g)
     t = Fraction(p, q)
-    witnesses = list(_edge_witnesses(g, p, q, _cond2_masks(p, q, sweep, tops)))
+    separators = _cond2_masks(p, q, sweep, tops)
+    kappa_g = tops[0][0]  # the least size with a separator
+    witnesses = list(_edge_witnesses(g, p, q, kappa_g, separators))
     failing = next((w.edge for w in witnesses if not w.cond1 and not w.cond2), None)
     if failing is None:
         return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses
@@ -245,7 +290,7 @@ def universal_vertices(g: Graph) -> VertexSet:
     for v in range(g.n):
         if g.adj[v] == full ^ (1 << v):
             bits |= 1 << v
-    return VertexSet(bits, g.n)
+    return VertexSet._trusted(bits, g.n)
 
 
 # -- shortcuts and spot checks ---------------------------------------------------

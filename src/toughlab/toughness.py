@@ -40,6 +40,16 @@ G - N(v), beside a non-neighbour), and a sibling lane is sized from that
 bound and its child's least degree, read from the parent's degrees and the
 child's mask, so sizing a lane floods nothing.
 
+Every flood is one grow loop, ``_grow``: it spreads seeded components over
+all positions at once until a pass changes nothing.  ``_peel`` seeds each
+round at every position's least vertex left and removes what grew, and a
+round that leaves some position untouched raises ``CrossCheckError``.  The
+bridge flood (``_Bridged``) grows once, from u over the planes of G's sweep
+with the edge uv left out: where it misses v, uv is a bridge of G - S and
+c(G - uv - S) = c(G - S) + 1, and elsewhere the counts are equal, so the
+definition decider reads each t(G - uv) from G's levels with no sweep of
+its own.
+
 The census floods the children of one canonical parent together
 (``_Siblings``).  Siblings share every edge of the parent and differ only
 in the edges to the new vertex, so each child is a lane of 2^n positions
@@ -107,6 +117,37 @@ def _blocks(high: int, least: int, most: int) -> tuple[int, ...]:
     return tuple(sorted(sum(1 << k for k in ks) for ks in sets))
 
 
+def _grow(
+    nbrs: list[list[int]],
+    rest: list[int],
+    comp: list[int],
+    masked: list[list[tuple[int, int]]] | None,
+    order: list[int],
+) -> None:
+    """Grow each comp[v] in place, over all positions at once, to the
+    positions at which v is in G - S and joined to a seeded vertex: passes
+    over the vertices in ``order``, reversed in place after each pass, each
+    reading the planes it has already grown, until a pass changes nothing.
+    ``nbrs`` and ``masked`` are as for ``_peel``."""
+    grown = True
+    while grown:
+        grown = False
+        for v in order:
+            r = rest[v]
+            if r:
+                x = y = comp[v]
+                for u in nbrs[v]:
+                    y |= comp[u]
+                if masked:
+                    for u, lanes in masked[v]:
+                        y |= comp[u] & lanes
+                y &= r
+                if y != x:
+                    comp[v] = y
+                    grown = True
+        order.reverse()
+
+
 def _peel(
     nbrs: list[list[int]], rest: list[int], masked: list[list[tuple[int, int]]] | None = None
 ) -> list[int]:
@@ -120,10 +161,10 @@ def _peel(
     graph has none).
 
     Each round seeds the component of every position at its least vertex
-    left and floods it by passes over the vertices, alternately forward and
-    backward, each reading the planes it has already grown, until a pass
-    changes nothing; then it removes that component.  The positions with a
-    vertex left when round r starts are those with c(G - S) >= r."""
+    left, grows it (``_grow``) and removes it.  The positions with a vertex
+    left when round r starts are those with c(G - S) >= r.  A round that
+    leaves some position with a vertex left untouched raises
+    ``CrossCheckError``, so a wrong seed cannot repeat rounds forever."""
     alive_at: list[int] = []
     order = list(range(len(rest)))
     while True:
@@ -134,25 +175,13 @@ def _peel(
         if not alive:
             return alive_at[1:]
         alive_at.append(alive)
-        grown = True
-        while grown:
-            grown = False
-            for v in order:
-                r = rest[v]
-                if r:
-                    x = y = comp[v]
-                    for u in nbrs[v]:
-                        y |= comp[u]
-                    if masked:
-                        for u, lanes in masked[v]:
-                            y |= comp[u] & lanes
-                    y &= r
-                    if y != x:
-                        comp[v] = y
-                        grown = True
-            order.reverse()
+        _grow(nbrs, rest, comp, masked, order)
+        removed = 0
         for v, x in enumerate(comp):
             rest[v] ^= x
+            removed |= x
+        if removed != alive:
+            raise CrossCheckError(f"flood round {len(alive_at)} left a position untouched")
 
 
 def _window_bounds(n: int, delta: int, c0: int) -> tuple[int, int]:
@@ -240,8 +269,9 @@ class _Sweep(_Counts):
         lo, hi = (self.floor, self.s_max) if size <= self.s_max else (self.s_max + 1, self.n - 2)
         return lo, hi, self.windows.setdefault(lo, {})
 
-    def _flood(self, lo: int, hi: int, block: int) -> list[int]:
-        """The levels of block H over the positions with lo <= |S| <= hi."""
+    def _rest(self, lo: int, hi: int, block: int) -> list[int]:
+        """The planes of block H over the positions with lo <= |S| <= hi:
+        bit S of entry v is set iff v is in G - S."""
         low, weight = self.low, block.bit_count()
         planes, weights = _subset_planes(low)
         span = 0
@@ -249,7 +279,11 @@ class _Sweep(_Counts):
             span |= weights[j]
         rest = [plane & span for plane in planes]
         rest += [0 if block >> k & 1 else span for k in range(self.n - low)]
-        return _peel(self.nbrs, rest)
+        return rest
+
+    def _flood(self, lo: int, hi: int, block: int) -> list[int]:
+        """The levels of block H over the positions with lo <= |S| <= hi."""
+        return _peel(self.nbrs, self._rest(lo, hi, block))
 
     def _layer(self, size: int, least: int = 2) -> list[tuple[int, list[int], int]]:
         """(high bits, levels, weight class) of each block holding s-sets,
@@ -283,6 +317,72 @@ def _sweep(g: Graph) -> _Sweep:
     """The separator sweep of g: iterating it gives the sizes 0..n-2,
     ascending, and nothing is flooded until a size is read."""
     return _Sweep(g)
+
+
+def _bridge_positions(nbrs: list[list[int]], rest: list[int], u: int, v: int) -> int:
+    """The positions S with u and v in G - S at which no path over ``nbrs``
+    (the neighbour lists of G - uv) joins u to v: there uv is a bridge of
+    G - S.  One grow of the component of u, seeded at every such S."""
+    comp = [0] * len(rest)
+    comp[u] = ends = rest[u] & rest[v]
+    _grow(nbrs, rest, comp, None, list(range(len(rest))))
+    return ends ^ comp[v]
+
+
+class _Bridged(_Counts):
+    """The component counts of G - uv that a bounded pass reads, from the
+    sweep of G after G's own pass has read the sizes 0..last.
+
+    c(G - uv - S) = c(G - S) + 1 where S misses u and v and uv is a bridge
+    of G - S, and c(G - S) elsewhere, so one bridge flood from u over the
+    positions S that miss u and v (``_bridge_positions``), block by block
+    and on the planes of G's sweep, gives each size's largest c: G's top,
+    or 1 + the largest c(G - S) at the size's bridge positions, read from
+    G's levels.  The flood covers the sizes [floor - 2, last] only: G - uv
+    has least degree at least delta - 1, so no separator below floor - 2,
+    and its pass reads no size past G's, since its best ratio is never
+    above G's at any prefix.  Reading a size past ``last`` raises
+    ``CrossCheckError``.  ``found[size]`` holds (the largest
+    c(G - uv - S) at that size's bridge positions, the least such S)."""
+
+    def __init__(self, sweep: _Sweep, u: int, v: int, last: int):
+        if last > sweep.s_max:
+            raise CrossCheckError(f"the pass read size {last}, past s_max = {sweep.s_max}")
+        self.n, self.sweep, self.last = sweep.n, sweep, last
+        low = sweep.low
+        lo = max(sweep.floor - 2, 0)
+        nbrs = list(sweep.nbrs)
+        nbrs[u] = [x for x in nbrs[u] if x != v]
+        nbrs[v] = [x for x in nbrs[v] if x != u]
+        ends = (1 << u) | (1 << v)
+        weights = _subset_planes(low)[1]
+        built = sweep.windows.get(sweep.floor, {})  # G's levels, block by block
+        self.found: dict[int, tuple[int, int]] = {}
+        for block in _blocks(self.n - low, max(lo - low, 0), min(last, self.n - low)):
+            high = block << low
+            if high & ends:
+                continue
+            bridges = _bridge_positions(nbrs, sweep._rest(lo, last, block), u, v)
+            if not bridges:
+                continue
+            levels, weight = built.get(block, ()), block.bit_count()
+            for size in range(max(lo, weight), min(last, weight + low) + 1):
+                x = bridges & weights[size - weight]
+                if not x:
+                    continue
+                k = len(levels)  # c(G - S) = k + 1 at the bridge positions of levels[k - 1]
+                while k and not levels[k - 1] & x:
+                    k -= 1
+                if k:
+                    x &= levels[k - 1]
+                if k + 2 > self.found.get(size, (0,))[0]:
+                    self.found[size] = (k + 2, high | (x & -x).bit_length() - 1)
+        self.tops = _Tops(self._top)
+
+    def _top(self, size: int) -> list[int]:
+        if size > self.last:
+            raise CrossCheckError(f"the pass of G - uv read size {size}, past G's {self.last}")
+        return [max(self.sweep.tops[size][0], self.found.get(size, (0,))[0])]
 
 
 #: entry h: the largest c(G - S) of a lane found at h of the levels of a
@@ -398,7 +498,8 @@ def _tough_pass(
 ) -> tuple[int, int, _Counts, list[tuple[int, int]]]:
     """Toughness p/q of a non-complete graph, and where its separators lie.
 
-    Reads ``counts`` (a sibling lane) or, by default, the sweep of g.  Keeps
+    Reads ``counts`` (a sibling lane, or G - uv read from the sweep of G,
+    ``_Bridged``) or, by default, the sweep of g.  Keeps
     the least ratio |S|/c(G-S) as integers p/q, from each size's largest c,
     and stops before the first size s with s*q > p*(n-s).  Returns p, q,
     the counts read and (size, largest c) for each size read that has a
@@ -438,7 +539,7 @@ def iterate_separators(g: Graph) -> Iterator[VertexSet]:
     Yields the empty set first when g is disconnected.  Complete graphs
     (including K_0 and K_1) have no separators.
     """
-    return (VertexSet(mask, g.n) for mask in _separator_masks(g))
+    return (VertexSet._trusted(mask, g.n) for mask in _separator_masks(g))
 
 
 def toughness(g: Graph) -> Toughness:
@@ -465,7 +566,7 @@ def tough_separators(g: Graph) -> list[ToughWitness]:
     # p/q attains it iff its c is that largest; at p = 0 only size 0 does
     p, q, sweep, tops = _tough_pass(g)
     return [
-        ToughWitness(VertexSet(mask, g.n), c, Fraction(size, c))
+        ToughWitness(VertexSet._trusted(mask, g.n), c, Fraction(size, c))
         for size, top in tops
         if size * q == p * top
         for mask, c in sweep.separators(size, top)

@@ -379,6 +379,46 @@ def test_line_bytes_frozen(capsys, line_corpus, cmd, fmt):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == _LINE_DIGESTS[cmd][fmt]
 
 
+#: every class on 6 vertices, then named graphs on 11-13 vertices, one per line
+_MINTOUGH_SPECS = ("wheel:12", "turan:12,4", "cycle:13", "doublestar:4,5", "triplestar:3,3,3",
+                   "multipartite:3,4,5", "path:11", "star:10")
+#: ``mintough --method both|definition|criterion`` on that corpus; the table
+#: text and the definition decider's json carry no per-edge witnesses, so
+#: the tsv bytes, and the json bytes of both and criterion, are shared
+_MINTOUGH_TSV = "e54069f11eb0b8d1158b1919640a1aafa99bd16041d4a383b4afba5cbbb84abe"
+_MINTOUGH_JSON = "1f225c40426d89749525d0eb740e3366d98a91f5bcdef0de5c549f2d6ae33422"
+_MINTOUGH_DIGESTS = {
+    ("both", "tsv"): _MINTOUGH_TSV,
+    ("both", "json"): _MINTOUGH_JSON,
+    ("definition", "tsv"): _MINTOUGH_TSV,
+    ("definition", "json"): "71b7156a16a14a2954927bf0977a766b1491221b8c99c18417f238d749b8e3c9",
+    ("criterion", "tsv"): _MINTOUGH_TSV,
+    ("criterion", "json"): _MINTOUGH_JSON,
+}
+
+
+@pytest.fixture(scope="module")
+def mintough_corpus(tmp_path_factory):
+    lines = [write_graph6(g) for g in enumerate_graphs(6)]
+    lines += [write_graph6(make_named(parse_family_spec(s))) for s in _MINTOUGH_SPECS]
+    text = "".join(line + "\n" for line in lines)
+    assert len(lines) == 164
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "28cab0f6cbf7532cc0a70bd37fd59b7f0ad84e7244afa0b4bec78587bc92fcca")
+    path = tmp_path_factory.mktemp("mintough") / "corpus.g6"
+    path.write_text(text, encoding="ascii")
+    return str(path)
+
+
+@pytest.mark.parametrize("method, fmt", list(_MINTOUGH_DIGESTS), ids="-".join)
+def test_mintough_bytes_frozen(capsys, mintough_corpus, method, fmt):
+    """Each decider's per-graph output, witnesses and failing edges
+    included, is byte-identical across changes to either decider."""
+    rc, out, err = _run(capsys, ["mintough", "--method", method, "--format", fmt, mintough_corpus])
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == _MINTOUGH_DIGESTS[method, fmt]
+
+
 def test_verify_exit_code_follows_assertive_reports(capsys, monkeypatch):
     from toughlab import cli
     from toughlab.verify import CoDiamExclusionReport, KriesellReport

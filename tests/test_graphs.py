@@ -53,6 +53,37 @@ def test_vertex_set_empty():
     assert s.vertices() == () and len(s) == 0
 
 
+def test_vertex_set_constructor_refuses_bits_outside_the_universe():
+    for bits, universe in ((8, 3), (-1, 3), (1, 0), (1 << MAX_VERTICES, MAX_VERTICES)):
+        with pytest.raises(ValueError, match="bits outside universe"):
+            VertexSet(bits, universe)
+    assert VertexSet._trusted(5, 3) == VertexSet(5, 3)
+
+
+def test_trusted_vertex_sets_pass_the_public_constructor():
+    """Every set the library builds unchecked from its own masks
+    (``VertexSet._trusted``) is one the public constructor accepts, on
+    every class with n <= 6."""
+    from toughlab.connectivity import components
+    from toughlab.mintough import cond2_candidates, is_minimally_tough_by_criterion, universal_vertices
+    from toughlab.toughness import iterate_separators, tough_separators
+
+    seen = 0
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            sets = [*components(g), universal_vertices(g), *iterate_separators(g)]
+            if not g.is_complete():
+                sets += [w.separator for w in tough_separators(g)]
+                _, witnesses = is_minimally_tough_by_criterion(g)
+                sets += [w.separator for w in witnesses if w.separator is not None]
+            for u, v in g.edges():
+                sets += cond2_candidates(g, u, v)
+            for s in sets:
+                assert s.universe == g.n and VertexSet(s.bits, s.universe) == s, (g, s)
+            seen += len(sets)
+    assert seen == 8815
+
+
 # -- constructors -------------------------------------------------------------
 
 

@@ -437,36 +437,63 @@ def _bounded_pass_sizes(h: Graph) -> list[int]:
     return list(range(stop))
 
 
-@pytest.mark.parametrize("text", ["wheel:8", "turan:10,5", "cycle:9"])
+#: C9 with the chord 0-2: deleting the chord leaves C9, so its failing edge is 0-2
+_CHORDED_C9 = Graph.from_edges(9, _named("cycle:9").edges() + [(0, 2)])
+
+
+@pytest.mark.parametrize("text", ["wheel:8", "turan:10,5", "cycle:9", "chorded-c9"])
 def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
-    """One sweep of G, then one of G-e per edge, each the bounded pass of
-    ``toughness``: every size in order up to the pass's stop and no
-    further, with no mask listed, and no position below a sweep's degree
-    floor 2*delta - n + 2 or past its first window flooded.  Each G-e of
-    C9 is P9, with t = 1/2 = 3/6 at size 3, so its pass reads size 3 and
-    stops only before size 4: the stop is strict."""
+    """One sweep of G, read by one bounded pass of ``toughness``: every
+    size in order up to the pass's stop and no further, with no mask
+    listed, and no position below the degree floor 2*delta - n + 2 or past
+    the first window flooded.  Each edge's bridge flood reads G's planes
+    over [floor - 2, the pass's last size], and the pass of G-e reads no
+    size past G's.  No ``Graph`` is built but the failing edge's G-e."""
+    g = _CHORDED_C9 if text == "chorded-c9" else _named(text)
     events: list = []
     _record_sweeps(monkeypatch, events)
-    top = toughness_module._Sweep._top  # each size's largest c, read once per sweep
+    top, rest, bridged = toughness_module._Sweep._top, toughness_module._Sweep._rest, toughness_module._Bridged._top
+    built: list = []
 
     def read(self, size):
         events.append(("top", size))
         return top(self, size)
 
+    def planes(self, lo, hi, block):
+        events.append(("rest", lo, hi))
+        return rest(self, lo, hi, block)
+
+    def read_e(self, size):
+        events.append(("top-e", size))
+        return bridged(self, size)
+
     monkeypatch.setattr(toughness_module._Sweep, "_top", read)
-    g = _named(text)
+    monkeypatch.setattr(toughness_module._Sweep, "_rest", planes)
+    monkeypatch.setattr(toughness_module._Bridged, "_top", read_e)
+    monkeypatch.setattr(Graph, "__post_init__", lambda h: built.append(h))
     verdict = is_minimally_tough_by_definition(g)
-    assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
-    starts = [i for i, event in enumerate(events) if event[0] == "sweep"]
-    assert [events[i][1] for i in starts] == [g] + [delete_edge(g, u, v) for u, v in g.edges()]
-    for k, (i, j) in enumerate(zip(starts, starts[1:] + [len(events)])):
-        h, segment = events[i][1], events[i + 1 : j]
-        floods = [size for kind, *rest in segment if kind == "flood" for size in rest[1:]]
-        assert floods and min(floods) >= 2 * min(h.degrees()) - h.n + 2, (text, k)
-        assert max(floods) <= _s_max(h), (text, k)
-        tops = [size for kind, *rest in segment if kind == "top" for size in rest]
-        assert tops == _bounded_pass_sizes(h), (text, k)
-        assert all(kind in ("flood", "top") for kind, *_ in segment), (text, k)
+    monkeypatch.undo()
+    if text == "chorded-c9":
+        assert verdict.status is MinToughStatus.NOT_MIN_TOUGH and verdict.failing_edge == (0, 2)
+        assert built == [delete_edge(g, 0, 2)]
+        events = events[: next(i for i, event in enumerate(events[1:], 1) if event[0] == "sweep")]
+    else:
+        assert verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+        assert built == []
+    assert [event for event in events if event[0] == "sweep"] == [("sweep", g)]
+    floor, s_max = max(2 * min(g.degrees()) - g.n + 2, 0), _s_max(g)
+    floods = [event[2] for event in events if event[0] == "flood"]
+    assert floods and min(floods) >= floor and max(floods) <= s_max, text
+    tops = [event[1] for event in events if event[0] == "top"]
+    assert tops == _bounded_pass_sizes(g), text
+    assert not [event for event in events if event[0] == "list"], text
+    # G's flood takes the planes of its first window, each bridge flood those
+    # of [floor - 2, the pass's last size]
+    windows = {event[1:] for event in events if event[0] == "rest"}
+    bridge_window = (max(floor - 2, 0), tops[-1])
+    assert bridge_window in windows and windows <= {(floor, s_max), bridge_window}, text
+    read_e = [event[1] for event in events if event[0] == "top-e"]
+    assert read_e and max(read_e) <= tops[-1], text
 
 
 # -- dominating edges ----------------------------------------------------------------
@@ -630,14 +657,103 @@ def test_classify_universal_vertex_graph_checks_the_name(monkeypatch):
 def test_definition_decider_rejects_toughness_rising_on_deletion(monkeypatch):
     import toughlab.mintough as mintough
 
-    g = _named("cycle:5")
-    # an edge deletion that hands back K5 minus an edge (t = 3/2) for C5
-    # (t = 1) contradicts monotonicity: the sweep of G-e finds no S that
-    # reaches t
+    g = Graph.from_edges(5, _named("cycle:5").edges() + [(0, 2)])
+    # C5 plus a chord has t = 1 and its failing edge is the chord; a
+    # deletion that hands back K5 minus an edge (t = 3/2) there contradicts
+    # monotonicity, and the confirming sweep of G-e finds no S that reaches t
+    assert is_minimally_tough_by_definition(g).failing_edge == (0, 2)
     k5_minus = delete_edge(Graph.complete(5), 0, 1)
     monkeypatch.setattr(mintough, "delete_edge", lambda h, u, v: k5_minus)
     with pytest.raises(mintough.CrossCheckError, match="raised toughness from 1 to 3/2"):
         is_minimally_tough_by_definition(g)
+
+
+def _lowest(x: int) -> int:
+    return x & -x
+
+
+#: a bridge flood that drops one bridge position (or all of them), or that
+#: invents one (or makes every position a bridge)
+_FAULTS = {
+    "drop-one": lambda found, ends: found ^ _lowest(found),
+    "drop-all": lambda found, ends: 0,
+    "invent-one": lambda found, ends: found | _lowest(ends ^ found),
+    "invent-all": lambda found, ends: ends,
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_definition_decider_refuses_a_faulty_bridge_flood(monkeypatch, fault):
+    """The bridge flood only proposes: a drop it finds is recounted on
+    G-e's rows, and an edge it finds no drop at is confirmed by the full
+    sweep of G-e.  So a flood that drops or invents bridge positions makes
+    the decider raise CrossCheckError, or it returns the right verdict."""
+    positions = toughness_module._bridge_positions
+
+    def faulty(nbrs, rest, u, v):
+        return _FAULTS[fault](positions(nbrs, rest, u, v), rest[u] & rest[v])
+
+    graphs = [g for n in range(3, 7) for g in enumerate_graphs(n, connected_only=True)]
+    graphs += [_named(text) for text in ("wheel:8", "turan:10,5", "cycle:9", "triplestar:2,2,2")]
+    want = [is_minimally_tough_by_definition(g) for g in graphs]
+    monkeypatch.setattr(toughness_module, "_bridge_positions", faulty)
+    refused = 0
+    for g, verdict in zip(graphs, want):
+        try:
+            assert is_minimally_tough_by_definition(g) == verdict, g.edges()
+        except toughness_module.CrossCheckError:
+            refused += 1
+    assert refused, fault
+
+
+def test_criterion_deciders_do_not_read_the_bridge_flood(monkeypatch, capsys):
+    """The two deciders stay independent: with the bridge flood broken the
+    criterion deciders still decide, and so does ``verify all``."""
+    import toughlab.mintough as mintough
+    from toughlab.cli import main
+    from toughlab.verify import _graph_of, _mintough, _tau_of
+
+    def broken(*args):
+        raise AssertionError("the criterion route read the bridge flood")
+
+    monkeypatch.setattr(toughness_module, "_bridge_positions", broken)
+    monkeypatch.setattr(toughness_module, "_Bridged", broken)
+    monkeypatch.setattr(mintough, "_Bridged", broken)
+    for n in range(3, 7):
+        for g in enumerate_graphs(n, connected_only=True):
+            verdict, _ = is_minimally_tough_by_criterion(g)
+            nontrivial = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+            assert is_nontrivially_minimally_tough(g) == nontrivial
+    with pytest.raises(AssertionError, match="bridge flood"):
+        is_minimally_tough_by_definition(_named("cycle:5"))
+    for cached in (_graph_of, _mintough, _tau_of):
+        cached.cache_clear()
+    assert main(["verify", "all", "--nmax", "6"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", ["turan:10,5", "cycle:9", "wheel:8", "doublestar:3,4"])
+def test_criterion_decider_takes_kappa_of_g_at_least_degree_ends(monkeypatch, text):
+    """kappa(G) <= kappa(u,v) <= min(deg u, deg v) for an edge uv, so an
+    edge whose least-degree end has degree kappa(G) takes no max-flow, and
+    each witness keeps the exact kappa."""
+    import toughlab.mintough as mintough
+
+    g = _named(text)
+    degrees, kappa_g = g.degrees(), min(size for size, _ in _tough_pass(g)[3])
+    flows = []
+    flow = mintough.local_connectivity
+
+    def recorded(h, u, v):
+        flows.append((u, v))
+        return flow(h, u, v)
+
+    monkeypatch.setattr(mintough, "local_connectivity", recorded)
+    _, witnesses = is_minimally_tough_by_criterion(g)
+    assert not [e for e in flows if min(degrees[e[0]], degrees[e[1]]) == kappa_g], text
+    if text in ("turan:10,5", "cycle:9"):
+        assert flows == []
+    assert [w.kappa for w in witnesses] == [flow(g, *w.edge) for w in witnesses]
 
 
 # -- serialization -----------------------------------------------------------------------

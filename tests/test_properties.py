@@ -1,12 +1,14 @@
 """Property-based differential tests on random graphs.
 
 The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
-toughness and local connectivity on 9-11 vertices, orders past the
-enumerated census (n <= 8), so the checks here reach graphs no exhaustive
-test sees; the common-neighbour bound on local connectivity on 2-12; the census's sibling lanes on random parents with random child
-masks on 8-10 vertices; chordality on 8-10 and 32 vertices, canonical codes
-up to 10 vertices, the enumeration's walk on parents of 5-8 vertices and
-graph6 up to 32.  Examples are derandomized, so every run draws the same graphs.
+toughness and local connectivity on 9-11 vertices, and t(G - uv) from the
+bridge flood on 9-12, orders past the enumerated census (n <= 8), so the
+checks here reach graphs no exhaustive test sees; the common-neighbour bound
+on local connectivity on 2-12; the census's sibling lanes on random parents
+with random child masks on 8-10 vertices; chordality on 8-10 and 32
+vertices, canonical codes up to 10 vertices, the enumeration's walk on
+parents of 5-8 vertices and graph6 up to 32.  Examples are derandomized, so
+every run draws the same graphs.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -21,7 +23,7 @@ from toughlab.classes import is_chordal, is_co_chordal
 from toughlab.connectivity import local_connectivity
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import HEADER, Graph6Error, parse_graph6, write_graph6
-from toughlab.graphs import MAX_VERTICES, Graph, complement, relabel
+from toughlab.graphs import MAX_VERTICES, Graph, complement, delete_edge, relabel
 from toughlab.mintough import (
     MinToughStatus,
     _criterion_holds,
@@ -30,6 +32,7 @@ from toughlab.mintough import (
     is_nontrivially_minimally_tough,
 )
 from toughlab.toughness import (
+    _Bridged,
     _Siblings,
     _sweep,
     _tough_pass,
@@ -124,6 +127,19 @@ def test_criterion_matches_definition(g):
     )
     nontrivial = by_definition.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
     assert is_nontrivially_minimally_tough(g) == nontrivial
+
+
+@_SETTINGS
+@given(st.one_of(random_graphs(9, 12), family_graphs(12), perturbed_graphs(_COND2_GRAPHS)))
+def test_bridge_flood_matches_toughness_of_each_deletion(g):
+    """t(G - uv) read from the sweep of G by one bridge flood per edge is
+    the toughness of the graph G - uv."""
+    if g.is_complete() or g.is_edgeless():
+        return
+    _, _, sweep, _ = _tough_pass(g)
+    for u, v in g.edges():
+        p, q, _, _ = _tough_pass(g, _Bridged(sweep, u, v, max(sweep.tops)))
+        assert Fraction(p, q) == toughness(delete_edge(g, u, v)), (g.edges(), (u, v))
 
 
 @pytest.mark.parametrize("text", _FAILS_ONLY_AT_01)

@@ -10,9 +10,11 @@ from toughlab.canon import enumerate_graphs
 from toughlab.connectivity import is_connected
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec, turan_parts
 import toughlab.toughness as toughness_module
-from toughlab.graphs import CrossCheckError, Graph
+from toughlab.graphs import CrossCheckError, Graph, delete_edge
 from toughlab.toughness import (
     INFINITE_TOUGHNESS,
+    _Bridged,
+    _tough_pass,
     format_toughness,
     is_t_tough,
     iterate_separators,
@@ -256,6 +258,61 @@ def test_bounded_pass_on_32_vertices(spec, t, separators):
     assert [sorted(w.separator) for w in wits] == separators
     assert all(w.ratio == t for w in wits)
     assert peak < 16 * 2**20, peak
+
+
+# -- t(G - uv) from the sweep of G ------------------------------------------------------
+
+
+def _bridged_toughness(g: Graph) -> dict[tuple[int, int], Fraction]:
+    """t(G - uv) for every edge uv, each read by one bridge flood over the
+    sweep of G after G's own pass."""
+    _, _, sweep, _ = _tough_pass(g)
+    last = max(sweep.tops)
+    out = {}
+    for u, v in g.edges():
+        p, q, _, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
+        out[u, v] = Fraction(p, q)
+    return out
+
+
+def test_bridge_flood_matches_toughness_of_each_deletion_up_to_7():
+    edges = 0
+    for n in range(3, 8):
+        for g in enumerate_graphs(n):
+            if g.is_complete() or g.is_edgeless():
+                continue
+            for (u, v), t in _bridged_toughness(g).items():
+                assert t == toughness(delete_edge(g, u, v)), (g, (u, v))
+                edges += 1
+    assert edges == 12_286
+
+
+def _sparse_17() -> Graph:
+    """A seeded G(17, m) on a Hamiltonian path, with 8 more edges."""
+    rng = random.Random(17)
+    edges = {(v, v + 1) for v in range(16)}
+    while len(edges) < 24:
+        u, v = sorted(rng.sample(range(17), 2))
+        edges.add((u, v))
+    return Graph.from_edges(17, sorted(edges))
+
+
+@pytest.mark.parametrize("text", ["cycle:17", "wheel:16", "sparse-17", "wheel:17", "turan:18,3"])
+def test_bridge_flood_in_high_blocks(text):
+    """Past 16 vertices the flood runs block by block on the sweep's
+    planes, skipping the blocks whose high vertices hold u or v."""
+    g = _sparse_17() if text == "sparse-17" else _named(text)
+    assert g.n in (17, 18)
+    for (u, v), t in _bridged_toughness(g).items():
+        assert t == toughness(delete_edge(g, u, v)), (text, (u, v))
+
+
+def test_bridge_flood_refuses_a_size_past_the_pass():
+    g = _named("cycle:9")
+    _, _, sweep, _ = _tough_pass(g)
+    bridged = _Bridged(sweep, 0, 1, max(sweep.tops))
+    with pytest.raises(CrossCheckError, match="past G's"):
+        bridged.tops[max(sweep.tops) + 1]
 
 
 # -- t-tough predicate ----------------------------------------------------------------
