@@ -9,10 +9,8 @@ the classification results on small graphs.
 from .canon import are_isomorphic, canonical_code, canonical_form, enumerate_graphs
 from .classes import (
     CLASS_PREDICATES,
-    CographPartition,
     MultipartiteParts,
     SimplicialPairDecomposition,
-    cograph_partition,
     complete_multipartite_parts,
     contains_induced,
     find_induced_cycle,
@@ -57,26 +55,18 @@ from .graphs import (
     complement,
     delete_edge,
     delete_vertex,
-    disjoint_union,
     induced_subgraph,
     join,
     relabel,
 )
 from .mintough import (
-    DominatingEdgeReport,
     EdgeWitness,
-    JoinConditionReport,
     MinToughStatus,
     MinToughVerdict,
-    check_2t_regular_shortcut,
-    check_join_condition,
-    classify_universal_vertex_graph,
     cond2_candidates,
-    dominating_edges,
     is_minimally_tough_by_criterion,
     is_minimally_tough_by_definition,
     is_nontrivially_minimally_tough,
-    kriesell_check,
     universal_vertices,
     verdict_to_json,
 )
@@ -85,11 +75,9 @@ from .toughness import (
     Toughness,
     ToughWitness,
     format_toughness,
-    is_t_tough,
     iterate_separators,
     tough_separators,
     toughness_complete_multipartite,
-    toughness_tree,
 )
 from .verify import (
     KRIESELL_CLASS_FILTERS,

@@ -27,7 +27,6 @@ from .connectivity import (
     _component_masks,
     co_diameter,
     distances,
-    is_connected,
     max_bipartite_matching,
 )
 from .families import Family, FamilySpec, make_named
@@ -328,31 +327,6 @@ def complete_multipartite_parts(g: Graph) -> MultipartiteParts | None:
 
 def is_complete_multipartite(g: Graph) -> bool:
     return complete_multipartite_parts(g) is not None
-
-
-@dataclass(frozen=True)
-class CographPartition:
-    """Maximum partition with all cross edges present and every part a
-    singleton or inducing a disconnected subgraph."""
-
-    parts: tuple[VertexSet, ...]
-
-
-def cograph_partition(g: Graph) -> CographPartition:
-    """Partition a connected P4-free graph on >= 2 vertices by complement
-    components.  Raises ValueError on disconnected or P4-containing input."""
-    if g.n < 2 or not is_connected(g):
-        raise ValueError("cograph partition needs a connected graph on >= 2 vertices")
-    if not is_p4_free(g):
-        raise ValueError("input contains an induced P_4")
-    comp_masks = _component_masks(complement(g).adj, g.full_mask)
-    for mask in comp_masks:
-        # a connected cograph on >= 2 vertices has a disconnected complement,
-        # so every non-singleton part induces a disconnected subgraph
-        if mask.bit_count() > 1 and _component_count(g.adj, mask) < 2:
-            raise CrossCheckError(f"part {mask:#x} of a connected cograph induces a connected graph")
-    comp_masks.sort(key=lambda m: m & -m)
-    return CographPartition(tuple(VertexSet(m, g.n) for m in comp_masks))
 
 
 # -- simplicial-pair decomposition ---------------------------------------------------

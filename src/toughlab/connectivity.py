@@ -1,4 +1,4 @@
-"""Connectivity primitives: components, hop distances, vertex connectivity
+"""Connectivity primitives: components, hop distances, local connectivity
 via unit-capacity max-flow on the vertex-split digraph, and bipartite
 matching.
 
@@ -55,11 +55,6 @@ def _component_masks(adj: tuple[int, ...], mask: int) -> list[int]:
 def components(g: Graph) -> list[VertexSet]:
     """Connected components, ordered by their least vertex."""
     return [VertexSet._trusted(m, g.n) for m in _component_masks(g.adj, g.full_mask)]
-
-
-def component_count_without(g: Graph, removed: VertexSet | Iterable[int]) -> int:
-    """c(G - S): component count after deleting the vertices of S."""
-    return _component_count(g.adj, g.full_mask & ~_as_mask(removed, g.n))
 
 
 def is_connected(g: Graph) -> bool:
@@ -183,23 +178,6 @@ def local_connectivity(g: Graph, u: int, v: int) -> int:
             y = x
         flow += 1
     return g.has_edge(u, v) + flow
-
-
-def connectivity(g: Graph) -> int:
-    """Vertex connectivity kappa(G); n-1 for complete graphs, 0 for n <= 1."""
-    if g.n <= 1:
-        return 0
-    if g.is_complete():
-        return g.n - 1
-    # for non-complete graphs the minimum is attained on a non-adjacent pair
-    best = g.n
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                best = min(best, local_connectivity(g, u, v))
-                if best == 0:
-                    return 0
-    return best
 
 
 # -- bipartite matching --------------------------------------------------------

@@ -183,14 +183,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, _complement_rows(g))
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"union on {n} vertices exceeds cap {MAX_VERTICES}")
-    rows = list(g1.adj) + [row << g1.n for row in g2.adj]
-    return Graph(n, tuple(rows))
-
-
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two sides."""
     n = g1.n + g2.n

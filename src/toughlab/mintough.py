@@ -1,4 +1,4 @@
-"""Minimal toughness: deciders, edge conditions, dominating edges, joins.
+"""Minimal toughness: deciders and edge conditions.
 
 A graph is minimally tough when deleting any single edge lowers its
 toughness.  Complete and edgeless graphs are trivially so (no edge deletion
@@ -52,17 +52,14 @@ t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .canon import canonical_code
-from .connectivity import _component_count, _flood, distances, local_connectivity
-from .families import Family, FamilySpec, make_named
+from .connectivity import _component_count, _flood, local_connectivity
 from .graph6 import write_graph6
-from .graphs import CrossCheckError, Graph, VertexSet, complement, delete_edge, join
+from .graphs import CrossCheckError, Graph, VertexSet, delete_edge
 from .toughness import (Toughness, _Bridged, _Counts, _separator_masks, _tough_pass,
                         format_toughness, toughness)
 
@@ -251,39 +248,6 @@ def _criterion_holds(g: Graph, counts: _Counts | None = None) -> bool:
     return True
 
 
-# -- dominating edges ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DominatingEdgeReport:
-    """An edge uv with N(u) u N(v) = V, certified by three routes."""
-
-    edge: tuple[int, int]
-    via_neighborhoods: bool
-    via_separators: bool
-    via_co_distance: bool
-
-
-def dominating_edges(g: Graph) -> list[DominatingEdgeReport]:
-    """All dominating edges; the three detection routes are evaluated
-    independently for every edge, and CrossCheckError is raised if they
-    differ."""
-    full = g.full_mask
-    sep_masks = list(_separator_masks(g))
-    co_dist = distances(complement(g))
-    out = []
-    for u, v in g.edges():
-        uv = (1 << u) | (1 << v)
-        via_n = (g.adj[u] | g.adj[v]) == full
-        via_s = all(mask & uv for mask in sep_masks)
-        via_d = co_dist.distance(u, v) >= 3
-        if not via_n == via_s == via_d:
-            raise CrossCheckError(f"dominating-edge routes disagree on {(u, v)}")
-        if via_n:
-            out.append(DominatingEdgeReport((u, v), via_n, via_s, via_d))
-    return out
-
-
 def universal_vertices(g: Graph) -> VertexSet:
     full = g.full_mask
     bits = 0
@@ -291,131 +255,6 @@ def universal_vertices(g: Graph) -> VertexSet:
         if g.adj[v] == full ^ (1 << v):
             bits |= 1 << v
     return VertexSet._trusted(bits, g.n)
-
-
-# -- shortcuts and spot checks ---------------------------------------------------
-
-
-def check_2t_regular_shortcut(g: Graph) -> MinToughVerdict | None:
-    """If g is regular of degree exactly ceil(2t), it is minimally tough.
-
-    Returns the implied verdict, or None when the shortcut does not apply
-    (irregular, complete, or degree mismatch).
-    """
-    if g.n == 0 or g.is_complete():
-        return None
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        return None
-    d = degs.pop()
-    t = toughness(g)
-    if math.ceil(2 * t) != d:
-        return None
-    if g.is_edgeless():
-        return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, t)
-    return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t)
-
-
-def kriesell_check(g: Graph) -> bool:
-    """Does a minimally tough graph have a vertex of degree ceil(2t)?
-
-    Raises on inputs that are not non-trivially minimally tough (the
-    conjecture is about finite positive toughness).
-    """
-    t = toughness(g)
-    if not isinstance(t, Fraction) or t <= 0:
-        raise ValueError("kriesell check needs finite positive toughness")
-    if not is_nontrivially_minimally_tough(g):
-        raise ValueError("input is not minimally tough")
-    return math.ceil(2 * t) in g.degrees()
-
-
-@dataclass(frozen=True)
-class JoinConditionReport:
-    """Evaluated facts for the join theorem on G = g1 * g2.
-
-    When the premises hold (G non-trivially minimally tough and g1 holds a
-    maximum-degree vertex of G), the theorem forces g2 to be
-    ceil(2*t2)-regular with ceil(2t) = ceil(2*t2) + |V(g1)|.
-    """
-
-    join_graph: Graph
-    minimally_tough: bool
-    toughness: Toughness
-    g1_holds_max_degree: bool
-    g2_toughness: Toughness
-    g2_regular: bool
-    g2_degree: int | None
-    ceil_identity: bool | None
-    premises_hold: bool
-    conclusion_holds: bool | None
-
-
-def check_join_condition(g1: Graph, g2: Graph) -> JoinConditionReport:
-    if g1.n == 0 or g2.n == 0:
-        raise ValueError("join condition needs two non-empty factors")
-    g = join(g1, g2)
-    mintough = is_nontrivially_minimally_tough(g)
-    t = toughness(g)
-    degs = g.degrees()
-    max_deg = max(degs)
-    g1_max = any(degs[v] == max_deg for v in range(g1.n))
-    t2 = toughness(g2)
-    g2_degs = set(g2.degrees())
-    g2_regular = len(g2_degs) == 1
-    g2_degree = g2_degs.pop() if g2_regular else None
-    premises = mintough and g1_max
-    if isinstance(t, Fraction) and isinstance(t2, Fraction):
-        ceil_identity = math.ceil(2 * t) == math.ceil(2 * t2) + g1.n
-    else:
-        ceil_identity = None
-    if premises:
-        conclusion = (
-            g2_regular
-            and isinstance(t2, Fraction)
-            and g2_degree == math.ceil(2 * t2)
-            and ceil_identity is True
-        )
-    else:
-        conclusion = None
-    return JoinConditionReport(
-        join_graph=g,
-        minimally_tough=mintough,
-        toughness=t,
-        g1_holds_max_degree=g1_max,
-        g2_toughness=t2,
-        g2_regular=g2_regular,
-        g2_degree=g2_degree,
-        ceil_identity=ceil_identity,
-        premises_hold=premises,
-        conclusion_holds=conclusion,
-    )
-
-
-def classify_universal_vertex_graph(g: Graph) -> FamilySpec:
-    """Name a minimally tough graph with a universal vertex and 0 < t <= 3/2.
-
-    Star K_{1,n-1} when t <= 1/2, wheel (hub + rim cycle) when t > 1; the
-    range (1/2, 1] is impossible for conforming inputs.
-    """
-    if not universal_vertices(g).bits:
-        raise ValueError("no universal vertex")
-    t = toughness(g)
-    if not isinstance(t, Fraction) or not 0 < t <= Fraction(3, 2):
-        raise ValueError("toughness outside (0, 3/2]")
-    if not is_nontrivially_minimally_tough(g):
-        raise ValueError("input is not minimally tough")
-    if t <= Fraction(1, 2):
-        spec = FamilySpec(Family.STAR, (g.n - 1,))
-    elif t > 1:
-        spec = FamilySpec(Family.WHEEL, (g.n - 1,))
-    else:
-        raise ValueError(
-            "no minimally tough graph with a universal vertex has toughness in (1/2, 1]"
-        )
-    if canonical_code(g) != canonical_code(make_named(spec)):
-        raise CrossCheckError(f"input is not isomorphic to {spec}")
-    return spec
 
 
 # -- serialization ----------------------------------------------------------------

@@ -71,7 +71,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterator, Sequence, Union
 
-from .connectivity import _component_count, is_connected
+from .connectivity import _component_count
 from .families import Family, FamilySpec
 from .graphs import CrossCheckError, Graph, VertexSet, _bits
 
@@ -573,11 +573,6 @@ def tough_separators(g: Graph) -> list[ToughWitness]:
     ]
 
 
-def is_t_tough(g: Graph, t: Toughness) -> bool:
-    """True iff t <= toughness(g).  Complete graphs are t-tough for every t."""
-    return t <= toughness(g)
-
-
 def toughness_complete_multipartite(parts: Sequence[int]) -> Toughness:
     """Closed form for complete multipartite graphs with ascending parts.
 
@@ -594,13 +589,3 @@ def toughness_complete_multipartite(parts: Sequence[int]) -> Toughness:
     if len(parts) == 1:
         return Fraction(0)
     return Fraction(n, nk) - 1
-
-
-def toughness_tree(g: Graph) -> Fraction:
-    """1/max-degree, valid for trees on >= 2 vertices with max degree >= 2."""
-    if g.n < 2 or not is_connected(g) or g.edge_count != g.n - 1:
-        raise ValueError("input is not a tree on >= 2 vertices")
-    delta = max(g.degrees())
-    if delta < 2:
-        raise ValueError("K_2 is complete; the tree formula needs max degree >= 2")
-    return Fraction(1, delta)

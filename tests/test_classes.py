@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from toughlab.canon import are_isomorphic, enumerate_graphs
 from toughlab.classes import (
     CLASS_PREDICATES,
-    cograph_partition,
     complete_multipartite_parts,
     contains_induced,
     find_induced_cycle,
@@ -28,7 +27,7 @@ from toughlab.classes import (
     simplicial_pair_decomposition,
     simplicial_vertices,
 )
-from toughlab.connectivity import co_diameter, distances, is_connected, local_connectivity, max_bipartite_matching
+from toughlab.connectivity import co_diameter, components, distances, is_connected, local_connectivity, max_bipartite_matching
 from toughlab.families import make_named, parse_family_spec
 from toughlab import classes
 from toughlab.graphs import CrossCheckError, Graph, complement, delete_vertex, induced_subgraph, relabel
@@ -281,30 +280,17 @@ def test_multipartite_parts_knowns():
 
 
 def test_cograph_partition_properties():
+    # a connected P4-free graph on >= 2 vertices has a disconnected
+    # complement, and each of its co-components on >= 2 vertices induces a
+    # disconnected subgraph
     for n in range(2, 7):
         for g in enumerate_graphs(n, connected_only=True):
             if not is_p4_free(g):
                 continue
-            parts = cograph_partition(g).parts
-            seen = sorted(v for p in parts for v in p)
-            assert seen == list(range(g.n))
+            parts = components(complement(g))
             assert len(parts) >= 2
-            for i, p in enumerate(parts):
-                sub = induced_subgraph(g, p)
-                assert len(p) == 1 or not is_connected(sub)
-                for q in parts[i + 1 :]:
-                    for u in p:
-                        for v in q:
-                            assert g.has_edge(u, v)
-
-
-def test_cograph_partition_rejects():
-    with pytest.raises(ValueError):
-        cograph_partition(_named("path:4"))
-    with pytest.raises(ValueError):
-        cograph_partition(Graph.empty(3))
-    with pytest.raises(ValueError):
-        cograph_partition(Graph.empty(1))
+            for p in parts:
+                assert len(p) == 1 or not is_connected(induced_subgraph(g, p))
 
 
 # -- simplicial-pair decomposition -----------------------------------------------------------
@@ -317,12 +303,6 @@ def test_simplicial_pair_decomposition_none_cases():
 
 
 # -- invariant guards: each raises when the fact it relies on is broken ----------------
-
-
-def test_cograph_partition_guard_needs_disconnected_parts(monkeypatch):
-    monkeypatch.setattr(classes, "_component_count", lambda adj, mask: 1)
-    with pytest.raises(CrossCheckError, match="induces a connected graph"):
-        cograph_partition(_named("cycle:4"))
 
 
 def test_simplicial_pair_guard_needs_a_pair(monkeypatch):

@@ -615,5 +615,5 @@ def test_submodule_imports_bind_modules():
 
     assert isinstance(connectivity_module, types.ModuleType)
     assert isinstance(toughness_module, types.ModuleType)
-    assert connectivity_module.connectivity.__module__ == "toughlab.connectivity"
+    assert connectivity_module.local_connectivity.__module__ == "toughlab.connectivity"
     assert toughness_module.toughness.__module__ == "toughlab.toughness"

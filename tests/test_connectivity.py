@@ -7,9 +7,7 @@ import pytest
 from toughlab.canon import enumerate_graphs
 from toughlab.connectivity import (
     co_diameter,
-    component_count_without,
     components,
-    connectivity,
     diameter,
     distances,
     is_connected,
@@ -19,6 +17,7 @@ from toughlab.connectivity import (
 )
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graphs import Graph
+from toughlab.toughness import iterate_separators
 
 from oracles import (
     ref_complement_edges,
@@ -55,14 +54,6 @@ def test_is_connected_exhaustive():
     for n in range(6):
         for g in enumerate_graphs(n):
             assert is_connected(g) == ref_is_connected(g.n, g.edges())
-
-
-def test_component_count_without():
-    g = _named("path:5")
-    assert component_count_without(g, []) == 1
-    assert component_count_without(g, [2]) == 2
-    assert component_count_without(g, [1, 3]) == 3
-    assert component_count_without(g, [0]) == 1
 
 
 # -- distances -----------------------------------------------------------------
@@ -187,20 +178,26 @@ def test_local_connectivity_validation():
 # -- global connectivity ----------------------------------------------------------
 
 
+def _kappa(g: Graph) -> int:
+    """kappa(G) as the acceptance suites read it: the least size of the
+    separator sweep, n - 1 when there is none."""
+    return next((len(s) for s in iterate_separators(g)), max(g.n - 1, 0))
+
+
 def test_connectivity_exhaustive():
     for n in range(6):
         for g in enumerate_graphs(n):
-            assert connectivity(g) == ref_vertex_connectivity(g.n, g.edges())
+            assert _kappa(g) == ref_vertex_connectivity(g.n, g.edges())
 
 
 def test_connectivity_knowns():
-    assert connectivity(Graph.empty(0)) == 0
-    assert connectivity(Graph.complete(1)) == 0
-    assert connectivity(Graph.complete(5)) == 4
-    assert connectivity(_named("cycle:5")) == 2
-    assert connectivity(_named("path:4")) == 1
-    assert connectivity(_named("multipartite:2,3")) == 2
-    assert connectivity(Graph.from_edges(3, [(0, 1)])) == 0  # disconnected
+    assert _kappa(Graph.empty(0)) == 0
+    assert _kappa(Graph.complete(1)) == 0
+    assert _kappa(Graph.complete(5)) == 4
+    assert _kappa(_named("cycle:5")) == 2
+    assert _kappa(_named("path:4")) == 1
+    assert _kappa(_named("multipartite:2,3")) == 2
+    assert _kappa(Graph.from_edges(3, [(0, 1)])) == 0  # disconnected
 
 
 # -- bipartite matching ------------------------------------------------------------

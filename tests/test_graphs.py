@@ -12,7 +12,6 @@ from toughlab.graphs import (
     complement,
     delete_edge,
     delete_vertex,
-    disjoint_union,
     induced_subgraph,
     join,
     relabel,
@@ -172,14 +171,6 @@ def test_complement_edge_count():
         assert g.edge_count + complement(g).edge_count == g.n * (g.n - 1) // 2
 
 
-def test_disjoint_union_structure():
-    g1 = Graph.from_edges(2, [(0, 1)])
-    g2 = Graph.from_edges(3, [(0, 2)])
-    u = disjoint_union(g1, g2)
-    assert u.n == 5
-    assert u.edges() == [(0, 1), (2, 4)]
-
-
 def test_join_structure():
     g1 = Graph.from_edges(2, [(0, 1)])
     g2 = Graph.empty(2)
@@ -195,9 +186,9 @@ def test_join_is_complement_of_union_of_complements():
         for n2 in range(4):
             for g1 in enumerate_graphs(n1):
                 for g2 in enumerate_graphs(n2):
-                    lhs = join(g1, g2)
-                    rhs = complement(disjoint_union(complement(g1), complement(g2)))
-                    assert lhs == rhs
+                    h1, h2 = complement(g1), complement(g2)
+                    union = Graph(n1 + n2, h1.adj + tuple(row << n1 for row in h2.adj))
+                    assert join(g1, g2) == complement(union)
 
 
 def test_join_degrees():
@@ -215,7 +206,7 @@ def test_join_degrees():
 def test_join_identity_with_empty():
     g = Graph.from_edges(3, [(0, 1)])
     assert join(g, Graph.empty(0)) == g
-    assert disjoint_union(Graph.empty(0), g) == g
+    assert join(Graph.empty(0), g) == g
 
 
 # -- subgraphs and relabeling --------------------------------------------------

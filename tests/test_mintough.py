@@ -1,4 +1,4 @@
-"""Minimal-toughness deciders, edge conditions, and structural helpers."""
+"""Minimal-toughness deciders, edge conditions, and the join theorem."""
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -8,22 +8,18 @@ import pytest
 
 import toughlab.toughness as toughness_module
 from toughlab.canon import canonical_code, census_parents, enumerate_graphs
-from toughlab.families import Family, make_named, parse_family_spec
-from toughlab.graph6 import parse_graph6
-from toughlab.graphs import Graph, _bits, delete_edge
+from toughlab.connectivity import components
+from toughlab.families import make_named, parse_family_spec
+from toughlab.graph6 import parse_graph6, write_graph6
+from toughlab.graphs import Graph, _bits, complement, delete_edge, induced_subgraph
 from toughlab.mintough import (
     MinToughStatus,
     _cond2_masks,
     _criterion_holds,
-    check_2t_regular_shortcut,
-    check_join_condition,
-    classify_universal_vertex_graph,
     cond2_candidates,
-    dominating_edges,
     is_minimally_tough_by_criterion,
     is_minimally_tough_by_definition,
     is_nontrivially_minimally_tough,
-    kriesell_check,
     universal_vertices,
     verdict_to_json,
 )
@@ -496,40 +492,6 @@ def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
     assert read_e and max(read_e) <= tops[-1], text
 
 
-# -- dominating edges ----------------------------------------------------------------
-
-
-def test_dominating_edges_knowns():
-    assert [r.edge for r in dominating_edges(_named("cycle:4"))] == _named("cycle:4").edges()
-    assert [r.edge for r in dominating_edges(_named("cycle:5"))] == []
-    star = _named("star:3")
-    assert [r.edge for r in dominating_edges(star)] == star.edges()
-    k4 = Graph.complete(4)
-    assert [r.edge for r in dominating_edges(k4)] == k4.edges()
-    assert [r.edge for r in dominating_edges(_named("path:4"))] == [(1, 2)]
-
-
-def test_dominating_edges_three_routes_sweep():
-    # the function itself asserts the three detection routes agree; drive it
-    # over every graph up to 7 vertices so a disagreement would explode here
-    for n in range(8):
-        for g in enumerate_graphs(n):
-            for report in dominating_edges(g):
-                assert report.via_neighborhoods and report.via_separators and report.via_co_distance
-
-
-def test_dominating_edges_route_disagreement_raises(monkeypatch):
-    import toughlab.mintough as mintough
-    from toughlab.connectivity import DistanceTable
-
-    # a co-distance table claiming every pair is far apart contradicts the
-    # neighbourhood route on the non-dominating edges of a 5-cycle
-    far = DistanceTable(tuple((math.inf,) * 5 for _ in range(5)))
-    monkeypatch.setattr(mintough, "distances", lambda g: far)
-    with pytest.raises(mintough.CrossCheckError, match="dominating-edge routes disagree"):
-        dominating_edges(_named("cycle:5"))
-
-
 def test_universal_vertices():
     assert list(universal_vertices(_named("star:4"))) == [0]
     assert list(universal_vertices(_named("wheel:5"))) == [5]
@@ -538,120 +500,35 @@ def test_universal_vertices():
     assert list(universal_vertices(Graph.empty(1))) == [0]
 
 
-# -- shortcuts -------------------------------------------------------------------------
+# -- the join theorem ------------------------------------------------------------------------
 
 
-def test_regular_shortcut_agrees_with_decider():
-    for n in range(1, 7):
-        for g in enumerate_graphs(n, connected_only=True):
-            shortcut = check_2t_regular_shortcut(g)
-            if shortcut is None:
+def test_join_theorem_over_the_census():
+    # a non-trivially minimally tough G = G1 * G2 whose G1 holds a vertex of
+    # maximum degree has G2 ceil(2*t2)-regular and ceil(2t) = ceil(2*t2) + |G1|;
+    # G1 and G2 are unions of co-components, so splitting them every way
+    # covers every join on at most 8 vertices
+    joins = splits = 0
+    for n in range(2, 9):
+        for g in enumerate_graphs(n):
+            parts = [s.bits for s in components(complement(g))]
+            if len(parts) < 2 or not is_nontrivially_minimally_tough(g):
                 continue
-            full = is_minimally_tough_by_definition(g)
-            assert shortcut.status == full.status
-            assert shortcut.toughness == full.toughness
-
-
-def test_regular_shortcut_cases():
-    assert check_2t_regular_shortcut(_named("cycle:6")) is not None
-    assert check_2t_regular_shortcut(Graph.complete(4)) is None  # complete
-    assert check_2t_regular_shortcut(_named("path:4")) is None  # irregular
-    # K_{3,3} is 3-regular with toughness 1, so ceil(2t) = 2 != 3
-    assert check_2t_regular_shortcut(_named("multipartite:3,3")) is None
-
-
-def test_kriesell_check():
-    for spec in ("path:4", "cycle:5", "star:4", "multipartite:2,3", "wheel:6"):
-        assert kriesell_check(_named(spec))
-    with pytest.raises(ValueError):
-        kriesell_check(Graph.complete(4))  # infinite toughness
-    with pytest.raises(ValueError):
-        kriesell_check(Graph.from_edges(4, [(0, 1), (2, 3)]))  # zero toughness
-    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    with pytest.raises(ValueError):
-        kriesell_check(diamond)  # not minimally tough
-
-
-def test_kriesell_holds_on_every_small_minimally_tough_graph():
-    for n in range(3, 7):
-        for g in enumerate_graphs(n, connected_only=True):
-            if is_nontrivially_minimally_tough(g):
-                assert kriesell_check(g)
-
-
-# -- join condition ---------------------------------------------------------------------
-
-
-def test_check_join_condition_wheel():
-    report = check_join_condition(Graph.complete(1), _named("cycle:4"))
-    assert report.minimally_tough and report.premises_hold
-    assert report.toughness == Fraction(3, 2)
-    assert report.g2_toughness == Fraction(1)
-    assert report.g2_regular and report.g2_degree == 2
-    assert report.ceil_identity is True and report.conclusion_holds is True
-
-
-def test_check_join_condition_star():
-    report = check_join_condition(Graph.complete(1), Graph.empty(3))
-    assert report.minimally_tough and report.premises_hold
-    assert report.toughness == Fraction(1, 3)
-    assert report.g2_toughness == 0
-    assert report.g2_regular and report.g2_degree == 0
-    assert report.conclusion_holds is True
-
-
-def test_check_join_condition_premises_fail():
-    # K1 * P3 is the diamond: not minimally tough, so nothing is concluded
-    report = check_join_condition(Graph.complete(1), _named("path:3"))
-    assert not report.minimally_tough and not report.premises_hold
-    assert report.conclusion_holds is None
-
-
-def test_check_join_condition_theorem_sweep():
-    # whenever the premises hold, the conclusion must too
-    for n1 in range(1, 4):
-        for n2 in range(1, 8 - n1):
-            for g1 in enumerate_graphs(n1):
-                for g2 in enumerate_graphs(n2):
-                    report = check_join_condition(g1, g2)
-                    if report.premises_hold:
-                        assert report.conclusion_holds is True
-
-
-def test_check_join_condition_rejects_empty_factor():
-    with pytest.raises(ValueError):
-        check_join_condition(Graph.empty(0), Graph.complete(2))
-
-
-# -- universal-vertex classification --------------------------------------------------------
-
-
-def test_classify_universal_vertex_graph():
-    for l in range(2, 6):
-        spec = classify_universal_vertex_graph(_named(f"star:{l}"))
-        assert spec.family is Family.STAR and spec.params == (l,)
-    for l in range(4, 8):
-        spec = classify_universal_vertex_graph(_named(f"wheel:{l}"))
-        assert spec.family is Family.WHEEL and spec.params == (l,)
-
-
-def test_classify_universal_vertex_graph_rejects():
-    with pytest.raises(ValueError):
-        classify_universal_vertex_graph(_named("cycle:5"))  # no universal vertex
-    with pytest.raises(ValueError):
-        classify_universal_vertex_graph(Graph.complete(5))  # infinite toughness
-    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    with pytest.raises(ValueError):
-        classify_universal_vertex_graph(diamond)  # not minimally tough
-
-
-def test_classify_universal_vertex_graph_checks_the_name(monkeypatch):
-    import toughlab.mintough as mintough
-
-    # a family builder that no longer matches the name the rule picked
-    monkeypatch.setattr(mintough, "make_named", lambda spec: Graph.complete(spec.params[0] + 1))
-    with pytest.raises(mintough.CrossCheckError, match="not isomorphic to wheel:5"):
-        classify_universal_vertex_graph(_named("wheel:5"))
+            joins += 1
+            t, degrees = toughness(g), g.degrees()
+            top = sum(1 << v for v in range(n) if degrees[v] == max(degrees))
+            for k in range(1, len(parts)):
+                for chosen in combinations(parts, k):
+                    g1 = sum(chosen)
+                    if not g1 & top:
+                        continue
+                    g2 = induced_subgraph(g, [v for v in range(n) if not g1 >> v & 1])
+                    t2 = toughness(g2)
+                    assert isinstance(t2, Fraction), (write_graph6(g), g1)
+                    assert set(g2.degrees()) == {math.ceil(2 * t2)}, (write_graph6(g), g1)
+                    assert math.ceil(2 * t) == math.ceil(2 * t2) + g1.bit_count(), (write_graph6(g), g1)
+                    splits += 1
+    assert (joins, splits) == (21, 48)
 
 
 def test_definition_decider_rejects_toughness_rising_on_deletion(monkeypatch):

@@ -1,5 +1,4 @@
 """Exact toughness: brute-force scan, witnesses, closed forms, conventions."""
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from toughlab.canon import enumerate_graphs
-from toughlab.connectivity import is_connected
 from toughlab.families import Family, FamilySpec, make_named, parse_family_spec, turan_parts
 import toughlab.toughness as toughness_module
 from toughlab.graphs import CrossCheckError, Graph, delete_edge
@@ -16,12 +14,10 @@ from toughlab.toughness import (
     _Bridged,
     _tough_pass,
     format_toughness,
-    is_t_tough,
     iterate_separators,
     tough_separators,
     toughness,
     toughness_complete_multipartite,
-    toughness_tree,
 )
 
 from oracles import ref_separators, ref_toughness
@@ -180,17 +176,7 @@ def test_tree_formula_on_all_trees():
     for n in range(3, 9):
         for g in enumerate_graphs(n, connected_only=True):
             if g.edge_count == n - 1:
-                assert toughness_tree(g) == toughness(g)
-                assert toughness_tree(g) == Fraction(1, max(g.degrees()))
-
-
-def test_tree_formula_validation():
-    with pytest.raises(ValueError):
-        toughness_tree(_named("cycle:4"))
-    with pytest.raises(ValueError):
-        toughness_tree(Graph.from_edges(4, [(0, 1), (2, 3)]))
-    with pytest.raises(ValueError):
-        toughness_tree(Graph.complete(2))  # complete; the 1/max-degree form fails
+                assert toughness(g) == Fraction(1, max(g.degrees()))
 
 
 # -- witnesses ---------------------------------------------------------------------
@@ -313,19 +299,6 @@ def test_bridge_flood_refuses_a_size_past_the_pass():
     bridged = _Bridged(sweep, 0, 1, max(sweep.tops))
     with pytest.raises(CrossCheckError, match="past G's"):
         bridged.tops[max(sweep.tops) + 1]
-
-
-# -- t-tough predicate ----------------------------------------------------------------
-
-
-def test_is_t_tough_threshold():
-    g = _named("multipartite:2,3")
-    assert is_t_tough(g, Fraction(2, 3))
-    assert is_t_tough(g, Fraction(1, 2))
-    assert not is_t_tough(g, Fraction(2, 3) + Fraction(1, 1000))
-    assert is_t_tough(Graph.complete(4), Fraction(100))
-    assert is_t_tough(Graph.complete(4), INFINITE_TOUGHNESS)
-    assert not is_t_tough(Graph.empty(3), Fraction(1, 1000))
 
 
 # -- formatting ------------------------------------------------------------------------
