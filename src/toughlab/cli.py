@@ -154,7 +154,9 @@ def _drive(
     records: Iterable[tuple[str, int, str]], worker: Callable[[str], str], jobs: int
 ) -> int:
     fn = partial(_process_record, worker)
-    jobs = min(jobs, os.cpu_count() or 1)  # the pool forks every worker at once
+    # the pool forks every worker at once: at most one per CPU this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = min(jobs, cpus)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only worker pools need it
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -3,7 +3,8 @@
 A FamilySpec both *builds* a graph (make_named) and *names* an isomorphism
 class (family identification returns FamilySpec values).  Each family is
 one row of ``_ROWS``: its parameter count, the rules its parameters obey
-(each with its error message) and its constructor.  Parameter conventions:
+(each with its error message), its constructor and its vertex count, which
+make_named checks against MAX_VERTICES first.  Parameter conventions:
 
   complete n            K_n, n >= 0
   path n                P_n on n >= 1 vertices
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, complement, join
+from .graphs import MAX_VERTICES, Graph, complement, join
 
 
 class Family(Enum):
@@ -93,31 +94,35 @@ class _Row(NamedTuple):
     #: (test on the parameters, error message when it fails), checked in order
     rules: tuple[tuple[Callable[..., bool], str], ...]
     build: Callable[..., Graph]
+    #: the vertex count of the graph ``build`` makes, from the parameters
+    order: Callable[..., int]
 
 
 #: what each family means: how many parameters, which values, which graph
 _ROWS: dict[Family, _Row] = {
-    Family.COMPLETE: _Row(1, ((lambda n: n >= 0, "complete: n must be >= 0"),), Graph.complete),
-    Family.PATH: _Row(1, ((lambda n: n >= 1, "path: n must be >= 1"),), _path),
-    Family.CYCLE: _Row(1, ((lambda n: n >= 3, "cycle: n must be >= 3"),), _cycle),
+    Family.COMPLETE: _Row(1, ((lambda n: n >= 0, "complete: n must be >= 0"),), Graph.complete,
+                          lambda n: n),
+    Family.PATH: _Row(1, ((lambda n: n >= 1, "path: n must be >= 1"),), _path, lambda n: n),
+    Family.CYCLE: _Row(1, ((lambda n: n >= 3, "cycle: n must be >= 3"),), _cycle, lambda n: n),
     # star as multipartite (1, l): centre first
     Family.STAR: _Row(1, ((lambda l: l >= 1, "star: l must be >= 1"),),
-                      lambda l: complete_multipartite((1, l))),
+                      lambda l: complete_multipartite((1, l)), lambda l: 1 + l),
     Family.DOUBLE_STAR: _Row(2, ((lambda k, l: 1 <= k <= l, "doublestar: need 1 <= k <= l"),),
-                             _double_star),
+                             _double_star, lambda k, l: 2 + k + l),
     Family.TRIPLE_STAR: _Row(3, ((lambda a, b, c: 1 <= a <= b <= c,
-                                  "triplestar: need 1 <= a <= b <= c"),), _triple_star),
+                                  "triplestar: need 1 <= a <= b <= c"),), _triple_star,
+                             lambda a, b, c: 3 + a + b + c),
     Family.COMPLETE_MULTIPARTITE: _Row(None, (
         (lambda *p: bool(p), "multipartite: at least one part required"),
         (lambda *p: min(p) >= 1, "multipartite: parts must be >= 1"),
         (lambda *p: list(p) == sorted(p), "multipartite: parts must be ascending"),
-    ), lambda *p: complete_multipartite(p)),
+    ), lambda *p: complete_multipartite(p), lambda *p: sum(p)),
     Family.TURAN: _Row(2, ((lambda n, k: 1 <= k <= n, "turan: need 1 <= k <= n"),),
-                       lambda n, k: complete_multipartite(turan_parts(n, k))),
+                       lambda n, k: complete_multipartite(turan_parts(n, k)), lambda n, k: n),
     Family.WHEEL: _Row(1, ((lambda l: l >= 4, "wheel: rim length must be >= 4"),),
-                       lambda l: join(_cycle(l), Graph.complete(1))),
-    Family.NET: _Row(0, (), lambda: _triple_star(1, 1, 1)),
-    Family.CO_NET: _Row(0, (), lambda: complement(_triple_star(1, 1, 1))),
+                       lambda l: join(_cycle(l), Graph.complete(1)), lambda l: l + 1),
+    Family.NET: _Row(0, (), lambda: _triple_star(1, 1, 1), lambda: 6),
+    Family.CO_NET: _Row(0, (), lambda: complement(_triple_star(1, 1, 1)), lambda: 6),
 }
 
 
@@ -144,7 +149,10 @@ class FamilySpec:
 
 
 def make_named(spec: FamilySpec) -> Graph:
-    return _ROWS[spec.family].build(*spec.params)
+    row = _ROWS[spec.family]
+    if (order := row.order(*spec.params)) > MAX_VERTICES:  # refused before anything is built
+        raise ValueError(f"{order} vertices, past MAX_VERTICES = {MAX_VERTICES}")
+    return row.build(*spec.params)
 
 
 #: one-letter names; every family is also parsed by its full name, Family.value

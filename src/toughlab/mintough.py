@@ -98,7 +98,7 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g))
     p, q, sweep, _ = _tough_pass(g)
     t = Fraction(p, q)
-    last = max(sweep.tops)  # the last size the pass read
+    last = min(g.n - 2, g.n * p // (p + q))  # the last size the pass read
     full = g.full_mask
     drops: list[int] = []  # the S that showed a drop on an earlier edge
     for u, v in g.edges():

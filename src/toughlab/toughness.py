@@ -5,8 +5,8 @@ Fraction; math.inf for complete graphs (the minimum over an empty separator
 set), and Fraction(0) exactly when g is disconnected (the empty set is then
 a separator).  Values are never floats except the inf sentinel.
 
-Every separator scan reads one sweep, ``_sweep``: sizes s ascending, and
-for each the largest c(G - S) over the s-sets (``top``) and the s-sets
+Every separator scan reads one sweep, ``_Sweep``: sizes s ascending, and
+for each the largest c(G - S) over the s-sets (``top(s)``) and the s-sets
 with c >= 2, or with c at least a given bound, by bitmask
 (``separators``).  Sizes below the degree floor 2*delta - n + 2 have no
 separator and flood nothing: each side of a split G - S = A + B keeps its
@@ -56,9 +56,9 @@ in the edges to the new vertex, so each child is a lane of 2^n positions
 in one flood: the parent's neighbour entries flood in every lane, and each
 edge to the new vertex only in the lanes whose child has it (``_peel``'s
 masked entries).  The pass reads a lane (``_Lane``) as it reads one
-graph's sweep, through ``_Counts``: each size's largest c is one list per
-flood with an entry per lane (``_Tops``), for a lane from its block of each
-level folded to one bit, all lanes at once, and its separators from the
+graph's sweep, through ``_Counts``: each size's largest c is a byte per
+lane of one fold (``_Siblings.tops``), from its block of each level
+folded to one bit, all lanes at once, and its separators come from the
 levels a listing reads, shifted out of the flood.  Every mask the sweep
 and the flood build is a non-negative int: a complement is an XOR.
 """
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .connectivity import _component_count
 from .families import Family, FamilySpec
@@ -193,35 +193,16 @@ def _window_bounds(n: int, delta: int, c0: int) -> tuple[int, int]:
     return max(2 * delta - n + 2, 0), max(delta, n * delta // (c0 + delta))
 
 
-class _Tops(dict):
-    """size -> the largest c(G - S) >= 2 over the s-sets of each lane of a
-    flood (0 where none separates), one int per lane, from ``fold(size)``
-    the first time a size is read."""
-
-    def __init__(self, fold: Callable[[int], Sequence[int]]):
-        super().__init__()
-        self.fold = fold
-
-    def __missing__(self, size: int):
-        tops = self[size] = self.fold(size)
-        return tops
-
-
 class _Counts:
     """What a bounded pass reads of the component counts of one graph on n
-    vertices, lane ``i`` of a flood: iterating gives the sizes 0..n-2,
-    ``tops[size][i]`` the largest c(G - S) >= 2 over the s-sets (0 if none
-    separates), and ``separators(size, least)`` the s-sets with c >= least,
-    listed from the (high bits, levels, weight class) of each block holding
-    s-sets (``_layer``).  A subclass gives ``tops`` and ``_layer``:
-    ``_Sweep`` for one graph, ``_Lane`` for one of a parent's children."""
+    vertices: ``top(size)`` the largest c(G - S) >= 2 over the s-sets (0 if
+    none separates), and ``separators(size, least)`` the s-sets with
+    c >= least, listed from the (high bits, levels, weight class) of each
+    block holding s-sets (``_layer``).  A subclass gives ``top`` and
+    ``_layer``: ``_Sweep`` for one graph, ``_Lane`` for one of a parent's
+    children."""
 
     n: int
-    i: int = 0
-    tops: _Tops
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(max(self.n - 1, 0)))
 
     def separators(self, size: int, least: int = 2) -> list[tuple[int, int]]:
         """(mask, c) for each s-set S with c = c(G - S) >= least, by mask."""
@@ -261,7 +242,8 @@ class _Sweep(_Counts):
         self.windows: dict[int, dict[int, list[int]]] = {}
         #: (high bits, levels, weight class) of each block holding s-sets
         self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
-        self.tops = _Tops(self._top)
+        #: size -> its largest c, once read
+        self.tops: dict[int, int] = {}
 
     def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
         """(lo, hi, {block: levels}) of the window holding ``size``: the
@@ -302,21 +284,18 @@ class _Sweep(_Counts):
                     layer.append((block << low, levels, weights[size - block.bit_count()]))
         return layer
 
-    def _top(self, size: int) -> list[int]:
-        """[the largest c(G - S) >= 2 over the s-sets, or 0 if none has one]."""
-        best = 0
-        for _, levels, weight in self._layer(size):
-            for k in range(len(levels) - 1, max(best, 1) - 2, -1):
-                if levels[k] & weight:
-                    best = k + 2
-                    break
-        return [best]
-
-
-def _sweep(g: Graph) -> _Sweep:
-    """The separator sweep of g: iterating it gives the sizes 0..n-2,
-    ascending, and nothing is flooded until a size is read."""
-    return _Sweep(g)
+    def top(self, size: int) -> int:
+        """The largest c(G - S) >= 2 over the s-sets, or 0 if none has one."""
+        best = self.tops.get(size)
+        if best is None:
+            best = 0
+            for _, levels, weight in self._layer(size):
+                for k in range(len(levels) - 1, max(best, 1) - 2, -1):
+                    if levels[k] & weight:
+                        best = k + 2
+                        break
+            self.tops[size] = best
+        return best
 
 
 def _bridge_positions(nbrs: list[list[int]], rest: list[int], u: int, v: int) -> int:
@@ -377,16 +356,15 @@ class _Bridged(_Counts):
                     x &= levels[k - 1]
                 if k + 2 > self.found.get(size, (0,))[0]:
                     self.found[size] = (k + 2, high | (x & -x).bit_length() - 1)
-        self.tops = _Tops(self._top)
 
-    def _top(self, size: int) -> list[int]:
+    def top(self, size: int) -> int:
         if size > self.last:
             raise CrossCheckError(f"the pass of G - uv read size {size}, past G's {self.last}")
-        return [max(self.sweep.tops[size][0], self.found.get(size, (0,))[0])]
+        return max(self.sweep.top(size), self.found.get(size, (0,))[0])
 
 
 #: entry h: the largest c(G - S) of a lane found at h of the levels of a
-#: size, h + 1, or 0 if none (``_Siblings._fold``)
+#: size, h + 1, or 0 if none (``_Siblings.tops``)
 _HITS_TO_TOP = bytes([0, *range(2, 256), 255])
 
 
@@ -399,8 +377,8 @@ class _Siblings:
     vertex a bit of the position (no high blocks), whose planes are
     ``_subset_planes(n)`` replicated over the lanes by one multiply.  The
     parent's neighbour entries flood unmasked, and each edge vk is masked
-    by the lanes whose child has it.  ``tops[size]`` gives every lane's
-    largest c at once (``_fold``), and ``lane(i)`` is child i's view.  A
+    by the lanes whose child has it.  ``tops(size)`` gives every lane's
+    largest c at once, one byte each, and ``lane(i)`` is child i's view.  A
     child neither complete nor edgeless has n >= 3, so a lane spans whole
     bytes.
     """
@@ -439,9 +417,10 @@ class _Siblings:
         for v, mask in lanes:
             masked[v].append((k, mask))
         self.levels = _peel([list(_bits(row)) for row in parent.adj] + [[]], rest, masked)
-        self.tops = _Tops(self._fold)
+        #: size -> byte i the largest c of lane i, once read
+        self.folds: dict[int, bytes] = {}
 
-    def _fold(self, size: int) -> bytes:
+    def tops(self, size: int) -> bytes:
         """Each lane's largest c(G - S) >= 2 over the s-sets (0 if none
         separates).  Level k's block of each lane, ``levels[k] & W_s``, is
         folded to the lane's first bit; the levels are nested (c >= k + 3
@@ -450,6 +429,9 @@ class _Siblings:
         the lane's first byte."""
         if size > self.most:
             raise CrossCheckError(f"size {size} lies past every sibling's s_max")
+        tops = self.folds.get(size)
+        if tops is not None:
+            return tops
         n, ones = self.n, self.ones
         weight = _subset_planes(n)[1][size] * ones
         hits = 0
@@ -463,21 +445,25 @@ class _Siblings:
                 x |= x >> shift
             hits += x & ones
         stride = 1 << n - 3  # bytes per lane
-        return hits.to_bytes(stride * ones.bit_count(), "little")[::stride].translate(_HITS_TO_TOP)
+        tops = hits.to_bytes(stride * ones.bit_count(), "little")[::stride].translate(_HITS_TO_TOP)
+        self.folds[size] = tops
+        return tops
 
     def lane(self, i: int) -> "_Lane":
         return _Lane(self, i)
 
 
 class _Lane(_Counts):
-    """Child i of a ``_Siblings``: its tops from the sibling fold, and its
-    separators from its own block of the levels, each level shifted out
-    the first time a listing reads it."""
+    """Child i of a ``_Siblings``: its largest counts from the sibling fold,
+    and its separators from its own block of the levels, each level shifted
+    out the first time a listing reads it."""
 
     def __init__(self, siblings: _Siblings, i: int):
         self.n, self.siblings, self.i = siblings.n, siblings, i
-        self.tops = siblings.tops
         self.shifted: dict[int, int] = {}
+
+    def top(self, size: int) -> int:
+        return self.siblings.tops(size)[self.i]
 
     def _layer(self, size: int, least: int = 2) -> list[tuple[int, list[int], int]]:
         """One block: the levels least - 2 .. top - 2 that a listing reads,
@@ -485,7 +471,7 @@ class _Lane(_Counts):
         this size."""
         span, shifted, levels = 1 << self.n, self.shifted, self.siblings.levels
         reads = []
-        for k in range(least - 2, self.tops[size][self.i] - 1):
+        for k in range(least - 2, self.top(size) - 1):
             level = shifted.get(k)
             if level is None:
                 level = shifted[k] = levels[k] >> self.i * span & (1 << span) - 1
@@ -498,23 +484,24 @@ def _tough_pass(
 ) -> tuple[int, int, _Counts, list[tuple[int, int]]]:
     """Toughness p/q of a non-complete graph, and where its separators lie.
 
-    Reads ``counts`` (a sibling lane, or G - uv read from the sweep of G,
-    ``_Bridged``) or, by default, the sweep of g.  Keeps
-    the least ratio |S|/c(G-S) as integers p/q, from each size's largest c,
-    and stops before the first size s with s*q > p*(n-s).  Returns p, q,
-    the counts read and (size, largest c) for each size read that has a
-    separator, ascending.  A reader lists only the S it needs, each size
-    from its own least c (``_Counts.separators``); one that needs only p/q
-    lists nothing.
+    Reads each size's largest c, ``top(size)``, of ``counts`` (a sibling
+    lane, or G - uv read from the sweep of G, ``_Bridged``) or, by default,
+    of the sweep of g.  Keeps the least ratio |S|/c(G-S) as integers p/q,
+    and stops before the first size s with s*q > p*(n-s): it reads s iff
+    s*q <= p*(n-s) at the final p/q, so 0..min(n - 2, n*p // (p + q)).
+    Returns p, q, the counts read and (size, largest c) for each size read
+    that has a separator, ascending.  A reader lists only the S it needs,
+    each size from its own least c (``_Counts.separators``); one that needs
+    only p/q lists nothing.
     """
     n = g.n
     p, q = 1, 0  # no separator yet: an infinite ratio
     tops: list[tuple[int, int]] = []
-    sweep = _sweep(g) if counts is None else counts
-    for size in sweep:
+    sweep = _Sweep(g) if counts is None else counts
+    for size in range(n - 1):
         if size * q > p * (n - size):
             break
-        c = sweep.tops[size][sweep.i]
+        c = sweep.top(size)
         if size * q < p * c:
             p, q = size, c
         if c:
@@ -527,8 +514,8 @@ def _tough_pass(
 def _separator_masks(g: Graph) -> Iterator[int]:
     """The full listing: the mask of every S with c(G - S) >= 2, ascending
     by (size, bitmask)."""
-    sweep = _sweep(g)
-    for size in sweep:
+    sweep = _Sweep(g)
+    for size in range(g.n - 1):
         for mask, _ in sweep.separators(size):
             yield mask
 

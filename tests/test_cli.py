@@ -66,6 +66,12 @@ def test_named_bad_spec(capsys):
     assert "bad family spec 'wheel:2'" in err
 
 
+def test_named_past_the_vertex_cap(capsys):
+    rc, out, err = _run(capsys, ["named", "path:10000"])
+    assert (rc, out) == (2, "")
+    assert "bad family spec 'path:10000'" in err and "past MAX_VERTICES" in err
+
+
 # -- per-line formats ------------------------------------------------------------------
 
 
@@ -186,8 +192,9 @@ def test_jobs_output_is_identical(capsys, tmp_path):
 
 
 def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
-    """--jobs asks for at most one worker per CPU; a stand-in pool that maps
-    in this process records the request, so no process is started."""
+    """--jobs asks for at most one worker per CPU the process may run on,
+    by its affinity mask where the platform has one; a stand-in pool that
+    maps in this process records the request, so no process is started."""
     requested = []
 
     class InProcessPool:
@@ -204,7 +211,8 @@ def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: 3)
+    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: 4)
+    monkeypatch.setattr("toughlab.cli.os.sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
     path = tmp_path / "in.g6"
     path.write_text("\n".join(write_graph6(g) for g in enumerate_graphs(5)) + "\n")
     for command in ("tough", "mintough"):
@@ -212,11 +220,18 @@ def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
         rc, out, _ = _run(capsys, [command, "--jobs", "1000000", str(path)])
         assert (rc1, rc) == (0, 0) and out == out1
     assert requested == [3, 3]
-    # an unknown CPU count runs in this process, with no pool at all
-    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: None)
     want = _run(capsys, ["tough", str(path)])[1]
+    # one CPU in the affinity mask, of four counted, runs in this process
+    monkeypatch.setattr("toughlab.cli.os.sched_getaffinity", lambda pid: {1})
+    assert _run(capsys, ["tough", "--jobs", "2", str(path)])[1] == want
+    # with no affinity mask the CPU count caps, and an unknown one runs in
+    # this process, with no pool at all
+    monkeypatch.delattr("toughlab.cli.os.sched_getaffinity")
     assert _run(capsys, ["tough", "--jobs", "1000000", str(path)])[1] == want
-    assert requested == [3, 3]
+    assert requested == [3, 3, 4]
+    monkeypatch.setattr("toughlab.cli.os.cpu_count", lambda: None)
+    assert _run(capsys, ["tough", "--jobs", "1000000", str(path)])[1] == want
+    assert requested == [3, 3, 4]
 
 
 def test_cli_import_starts_no_pool_machinery():

@@ -1,6 +1,7 @@
 """Named families: parameter validation, construction, parsing, round trips."""
 import hashlib
 import re
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from toughlab.families import (
     turan_parts,
 )
 from toughlab.graph6 import write_graph6
-from toughlab.graphs import Graph, complement
+from toughlab.graphs import MAX_VERTICES, Graph, complement
 
 from oracles import normalize_edges
 
@@ -215,6 +216,33 @@ def test_degenerate_members():
     assert _named("complete:0").n == 0
     assert _named("path:1").n == 1
     assert _named("star:1") == Graph.complete(2)
+
+
+@pytest.mark.parametrize("text", ["path:10000", "wheel:10000", "doublestar:1,10000"])
+def test_vertex_cap_refuses_before_building(text):
+    """A spec past MAX_VERTICES vertices is refused from its parameters,
+    with no graph built: the peak stays far below one 10^4-vertex row list."""
+    spec = parse_family_spec(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"past MAX_VERTICES = {MAX_VERTICES}"):
+            make_named(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+
+
+def test_vertex_cap_admits_the_largest_members():
+    for text in ("path:32", "wheel:31", "doublestar:15,15", "triplestar:9,10,10", "turan:32,7"):
+        assert _named(text).n == MAX_VERTICES
+    for text in ("path:33", "cycle:33", "complete:33", "star:32", "triplestar:10,10,10",
+                 "multipartite:16,17", "turan:33,2", "wheel:32", "doublestar:15,16"):
+        with pytest.raises(ValueError, match="33 vertices, past MAX_VERTICES"):
+            _named(text)
+    # specs and closed forms build no graph, so they keep large parameters
+    assert turan_parts(100000, 3)[-1] == 33334
+    assert str(FamilySpec(Family.PATH, (10**6,))) == "path:1000000"
 
 
 def test_known_coincidences():

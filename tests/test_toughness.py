@@ -61,7 +61,7 @@ def test_iterate_separators_exhaustive():
 
 
 def test_toughness_guard_needs_a_separator(monkeypatch):
-    monkeypatch.setattr(toughness_module, "_sweep", lambda g: iter(()))
+    monkeypatch.setattr(toughness_module._Sweep, "top", lambda self, size: 0)
     with pytest.raises(CrossCheckError, match="has no separator"):
         toughness(_named("path:3"))
 
@@ -252,13 +252,42 @@ def test_bounded_pass_on_32_vertices(spec, t, separators):
 def _bridged_toughness(g: Graph) -> dict[tuple[int, int], Fraction]:
     """t(G - uv) for every edge uv, each read by one bridge flood over the
     sweep of G after G's own pass."""
-    _, _, sweep, _ = _tough_pass(g)
-    last = max(sweep.tops)
+    p, q, sweep, _ = _tough_pass(g)
+    last = min(g.n - 2, g.n * p // (p + q))
     out = {}
     for u, v in g.edges():
         p, q, _, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
         out[u, v] = Fraction(p, q)
     return out
+
+
+def _read_sizes(g: Graph) -> tuple[int, int, list[int]]:
+    """p, q and the sizes, in order, that the bounded pass over g reads
+    through ``top``."""
+    sweep, sizes = toughness_module._Sweep(g), []
+    top = sweep.top
+
+    def read(size):
+        sizes.append(size)
+        return top(size)
+
+    sweep.top = read
+    p, q, _, _ = _tough_pass(g, sweep)
+    return p, q, sizes
+
+
+def test_the_pass_reads_up_to_its_closed_form_stop():
+    """The bounded pass reads size s iff s*q <= p*(n - s) at its final p/q,
+    so it reads exactly 0..min(n - 2, n*p // (p + q)), the last size the
+    definition decider hands each bridge flood: every non-complete class on
+    at most 7 vertices, and a seeded sample on 9-17."""
+    rng = random.Random(917)
+    graphs = [g for n in range(8) for g in enumerate_graphs(n) if not g.is_complete()]
+    assert len(graphs) == 1_245
+    graphs += [_random_graph(rng, rng.randint(9, 17), rng.uniform(0.15, 0.85)) for _ in range(60)]
+    for g in graphs:
+        p, q, sizes = _read_sizes(g)
+        assert sizes == list(range(min(g.n - 2, g.n * p // (p + q)) + 1)), g.edges()
 
 
 def test_bridge_flood_matches_toughness_of_each_deletion_up_to_7():
@@ -295,10 +324,11 @@ def test_bridge_flood_in_high_blocks(text):
 
 def test_bridge_flood_refuses_a_size_past_the_pass():
     g = _named("cycle:9")
-    _, _, sweep, _ = _tough_pass(g)
-    bridged = _Bridged(sweep, 0, 1, max(sweep.tops))
+    p, q, sweep, _ = _tough_pass(g)
+    last = min(g.n - 2, g.n * p // (p + q))
+    bridged = _Bridged(sweep, 0, 1, last)
     with pytest.raises(CrossCheckError, match="past G's"):
-        bridged.tops[max(sweep.tops) + 1]
+        bridged.top(last + 1)
 
 
 # -- formatting ------------------------------------------------------------------------
