@@ -56,11 +56,11 @@ in the edges to the new vertex, so each child is a lane of 2^n positions
 in one flood: the parent's neighbour entries flood in every lane, and each
 edge to the new vertex only in the lanes whose child has it (``_peel``'s
 masked entries).  The pass reads a lane (``_Lane``) as it reads one
-graph's sweep, through ``_Counts``: each size's largest c is a byte per
-lane of one fold (``_Siblings.tops``), from its block of each level
-folded to one bit, all lanes at once, and its separators come from the
-levels a listing reads, shifted out of the flood.  Every mask the sweep
-and the flood build is a non-negative int: a complement is an XOR.
+graph's sweep, through ``_Counts``: a lane's largest c at a size is its
+byte of one fold over all lanes (``_Siblings.tops``), each lane's block
+of each level folded to one bit, and its separators come from the levels
+a listing reads, shifted out of the flood.  Every mask the sweep and the
+flood build is a non-negative int: a complement is an XOR.
 """
 from __future__ import annotations
 
