@@ -80,7 +80,6 @@ from array import array
 from functools import lru_cache
 from typing import Iterator
 
-from .connectivity import is_connected
 from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
 from .graphs import Graph, _bits, relabel
 
@@ -359,11 +358,8 @@ def census_parents(n: int) -> array:
     return _census(n).parents
 
 
-def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class, ascending canonical code."""
     if not 0 <= n <= _MAX_CANON:
         raise ValueError(f"enumeration supported for 0 <= n <= {_MAX_CANON}")
-    for g in _census(n):
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+    yield from _census(n)

@@ -62,7 +62,7 @@ def _gate_nmax(n: int, least: int = 1) -> None:
     if n > _MAX_CANON:
         raise CliError(f"enumeration is limited to n <= {_MAX_CANON}")
     if n >= 9:
-        cost = ("n = 9 takes about 10 seconds to enumerate and about 30 seconds for "
+        cost = ("n = 9 takes about 5 seconds to enumerate and about 15 seconds for "
                 "'verify all' on 2 vCPUs, n = 10 far longer")
         if not os.environ.get(NMAX_OVERRIDE_ENV):
             raise CliError(f"n = {n} is slow: {cost}; set {NMAX_OVERRIDE_ENV}=1 to allow it")
@@ -206,7 +206,7 @@ _LMAX_RANGE = {"table1": (2, TABLE1_L_MAX), "wheels": (5, WHEELS_L_MAX),
                "all": (5, TABLE1_L_MAX)}
 
 
-def _verify_report(target: str, nmax: int, lmax: int, klass: str):
+def _verify_report(target: str, nmax: int, lmax: int, klass: str | None):
     """The report of one verify target other than all."""
     key = target.strip().lower()
     normalized = key.upper().replace("-", "_")
@@ -227,15 +227,20 @@ def _verify_report(target: str, nmax: int, lmax: int, klass: str):
 def _cmd_verify(args: argparse.Namespace) -> int:
     _gate_nmax(args.nmax)
     target = args.target.strip().lower()
-    least, most = _LMAX_RANGE.get(target, (0, None))
-    if args.lmax and args.lmax < least:
-        raise CliError(f"--lmax must be >= {least} for {target}")
-    if most is not None and args.lmax > most:
-        raise CliError(f"--lmax must be <= {most} for {target}")
-    steps = [(args.target, args.klass)]
+    if args.lmax:
+        if target not in _LMAX_RANGE:
+            raise CliError(f"--lmax applies only to {', '.join(_LMAX_RANGE)}, not {target}")
+        least, most = _LMAX_RANGE[target]
+        if args.lmax < least:
+            raise CliError(f"--lmax must be >= {least} for {target}")
+        if args.lmax > most:
+            raise CliError(f"--lmax must be <= {most} for {target}")
+    if args.klass is not None and target != "kriesell":
+        raise CliError(f"--class applies only to kriesell, not {target}")
+    steps = [(args.target, args.klass or "all")]
     if target == "all":
-        steps = [(t, args.klass) for t in THEOREM_IDS + ("table1", "wheels")]
-        steps += [("kriesell", k) for k in KRIESELL_CLASS_FILTERS] + [("codiam", args.klass)]
+        steps = [(t, None) for t in THEOREM_IDS + ("table1", "wheels")]
+        steps += [("kriesell", k) for k in KRIESELL_CLASS_FILTERS] + [("codiam", None)]
     reports = [_verify_report(t, args.nmax, args.lmax, k) for t, k in steps]
     if args.format == "json":
         payload = [rep.to_json() for rep in reports]
@@ -243,7 +248,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         print("\n\n".join(rep.render() for rep in reports))
     # only the unrestricted degree-ceiling scan reports without asserting
-    failed = any(getattr(rep, "assertive", True) and not rep.verified for rep in reports)
+    failed = any(rep.assertive and not rep.verified for rep in reports)
     return 1 if failed else 0
 
 
@@ -303,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lmax", type=int, default=0, metavar="L",
                    help=f"parameter bound for table1 (default 5, at most {TABLE1_L_MAX}) "
                         f"and wheels (default 9, at most {WHEELS_L_MAX})")
-    p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS, default="all",
-                   help="class filter for the kriesell target")
+    p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS,
+                   help="class filter for the kriesell target (default all)")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(func=_cmd_verify)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -369,57 +369,41 @@ def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:
         yield n, _members(klass, n)
 
 
-# -- theorem harness ----------------------------------------------------------
+# -- reports -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PerNCounts:
-    n: int
-    class_size: int
-    mintough_found: int
-    family_predicted: int
+class Report:
+    """One scan's result: its JSON fields in output order and its table lines.
 
+    A scan that only reports evidence is not ``assertive``: a failed check
+    in it does not fail the run.
+    """
 
-@dataclass(frozen=True)
-class TheoremReport:
-    theorem: str
-    n_max: int
-    per_n: tuple[PerNCounts, ...]
-    #: graph6 of graphs where the computed verdict and the family list disagree
-    discrepancies: tuple[str, ...]
-    #: graph6 of graphs where the three equivalent routes disagree (P4FREE only)
-    condition_discrepancies: tuple[str, ...] = ()
+    fields: dict
+    lines: list[str]
+    assertive: bool = True
 
     @property
     def verified(self) -> bool:
-        return not self.discrepancies and not self.condition_discrepancies
+        return self.fields.get("verified", True)
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "n_max": self.n_max,
-            "per_n": [asdict(row) for row in self.per_n],
-            "discrepancies": list(self.discrepancies),
-            "condition_discrepancies": list(self.condition_discrepancies),
-            "verified": self.verified,
-        }
+        return self.fields
 
     def render(self) -> str:
-        head = "VERIFIED" if self.verified else "DISCREPANCIES FOUND"
-        lines = [f"theorem {self.theorem}, n <= {self.n_max}: {head}"]
-        lines.append("  n    class  mintough  predicted")
-        for row in self.per_n:
-            lines.append(
-                f"  {row.n:<3} {row.class_size:>6} {row.mintough_found:>9} {row.family_predicted:>10}"
-            )
-        for g6 in self.discrepancies:
-            lines.append(f"  !! family-list mismatch: {g6}")
-        for g6 in self.condition_discrepancies:
-            lines.append(f"  !! route disagreement: {g6}")
-        return "\n".join(lines)
+        return "\n".join(self.lines)
 
 
-def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> TheoremReport:
+def _flagged(table: list[tuple[str, list[str]]]) -> list[str]:
+    """One table line per flagged graph6, from (reason, codes) pairs."""
+    return [f"  {reason}: {g6}" for reason, codes in table for g6 in codes]
+
+
+# -- theorem harness ----------------------------------------------------------
+
+
+def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> Report:
     """Check one classification statement exhaustively up to n_max vertices.
 
     Args:
@@ -427,19 +411,21 @@ def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> TheoremReport
         n_max: largest vertex count to enumerate.
 
     Returns:
-        TheoremReport; verified is True when every in-class graph is
-        non-trivially minimally tough exactly when its canonical code is in
-        the predicted family set (and, for P4FREE, the multipartite
-        inequality route agrees as well).
+        A Report, verified when every in-class graph is non-trivially
+        minimally tough exactly when its canonical code is in the predicted
+        family set (and, for P4FREE, the multipartite inequality route
+        agrees as well).
     """
     tid = theorem_id.strip().upper().replace("-", "_")
     if tid not in _CLASS_OF_THEOREM:
         raise ValueError(f"unknown theorem id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}")
     key = _CLASS_OF_THEOREM[tid]
     klass = _CLASSES[key]
-    per_n: list[PerNCounts] = []
+    per_n: list[dict] = []
+    #: graphs where the computed verdict and the family list disagree
     discrepancies: list[str] = []
-    condition_discrepancies: list[str] = []
+    #: graphs where the three equivalent routes disagree (P4FREE only)
+    routes: list[str] = []
     for n, members in _orders(key, n_max):
         predicted = _predicted(klass.predicted, n)
         found_count = 0
@@ -450,74 +436,45 @@ def verify_theorem(theorem_id: str, n_max: int = DEFAULT_N_MAX) -> TheoremReport
             if found != pred:
                 discrepancies.append(code)
             if klass.route is not None and not (found == pred == klass.route(code)):
-                condition_discrepancies.append(code)
+                routes.append(code)
         # a predicted family member that escapes its own class is also a bug
         discrepancies.extend(sorted(predicted.difference(members)))
-        per_n.append(PerNCounts(n, len(members), found_count, len(predicted)))
-    return TheoremReport(
-        tid, n_max, tuple(per_n), tuple(discrepancies), tuple(condition_discrepancies)
-    )
+        per_n.append({"n": n, "class_size": len(members), "mintough_found": found_count,
+                      "family_predicted": len(predicted)})
+    verified = not discrepancies and not routes
+    lines = [f"theorem {tid}, n <= {n_max}: {'VERIFIED' if verified else 'DISCREPANCIES FOUND'}",
+             "  n    class  mintough  predicted"]
+    lines += [f"  {row['n']:<3} {row['class_size']:>6} {row['mintough_found']:>9}"
+              f" {row['family_predicted']:>10}" for row in per_n]
+    lines += _flagged([("!! family-list mismatch", discrepancies),
+                       ("!! route disagreement", routes)])
+    return Report({"theorem": tid, "n_max": n_max, "per_n": per_n, "discrepancies": discrepancies,
+                   "condition_discrepancies": routes, "verified": verified}, lines)
 
 
 # -- closed-form value tables ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValueRow:
-    label: str
-    expected: Fraction
-    computed: Toughness
-    minimally_tough: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        if self.computed != self.expected:
-            return False
-        return self.minimally_tough is not False
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.label,
-            "expected": format_toughness(self.expected),
-            "computed": format_toughness(self.computed),
-            "minimally_tough": self.minimally_tough,
-            "ok": self.ok,
-        }
+def _value_report(title: str, rows: list[tuple[str, Fraction, Toughness, bool | None]]) -> Report:
+    """A table of (label, expected, computed toughness, minimally tough or
+    None when not asked); a row is ok when the values are equal and the
+    graph is not found to be not minimally tough."""
+    width = max((len(label) for label, *_ in rows), default=0)
+    out: list[dict] = []
+    lines: list[str] = []
+    for label, expected, computed, mintough in rows:
+        ok = computed == expected and mintough is not False
+        out.append({"graph": label, "expected": format_toughness(expected),
+                    "computed": format_toughness(computed), "minimally_tough": mintough, "ok": ok})
+        extra = "" if mintough is None else "  mintough" if mintough else "  NOT-mintough"
+        lines.append(f"  {label:<{width}}  tau = {format_toughness(computed):>5}"
+                     f"  expected {format_toughness(expected):>5}{extra}  [{'ok' if ok else 'FAIL'}]")
+    verified = all(row["ok"] for row in out)
+    head = f"{title}: {'VERIFIED' if verified else 'MISMATCH'}"
+    return Report({"title": title, "rows": out, "verified": verified}, [head] + lines)
 
 
-@dataclass(frozen=True)
-class ValueReport:
-    title: str
-    rows: tuple[ValueRow, ...]
-
-    @property
-    def verified(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "title": self.title,
-            "rows": [row.to_json() for row in self.rows],
-            "verified": self.verified,
-        }
-
-    def render(self) -> str:
-        head = "VERIFIED" if self.verified else "MISMATCH"
-        lines = [f"{self.title}: {head}"]
-        width = max((len(row.label) for row in self.rows), default=0)
-        for row in self.rows:
-            mark = "ok" if row.ok else "FAIL"
-            extra = ""
-            if row.minimally_tough is not None:
-                extra = "  mintough" if row.minimally_tough else "  NOT-mintough"
-            lines.append(
-                f"  {row.label:<{width}}  tau = {format_toughness(row.computed):>5}"
-                f"  expected {format_toughness(row.expected):>5}{extra}  [{mark}]"
-            )
-        return "\n".join(lines)
-
-
-def verify_table1(l_max: int) -> ValueReport:
+def verify_table1(l_max: int) -> Report:
     """Recompute the closed-form toughness values of the named families.
 
     For every l in [2, l_max] and every k in [1, l] the brute-force value
@@ -527,23 +484,18 @@ def verify_table1(l_max: int) -> ValueReport:
     """
     if not 2 <= l_max <= TABLE1_L_MAX:
         raise ValueError(f"l_max must be in 2..{TABLE1_L_MAX}")
-    rows: list[ValueRow] = []
-
-    def add(spec: FamilySpec, expected: Fraction) -> None:
-        rows.append(ValueRow(str(spec), expected, toughness(make_named(spec))))
-
-    add(FamilySpec(Family.PATH, (4,)), Fraction(1, 2))
-    add(FamilySpec(Family.COMPLETE_MULTIPARTITE, (2, 3)), Fraction(2, 3))
+    specs = [(FamilySpec(Family.PATH, (4,)), Fraction(1, 2)),
+             (FamilySpec(Family.COMPLETE_MULTIPARTITE, (2, 3)), Fraction(2, 3))]
     for l in range(2, l_max + 1):
-        for k in range(1, l + 1):
-            add(FamilySpec(Family.DOUBLE_STAR, (k, l)), Fraction(1, l + 1))
-        add(FamilySpec(Family.STAR, (l,)), Fraction(1, l))
-        add(FamilySpec(Family.TURAN, (2 * l, l)), Fraction(l - 1))
-        add(FamilySpec(Family.TURAN, (2 * l - 1, l)), Fraction(2 * l - 3, 2))
-    return ValueReport(f"toughness value table, l <= {l_max}", tuple(rows))
+        specs += [(FamilySpec(Family.DOUBLE_STAR, (k, l)), Fraction(1, l + 1)) for k in range(1, l + 1)]
+        specs += [(FamilySpec(Family.STAR, (l,)), Fraction(1, l)),
+                  (FamilySpec(Family.TURAN, (2 * l, l)), Fraction(l - 1)),
+                  (FamilySpec(Family.TURAN, (2 * l - 1, l)), Fraction(2 * l - 3, 2))]
+    rows = [(str(spec), expected, toughness(make_named(spec)), None) for spec, expected in specs]
+    return _value_report(f"toughness value table, l <= {l_max}", rows)
 
 
-def verify_wheels(l_max: int) -> ValueReport:
+def verify_wheels(l_max: int) -> Report:
     """Wheels (hub joined to a rim cycle of length l) for 5 <= l <= l_max.
 
     Each wheel must be non-trivially minimally tough with toughness exactly
@@ -551,65 +503,25 @@ def verify_wheels(l_max: int) -> ValueReport:
     """
     if not 5 <= l_max <= WHEELS_L_MAX:
         raise ValueError(f"l_max must be in 5..{WHEELS_L_MAX}")
-    rows: list[ValueRow] = []
+    rows = []
     for l in range(5, l_max + 1):
         expected = 1 + (Fraction(2, l - 1) if l % 2 else Fraction(2, l))
         g = make_named(FamilySpec(Family.WHEEL, (l,)))
-        rows.append(
-            ValueRow(f"wheel:{l}", expected, toughness(g), is_nontrivially_minimally_tough(g))
-        )
-    return ValueReport(f"wheel toughness, 5 <= l <= {l_max}", tuple(rows))
+        rows.append((f"wheel:{l}", expected, toughness(g), is_nontrivially_minimally_tough(g)))
+    return _value_report(f"wheel toughness, 5 <= l <= {l_max}", rows)
 
 
 # -- degree-ceiling (Kriesell) scans ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class KriesellReport:
-    class_filter: str
-    n_max: int
-    #: True for the characterized classes where the degree claim is proven;
-    #: False for the unrestricted scan, which only reports evidence.
-    assertive: bool
-    scanned_per_n: tuple[tuple[int, int], ...]
-    counterexamples: tuple[str, ...]
-
-    @property
-    def verified(self) -> bool:
-        return not self.counterexamples
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.class_filter,
-            "n_max": self.n_max,
-            "assertive": self.assertive,
-            "scanned_per_n": [{"n": n, "mintough": c} for n, c in self.scanned_per_n],
-            "counterexamples": list(self.counterexamples),
-            "verified": self.verified,
-        }
-
-    def render(self) -> str:
-        total = sum(c for _, c in self.scanned_per_n)
-        head = "all have a degree-ceiling vertex" if self.verified else "COUNTEREXAMPLES"
-        mode = "asserted" if self.assertive else "report only"
-        lines = [
-            f"degree-ceiling scan [{self.class_filter}], n <= {self.n_max} ({mode}): "
-            f"{total} minimally tough graphs, {head}"
-        ]
-        for n, c in self.scanned_per_n:
-            lines.append(f"  n={n}: {c}")
-        for g6 in self.counterexamples:
-            lines.append(f"  ** no vertex of degree ceil(2t): {g6}")
-        return "\n".join(lines)
-
-
-def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> KriesellReport:
+def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> Report:
     """Check that minimally tough graphs have a vertex of degree ceil(2t).
 
     Args:
         class_filter: one of p4-free, complete-multipartite, cochordal-ge3,
-            netfree-cochordal, co-forest, or "all" for the unrestricted
-            (report-only) sweep.
+            netfree-cochordal, co-forest, where the degree claim is proven
+            and asserted, or "all" for the unrestricted sweep, which only
+            reports evidence.
         n_max: largest vertex count to enumerate.
     """
     key = class_filter.strip().lower()
@@ -617,7 +529,7 @@ def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> Krie
         raise ValueError(
             f"unknown class filter {class_filter!r}; known: {', '.join(KRIESELL_CLASS_FILTERS)}"
         )
-    scanned: list[tuple[int, int]] = []
+    scanned: list[dict] = []
     bad: list[str] = []
     for n, members in _orders(key, n_max):
         count = 0
@@ -627,82 +539,34 @@ def kriesell_scan(class_filter: str = "all", n_max: int = DEFAULT_N_MAX) -> Krie
             count += 1
             if math.ceil(2 * _tau_of(code)) not in _graph_of(code).degrees():
                 bad.append(code)
-        scanned.append((n, count))
-    return KriesellReport(key, n_max, key != "all", tuple(scanned), tuple(bad))
+        scanned.append({"n": n, "mintough": count})
+    assertive = key != "all"
+    head = "all have a degree-ceiling vertex" if not bad else "COUNTEREXAMPLES"
+    lines = [f"degree-ceiling scan [{key}], n <= {n_max} "
+             f"({'asserted' if assertive else 'report only'}): "
+             f"{sum(row['mintough'] for row in scanned)} minimally tough graphs, {head}"]
+    lines += [f"  n={row['n']}: {row['mintough']}" for row in scanned]
+    lines += _flagged([("** no vertex of degree ceil(2t)", bad)])
+    return Report({"class": key, "n_max": n_max, "assertive": assertive, "scanned_per_n": scanned,
+                   "counterexamples": bad, "verified": not bad}, lines, assertive)
 
 
 # -- conjecture probe -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeHit:
-    graph6: str
-    toughness: Fraction
-    #: leaf count per centre when the hit is a balanced triple star, else None
-    triple_star_size: int | None
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    n_max: int
-    scanned_per_n: tuple[tuple[int, int], ...]
-    hits: tuple[ProbeHit, ...]
-
-    @property
-    def all_triple_star(self) -> bool:
-        return all(hit.triple_star_size is not None for hit in self.hits)
-
-    @property
-    def max_toughness(self) -> Fraction | None:
-        return max((hit.toughness for hit in self.hits), default=None)
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "scanned_per_n": [{"n": n, "class_size": c} for n, c in self.scanned_per_n],
-            "hits": [
-                {
-                    "graph6": hit.graph6,
-                    "toughness": format_toughness(hit.toughness),
-                    "triple_star_size": hit.triple_star_size,
-                }
-                for hit in self.hits
-            ],
-            "all_triple_star": self.all_triple_star,
-            "max_toughness": None
-            if self.max_toughness is None
-            else format_toughness(self.max_toughness),
-        }
-
-    def render(self) -> str:
-        lines = [f"conjecture probe (co-chordal, co-diameter 2), n <= {self.n_max}"]
-        for n, c in self.scanned_per_n:
-            lines.append(f"  n={n}: {c} graphs in class")
-        lines.append(f"  minimally tough hits: {len(self.hits)}")
-        for hit in self.hits:
-            if hit.triple_star_size is not None:
-                tag = f"= triplestar:{hit.triple_star_size},{hit.triple_star_size},{hit.triple_star_size}"
-            else:
-                tag = "** NOT a balanced triple star **"
-            lines.append(f"    {hit.graph6}  tau = {format_toughness(hit.toughness)}  {tag}")
-        if self.max_toughness is not None:
-            lines.append(f"  max toughness among hits: {format_toughness(self.max_toughness)}")
-        lines.append(
-            "  all hits balanced triple stars: " + ("yes" if self.all_triple_star else "NO")
-        )
-        return "\n".join(lines)
-
-
-def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
+def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> Report:
     """Report the minimally tough co-chordal graphs of co-diameter exactly 2.
 
     The conjecture says these are exactly the balanced triple stars; the
-    probe never asserts it, it lists every hit and whether it matches.
+    probe never asserts it, it lists every hit and whether it matches (its
+    triple_star_size, the leaves per centre, or None).
     """
     if n_max > PROBE_N_MAX:
         raise ValueError(f"probe supports n_max <= {PROBE_N_MAX}")
-    hits: list[ProbeHit] = []
-    scanned: list[tuple[int, int]] = []
+    hits: list[dict] = []
+    scanned: list[dict] = []
+    lines = [f"conjecture probe (co-chordal, co-diameter 2), n <= {n_max}"]
+    taus: list[Fraction] = []
     for n, codes in _orders("all", n_max):
         balanced = _predicted(_BALANCED_TRIPLE_STARS, n)
         count = 0
@@ -716,53 +580,28 @@ def probe_conjecture_cochordal_diam2(n_max: int = DEFAULT_N_MAX) -> ProbeReport:
             tau = _tau_of(code)
             if not isinstance(tau, Fraction):
                 raise CrossCheckError(f"minimally tough {code} has toughness {tau}")
-            hits.append(ProbeHit(code, tau, size))
-        scanned.append((n, count))
-    return ProbeReport(n_max, tuple(scanned), tuple(hits))
+            taus.append(tau)
+            hits.append({"graph6": code, "toughness": format_toughness(tau), "triple_star_size": size})
+        scanned.append({"n": n, "class_size": count})
+        lines.append(f"  n={n}: {count} graphs in class")
+    all_triple_star = all(hit["triple_star_size"] is not None for hit in hits)
+    top = format_toughness(max(taus)) if taus else None
+    lines.append(f"  minimally tough hits: {len(hits)}")
+    for hit in hits:
+        size = hit["triple_star_size"]
+        tag = "** NOT a balanced triple star **" if size is None else f"= triplestar:{size},{size},{size}"
+        lines.append(f"    {hit['graph6']}  tau = {hit['toughness']}  {tag}")
+    if top is not None:
+        lines.append(f"  max toughness among hits: {top}")
+    lines.append("  all hits balanced triple stars: " + ("yes" if all_triple_star else "NO"))
+    return Report({"n_max": n_max, "scanned_per_n": scanned, "hits": hits,
+                   "all_triple_star": all_triple_star, "max_toughness": top}, lines, assertive=False)
 
 
 # -- co-diameter exclusions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoDiamExclusionReport:
-    n_max: int
-    ge4_scanned: int
-    #: minimally tough co-chordal graphs with connected complement, co-diameter >= 4
-    ge4_violations: tuple[str, ...]
-    diam3_scanned: int
-    #: co-chordal co-diameter-3 graphs where mintough and double-star disagree
-    diam3_discrepancies: tuple[str, ...]
-
-    @property
-    def verified(self) -> bool:
-        return not self.ge4_violations and not self.diam3_discrepancies
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "ge4_scanned": self.ge4_scanned,
-            "ge4_violations": list(self.ge4_violations),
-            "diam3_scanned": self.diam3_scanned,
-            "diam3_discrepancies": list(self.diam3_discrepancies),
-            "verified": self.verified,
-        }
-
-    def render(self) -> str:
-        head = "VERIFIED" if self.verified else "DISCREPANCIES FOUND"
-        lines = [
-            f"co-diameter exclusions, n <= {self.n_max}: {head}",
-            f"  co-chordal, connected complement, co-diameter >= 4: {self.ge4_scanned} scanned",
-            f"  co-chordal, co-diameter 3: {self.diam3_scanned} scanned",
-        ]
-        for g6 in self.ge4_violations:
-            lines.append(f"  !! minimally tough at co-diameter >= 4: {g6}")
-        for g6 in self.diam3_discrepancies:
-            lines.append(f"  !! co-diameter-3 mismatch: {g6}")
-        return "\n".join(lines)
-
-
-def verify_codiam_exclusions(n_max: int = DEFAULT_N_MAX) -> CoDiamExclusionReport:
+def verify_codiam_exclusions(n_max: int = DEFAULT_N_MAX) -> Report:
     """Two exclusion checks on co-chordal graphs, exhaustive up to n_max.
 
     (a) no co-chordal graph with connected complement and co-diameter >= 4
@@ -789,6 +628,12 @@ def verify_codiam_exclusions(n_max: int = DEFAULT_N_MAX) -> CoDiamExclusionRepor
                     ge4_bad.append(code)
         # every double star must sit inside the co-diameter-3 class
         diam3_bad.extend(sorted(doublestars - seen))
-    return CoDiamExclusionReport(
-        n_max, ge4_scanned, tuple(ge4_bad), diam3_scanned, tuple(diam3_bad)
-    )
+    verified = not ge4_bad and not diam3_bad
+    lines = [f"co-diameter exclusions, n <= {n_max}: {'VERIFIED' if verified else 'DISCREPANCIES FOUND'}",
+             f"  co-chordal, connected complement, co-diameter >= 4: {ge4_scanned} scanned",
+             f"  co-chordal, co-diameter 3: {diam3_scanned} scanned"]
+    lines += _flagged([("!! minimally tough at co-diameter >= 4", ge4_bad),
+                       ("!! co-diameter-3 mismatch", diam3_bad)])
+    return Report({"n_max": n_max, "ge4_scanned": ge4_scanned, "ge4_violations": ge4_bad,
+                   "diam3_scanned": diam3_scanned, "diam3_discrepancies": diam3_bad,
+                   "verified": verified}, lines)

@@ -12,6 +12,7 @@ from toughlab.classes import is_chordal, simplicial_pair_decomposition
 from toughlab.cli import main
 from toughlab.connectivity import (
     distances,
+    is_connected,
     local_connectivity,
     max_bipartite_matching,
     uv_extension,
@@ -67,7 +68,7 @@ def test_criterion_01_toughness_value_table():
     report = verify_table1(5)
     dt = time.monotonic() - t0
     assert report.verified, report.render()
-    assert len(report.rows) == 28  # P4, K23, and per l: l double stars + 3
+    assert len(report.to_json()["rows"]) == 28  # P4, K23, and per l: l double stars + 3
     assert dt < 10, f"value table took {dt:.1f}s, budget 10s"
     _report("criterion 1", "closed-form toughness table (l <= 5), 28 exact values", dt)
 
@@ -101,16 +102,17 @@ def test_criterion_04_wheels():
     t0 = time.monotonic()
     report = verify_wheels(9)
     assert report.verified, report.render()
-    assert len(report.rows) == 5
-    assert all(row.minimally_tough for row in report.rows)
+    rows = report.to_json()["rows"]
+    assert len(rows) == 5
+    assert all(row["minimally_tough"] for row in rows)
     expected = {
-        "wheel:5": Fraction(3, 2),
-        "wheel:6": Fraction(4, 3),
-        "wheel:7": Fraction(4, 3),
-        "wheel:8": Fraction(5, 4),
-        "wheel:9": Fraction(5, 4),
+        "wheel:5": "3/2",
+        "wheel:6": "4/3",
+        "wheel:7": "4/3",
+        "wheel:8": "5/4",
+        "wheel:9": "5/4",
     }
-    assert {row.label: row.computed for row in report.rows} == expected
+    assert {row["graph"]: row["computed"] for row in rows} == expected
     _report("criterion 4", "wheels 5..9 minimally tough with exact values", time.monotonic() - t0)
 
 
@@ -119,7 +121,7 @@ def test_criterion_05_decider_agreement():
     classes = 0
     at_7 = 0
     for n in range(1, 8):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             by_def = is_minimally_tough_by_definition(g)
             by_crit, _ = is_minimally_tough_by_criterion(g)
             assert by_def == by_crit, write_graph6(g)
@@ -149,8 +151,9 @@ def test_criterion_06b_theorems_to_8():
     for tid in THEOREM_IDS:
         report = verify_theorem(tid, 8)
         assert report.verified, report.render()
-        assert report.discrepancies == () and report.condition_discrepancies == ()
-        mintough_at_8[tid] = report.per_n[-1].mintough_found
+        blob = report.to_json()
+        assert blob["discrepancies"] == [] and blob["condition_discrepancies"] == []
+        mintough_at_8[tid] = blob["per_n"][-1]["mintough_found"]
     # the P4-free report also certifies pairwise agreement of the three
     # equivalent characterizations (verdict, family list, part-size inequality)
     assert mintough_at_8 == {
@@ -163,7 +166,7 @@ def test_criterion_06b_theorems_to_8():
     }
     codiam = verify_codiam_exclusions(8)
     assert codiam.verified, codiam.render()
-    assert codiam.ge4_scanned == 449 and codiam.diam3_scanned == 944
+    assert (codiam.to_json()["ge4_scanned"], codiam.to_json()["diam3_scanned"]) == (449, 944)
     dt = time.monotonic() - t0
     assert dt < 1800, f"n <= 8 verification took {dt:.1f}s, budget 30 min"
     _report("criterion 6 (n<=8)", "six classifications + co-diameter exclusions, no discrepancies", dt)
@@ -328,16 +331,17 @@ def test_criterion_08_degree_ceiling_scans():
         report = kriesell_scan(klass, 8)
         assert report.assertive
         assert report.verified, report.render()
-        assert tuple(c for _, c in report.scanned_per_n) == scanned
+        assert tuple(row["mintough"] for row in report.to_json()["scanned_per_n"]) == scanned
     unrestricted = kriesell_scan("all", 8)
     assert not unrestricted.assertive  # report-only: never asserted
-    assert tuple(c for _, c in unrestricted.scanned_per_n) == (0, 0, 1, 3, 6, 13, 31, 85)
+    counts = tuple(row["mintough"] for row in unrestricted.to_json()["scanned_per_n"])
+    assert counts == (0, 0, 1, 3, 6, 13, 31, 85)
     dt = time.monotonic() - t0
     note = "no counterexample" if unrestricted.verified else "counterexamples reported"
     _report(
         "criterion 8",
         f"degree-ceiling property on five characterized classes (n <= 8); "
-        f"unrestricted scan of {sum(c for _, c in unrestricted.scanned_per_n)} graphs: {note}",
+        f"unrestricted scan of {sum(counts)} graphs: {note}",
         dt,
     )
 
@@ -347,13 +351,12 @@ def test_criterion_09_conjecture_probe():
     report = probe_conjecture_cochordal_diam2(8)
     # report-mode: the probe returns hits instead of raising; at this horizon
     # every hit must be a balanced triple star, and the only one is the net
-    assert report.all_triple_star, report.render()
-    assert [(h.graph6, h.toughness, h.triple_star_size) for h in report.hits] == [
-        ("E@UW", Fraction(1, 2), 1)
-    ]
-    assert report.max_toughness == Fraction(1, 2)
+    blob = report.to_json()
+    assert blob["all_triple_star"], report.render()
+    assert blob["hits"] == [{"graph6": "E@UW", "toughness": "1/2", "triple_star_size": 1}]
+    assert blob["max_toughness"] == "1/2"
     net = make_named(parse_family_spec("net"))
-    hit = parse_graph6(report.hits[0].graph6)
+    hit = parse_graph6(blob["hits"][0]["graph6"])
     assert ref_are_isomorphic(hit.n, hit.edges(), net.n, net.edges())
     assert is_nontrivially_minimally_tough(net)
     _report(
@@ -381,7 +384,7 @@ def test_criterion_10_infrastructure(capsys, tmp_path):
     for n in range(7):
         perms = math.factorial(n)
         labeled = connected_labeled = 0
-        connected_classes = {canonical_code(h) for h in enumerate_graphs(n, connected_only=True)}
+        connected_classes = {canonical_code(h) for h in filter(is_connected, enumerate_graphs(n))}
         for g in enumerate_graphs(n):
             orbit = perms // ref_automorphism_count(g.n, g.edges())
             labeled += orbit

@@ -284,7 +284,7 @@ def test_cograph_partition_properties():
     # complement, and each of its co-components on >= 2 vertices induces a
     # disconnected subgraph
     for n in range(2, 7):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             if not is_p4_free(g):
                 continue
             parts = components(complement(g))

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,8 @@ def test_verify_all_small(capsys):
          "79d3364b8275e94a443af88e55d4a07347a71da403d290be86fdbac6e43384f5"),
         (["probe", "--nmax", "8", "--format", "json"],
          "3a4e07a070702186b6b705dacd9b743a96185accf9152556157e817a46661e69"),
+        (["probe", "--nmax", "8"],
+         "7008c1eec49f4c701ec1485c8ef77e10a6a6b46d1a76d2b989acace7cef0170f"),
         pytest.param(
             ["verify", "all", "--nmax", "9", "--format", "json"],
             "6251dddf21a4b28469a7d855bad479b5c33efadaefdcd446bae0d1a3adb8ab3e",
@@ -345,7 +348,7 @@ def test_verify_all_small(capsys):
         ),
     ],
     ids=["verify-all-json", "verify-all-table", "probe-json", "verify-all-json-8",
-         "probe-json-8", "verify-all-json-9"],
+         "probe-json-8", "probe-table-8", "verify-all-json-9"],
 )
 def test_report_bytes_frozen(capsys, monkeypatch, argv, digest):
     monkeypatch.setenv(NMAX_OVERRIDE_ENV, "1")  # lets n = 9 past the gate
@@ -435,19 +438,21 @@ def test_mintough_bytes_frozen(capsys, mintough_corpus, method, fmt):
 
 
 def test_verify_exit_code_follows_assertive_reports(capsys, monkeypatch):
-    from toughlab import cli
-    from toughlab.verify import CoDiamExclusionReport, KriesellReport
+    # a toughness of 7/2 makes P_4 a degree-ceiling counterexample, and a
+    # flipped verdict a co-diameter-4 graph minimally tough; only the
+    # unrestricted degree-ceiling scan reports without asserting
+    from toughlab import verify
 
-    def kriesell(assertive):
-        return lambda klass, n_max: KriesellReport(klass, n_max, assertive, ((1, 1),), ("@",))
-
-    monkeypatch.setattr(cli, "kriesell_scan", kriesell(False))
-    assert _run(capsys, ["verify", "kriesell", "--nmax", "1"])[0] == 0
-    monkeypatch.setattr(cli, "kriesell_scan", kriesell(True))
-    assert _run(capsys, ["verify", "kriesell", "--nmax", "1"])[0] == 1
-    monkeypatch.setattr(cli, "verify_codiam_exclusions",
-                        lambda n_max: CoDiamExclusionReport(n_max, 0, ("@",), 0, ()))
-    assert _run(capsys, ["verify", "codiam", "--nmax", "1"])[0] == 1
+    tau_of, mintough = verify._tau_of, verify._mintough
+    monkeypatch.setattr(verify, "_tau_of", lambda code: Fraction(7, 2) if code == "CL" else tau_of(code))
+    rc, out, _ = _run(capsys, ["verify", "kriesell", "--nmax", "4", "--format", "json"])
+    assert (rc, json.loads(out)["counterexamples"]) == (0, ["CL"])
+    rc, out, _ = _run(capsys, ["verify", "kriesell", "--class", "cochordal-ge3", "--nmax", "4",
+                               "--format", "json"])
+    assert (rc, json.loads(out)["counterexamples"]) == (1, ["CL"])
+    monkeypatch.setattr(verify, "_mintough", lambda code: code == "DLs" or mintough(code))
+    rc, out, _ = _run(capsys, ["verify", "codiam", "--nmax", "5", "--format", "json"])
+    assert (rc, json.loads(out)["ge4_violations"]) == (1, ["DLs"])
 
 
 def test_verify_all_tests_each_graph_once_per_recognizer(capsys, monkeypatch):
@@ -512,6 +517,13 @@ _SCAN_NAMES = ("verify_theorem", "verify_table1", "verify_wheels", "kriesell_sca
         ["verify", "table1", "--lmax", "16"],
         ["verify", "wheels", "--lmax", "32"],
         ["verify", "all", "--lmax", "16"],
+        # flags the target does not read
+        ["verify", "P4FREE", "--lmax", "7"],
+        ["verify", "kriesell", "--lmax", "3"],
+        ["verify", "codiam", "--lmax", "5"],
+        ["verify", "all", "--class", "p4-free"],
+        ["verify", "wheels", "--class", "all"],
+        ["verify", "COFOREST", "--class", "co-forest"],
     ],
 )
 def test_bad_bounds_refused_before_any_scan(capsys, monkeypatch, argv):

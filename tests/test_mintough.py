@@ -8,7 +8,7 @@ import pytest
 
 import toughlab.toughness as toughness_module
 from toughlab.canon import canonical_code, census_parents, enumerate_graphs
-from toughlab.connectivity import components
+from toughlab.connectivity import components, is_connected
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import Graph, _bits, complement, delete_edge, induced_subgraph
@@ -49,7 +49,7 @@ def test_deciders_agree_exhaustively():
     # full verdict agreement (status, toughness, failing edge) for all
     # connected graphs up to 6 vertices; n = 7 runs in the acceptance suite
     for n in range(7):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             by_def = is_minimally_tough_by_definition(g)
             by_crit, _ = is_minimally_tough_by_criterion(g)
             assert by_def == by_crit, g
@@ -173,7 +173,7 @@ def test_minimally_tough_graphs_n3_n4_n5():
     def codes(n):
         return {
             canonical_code(g)
-            for g in enumerate_graphs(n, connected_only=True)
+            for g in filter(is_connected, enumerate_graphs(n))
             if is_nontrivially_minimally_tough(g)
         }
 
@@ -191,7 +191,7 @@ def test_minimally_tough_graphs_n3_n4_n5():
 
 def test_every_tree_is_minimally_tough():
     for n in range(3, 8):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             if g.edge_count == n - 1:
                 assert is_nontrivially_minimally_tough(g)
 
@@ -245,7 +245,7 @@ def test_deciders_match_oracles_on_12_and_13_vertices(text):
 
 def test_failing_edge_is_lexicographically_least():
     for n in range(2, 7):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             verdict = is_minimally_tough_by_definition(g)
             if verdict.status is not MinToughStatus.NOT_MIN_TOUGH:
                 continue
@@ -267,7 +267,7 @@ def test_failing_edge_example():
 
 def test_criterion_witnesses_are_coherent():
     for n in range(2, 6):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             if g.is_complete():
                 continue
             t = toughness(g)
@@ -341,7 +341,7 @@ _NEEDS_COND2 = (
 
 
 def test_criterion_witness_is_the_least_cond2_separator():
-    graphs = [g for n in range(2, 7) for g in enumerate_graphs(n, connected_only=True)]
+    graphs = [g for n in range(2, 7) for g in filter(is_connected, enumerate_graphs(n))]
     graphs += [_named(text) for text in _WITNESS_ORDER_LARGE]
     graphs += [parse_graph6(text) for text in _NEEDS_COND2]
     # a near-miss: a 10-cycle with one chord
@@ -573,7 +573,7 @@ def test_definition_decider_refuses_a_faulty_bridge_flood(monkeypatch, fault):
     def faulty(nbrs, rest, u, v):
         return _FAULTS[fault](positions(nbrs, rest, u, v), rest[u] & rest[v])
 
-    graphs = [g for n in range(3, 7) for g in enumerate_graphs(n, connected_only=True)]
+    graphs = [g for n in range(3, 7) for g in filter(is_connected, enumerate_graphs(n))]
     graphs += [_named(text) for text in ("wheel:8", "turan:10,5", "cycle:9", "triplestar:2,2,2")]
     want = [is_minimally_tough_by_definition(g) for g in graphs]
     monkeypatch.setattr(toughness_module, "_bridge_positions", faulty)
@@ -600,7 +600,7 @@ def test_criterion_deciders_do_not_read_the_bridge_flood(monkeypatch, capsys):
     monkeypatch.setattr(toughness_module, "_Bridged", broken)
     monkeypatch.setattr(mintough, "_Bridged", broken)
     for n in range(3, 7):
-        for g in enumerate_graphs(n, connected_only=True):
+        for g in filter(is_connected, enumerate_graphs(n)):
             verdict, _ = is_minimally_tough_by_criterion(g)
             nontrivial = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
             assert is_nontrivially_minimally_tough(g) == nontrivial

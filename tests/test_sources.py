@@ -1,9 +1,9 @@
 """Checks on the package's source text.
 
-Every module-level import of ``src/toughlab`` (``__init__`` aside, whose
-imports are the public names) is read somewhere in its module, except the
-names ``perfbench/traced.py`` patches there, which a module imports only
-so the tracer can time them.  Every public top-level function and class is
+Every module-level import of ``src/toughlab`` is read somewhere in its
+module, except the names ``perfbench/traced.py`` patches there, which a
+module imports only so the tracer can time them; the package ``__init__``
+imports nothing, so callers import from the submodules.  Every public top-level function and class is
 read by name elsewhere in the package, or is one of the few primitives in
 ``READ_BY_TESTS``, each named with the tier-1 test that reads it.  Every
 source and test file parses as Python 3.10, the oldest version
@@ -32,7 +32,7 @@ def _unused_imports(tree: ast.Module, keep: set[str]) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read | keep]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_module_imports(path):
     keep = set(_traced()._CALLS.get(path[:-3], ()))
     assert _unused_imports(ast.parse((PACKAGE / path).read_text()), keep) == []
@@ -78,7 +78,7 @@ def _unread_public(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_public_name_has_a_reader():
-    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
     assert _unread_public(trees) == sorted(READ_BY_TESTS)
     for name, test in READ_BY_TESTS.items():
         path, func = test.split("::")

@@ -1,4 +1,6 @@
 """Verification harness: theorem scans, value tables, probes, reports."""
+import hashlib
+import json
 import os
 import random
 from fractions import Fraction
@@ -28,14 +30,6 @@ from toughlab.verify import (
     TABLE1_L_MAX,
     THEOREM_IDS,
     WHEELS_L_MAX,
-    CoDiamExclusionReport,
-    KriesellReport,
-    PerNCounts,
-    ProbeHit,
-    ProbeReport,
-    TheoremReport,
-    ValueReport,
-    ValueRow,
     identify_family,
     kriesell_scan,
     probe_conjecture_cochordal_diam2,
@@ -75,35 +69,54 @@ _PER_N_6 = {
 def test_verify_theorem_to_6(tid):
     report = verify_theorem(tid, 6)
     assert report.verified
-    assert report.theorem == tid and report.n_max == 6
-    assert [(p.n, p.class_size, p.mintough_found, p.family_predicted) for p in report.per_n] == _PER_N_6[tid]
-    assert report.discrepancies == ()
-    assert report.condition_discrepancies == ()
+    blob = report.to_json()
+    assert blob["theorem"] == tid and blob["n_max"] == 6
+    assert [(p["n"], p["class_size"], p["mintough_found"], p["family_predicted"])
+            for p in blob["per_n"]] == _PER_N_6[tid]
+    assert blob["discrepancies"] == []
+    assert blob["condition_discrepancies"] == []
 
 
 def test_theorem_id_normalization():
-    assert verify_theorem("p4free", 3).theorem == "P4FREE"
-    assert verify_theorem(" cochordal-ge3 ", 3).theorem == "COCHORDAL_GE3"
+    assert verify_theorem("p4free", 3).to_json()["theorem"] == "P4FREE"
+    assert verify_theorem(" cochordal-ge3 ", 3).to_json()["theorem"] == "COCHORDAL_GE3"
     with pytest.raises(ValueError):
         verify_theorem("NOSUCH", 3)
     with pytest.raises(ValueError):
         verify_theorem("P4FREE", 0)
 
 
-def test_theorem_report_logic():
-    clean = TheoremReport("X", 2, (PerNCounts(1, 1, 0, 0),), ())
-    assert clean.verified
-    bad = TheoremReport("X", 2, (), ("Bw",))
-    assert not bad.verified
-    routes = TheoremReport("X", 2, (), (), ("Bw",))
-    assert not routes.verified
-    blob = bad.to_json()
-    assert blob["verified"] is False and blob["discrepancies"] == ["Bw"]
-    assert "DISCREPANCIES" in bad.render() and "Bw" in bad.render()
-    assert "VERIFIED" in clean.render()
+def _flip_mintough(monkeypatch, *codes):
+    """Answer the census verdict wrongly on the given codes."""
+    import toughlab.verify as verify
+
+    mintough = verify._mintough
+    monkeypatch.setattr(verify, "_mintough", lambda code: mintough(code) != (code in codes))
+
+
+def test_theorem_report_logic(monkeypatch):
+    import dataclasses
+
+    import toughlab.verify as verify
+
+    clean = verify_theorem("P4FREE", 1)
+    assert clean.verified and "VERIFIED" in clean.render()
     assert clean.to_json()["per_n"] == [
         {"n": 1, "class_size": 1, "mintough_found": 0, "family_predicted": 0}
     ]
+    # a route that never says minimally tough disagrees only on the hits
+    klass = verify._CLASSES["p4-free"]
+    monkeypatch.setitem(verify._CLASSES, "p4-free", dataclasses.replace(klass, route=lambda code: False))
+    routes = verify_theorem("P4FREE", 4)
+    assert not routes.verified
+    assert routes.to_json()["discrepancies"] == [] and routes.to_json()["condition_discrepancies"]
+    monkeypatch.setitem(verify._CLASSES, "p4-free", klass)
+    _flip_mintough(monkeypatch, "CJ")
+    bad = verify_theorem("COFOREST", 4)
+    assert not bad.verified
+    blob = bad.to_json()
+    assert blob["verified"] is False and blob["discrepancies"] == ["CJ"]
+    assert "DISCREPANCIES" in bad.render() and "CJ" in bad.render()
 
 
 # -- value tables -----------------------------------------------------------------
@@ -111,15 +124,17 @@ def test_theorem_report_logic():
 
 def test_verify_table1():
     report = verify_table1(3)
-    assert report.verified and len(report.rows) == 13
-    assert report.rows[0] == ValueRow("path:4", Fraction(1, 2), Fraction(1, 2))
-    assert report.rows[1].label == "multipartite:2,3"
-    assert report.rows[1].expected == Fraction(2, 3)
-    by_label = {row.label: row for row in report.rows}
-    assert by_label["star:3"].computed == Fraction(1, 3)
-    assert by_label["doublestar:2,3"].computed == Fraction(1, 4)
-    assert by_label["turan:6,3"].computed == Fraction(2)
-    assert by_label["turan:5,3"].computed == Fraction(3, 2)
+    rows = report.to_json()["rows"]
+    assert report.verified and len(rows) == 13
+    assert rows[0] == {"graph": "path:4", "expected": "1/2", "computed": "1/2",
+                       "minimally_tough": None, "ok": True}
+    assert rows[1]["graph"] == "multipartite:2,3"
+    assert rows[1]["expected"] == "2/3"
+    by_label = {row["graph"]: row for row in rows}
+    assert by_label["star:3"]["computed"] == "1/3"
+    assert by_label["doublestar:2,3"]["computed"] == "1/4"
+    assert by_label["turan:6,3"]["computed"] == "2"
+    assert by_label["turan:5,3"]["computed"] == "3/2"
     assert "VERIFIED" in report.render()
     with pytest.raises(ValueError):
         verify_table1(1)
@@ -132,10 +147,11 @@ def test_verify_table1():
 def test_verify_wheels():
     report = verify_wheels(7)
     assert report.verified
-    assert [(r.label, r.expected, r.computed, r.minimally_tough) for r in report.rows] == [
-        ("wheel:5", Fraction(3, 2), Fraction(3, 2), True),
-        ("wheel:6", Fraction(4, 3), Fraction(4, 3), True),
-        ("wheel:7", Fraction(4, 3), Fraction(4, 3), True),
+    assert [(r["graph"], r["expected"], r["computed"], r["minimally_tough"])
+            for r in report.to_json()["rows"]] == [
+        ("wheel:5", "3/2", "3/2", True),
+        ("wheel:6", "4/3", "4/3", True),
+        ("wheel:7", "4/3", "4/3", True),
     ]
     assert "mintough" in report.render()
     with pytest.raises(ValueError):
@@ -144,6 +160,23 @@ def test_verify_wheels():
     assert make_named(FamilySpec(Family.WHEEL, (31,))).n == MAX_VERTICES
     with pytest.raises(ValueError, match=r"l_max must be in 5\.\.31"):
         verify_wheels(WHEELS_L_MAX + 1)
+
+
+def test_value_row_ok_logic():
+    import toughlab.verify as verify
+
+    def ok(expected, computed, mintough=None):
+        rows = [("x", Fraction(expected), Fraction(computed), mintough)]
+        return verify._value_report("t", rows).to_json()["rows"][0]["ok"]
+
+    assert ok(1, 1)
+    assert not ok(1, 2)
+    assert not ok(1, 1, mintough=False)
+    assert ok(1, 1, mintough=True)
+    report = verify._value_report("t", [("x", Fraction(1), Fraction(2), None)])
+    assert not report.verified
+    assert report.to_json()["rows"][0]["ok"] is False
+    assert "FAIL" in report.render()
 
 
 def test_census_record_is_the_enumerated_graph():
@@ -285,17 +318,6 @@ def test_census_9_sample_against_the_criterion_decider():
         assert verify._mintough(codes[i]) == want, codes[i]
 
 
-def test_value_row_ok_logic():
-    assert ValueRow("x", Fraction(1), Fraction(1)).ok
-    assert not ValueRow("x", Fraction(1), Fraction(2)).ok
-    assert not ValueRow("x", Fraction(1), Fraction(1), minimally_tough=False).ok
-    assert ValueRow("x", Fraction(1), Fraction(1), minimally_tough=True).ok
-    report = ValueReport("t", (ValueRow("x", Fraction(1), Fraction(2)),))
-    assert not report.verified
-    assert report.to_json()["rows"][0]["ok"] is False
-    assert "FAIL" in report.render()
-
-
 # -- family identification -----------------------------------------------------------
 
 
@@ -387,17 +409,20 @@ def test_kriesell_filters_frozen():
 def test_kriesell_scan_p4_free():
     report = kriesell_scan("p4-free", 6)
     assert report.assertive and report.verified
-    assert report.scanned_per_n == ((1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (6, 2))
-    assert report.counterexamples == ()
+    blob = report.to_json()
+    assert [(row["n"], row["mintough"]) for row in blob["scanned_per_n"]] == [
+        (1, 0), (2, 0), (3, 1), (4, 2), (5, 3), (6, 2)]
+    assert blob["counterexamples"] == []
     assert "asserted" in report.render()
 
 
 def test_kriesell_scan_all():
     report = kriesell_scan("all", 6)
     assert not report.assertive and report.verified
-    assert report.scanned_per_n == ((1, 0), (2, 0), (3, 1), (4, 3), (5, 6), (6, 13))
-    assert "report only" in report.render()
     blob = report.to_json()
+    assert [(row["n"], row["mintough"]) for row in blob["scanned_per_n"]] == [
+        (1, 0), (2, 0), (3, 1), (4, 3), (5, 6), (6, 13)]
+    assert "report only" in report.render()
     assert blob["assertive"] is False
     assert blob["scanned_per_n"][5] == {"n": 6, "mintough": 13}
 
@@ -409,37 +434,43 @@ def test_kriesell_scan_rejects():
         kriesell_scan("all", 0)
 
 
-def test_kriesell_report_logic():
-    bad = KriesellReport("all", 5, False, ((5, 1),), ("D?{",))
+def test_kriesell_report_logic(monkeypatch):
+    import toughlab.verify as verify
+
+    tau_of = verify._tau_of
+    # P_4 answered as 7/2: no vertex of degree 7
+    monkeypatch.setattr(verify, "_tau_of", lambda code: Fraction(7, 2) if code == "CL" else tau_of(code))
+    bad = kriesell_scan("all", 5)
     assert not bad.verified
     assert "COUNTEREXAMPLES" in bad.render()
-    assert bad.to_json()["verified"] is False
+    assert bad.to_json()["verified"] is False and bad.to_json()["counterexamples"] == ["CL"]
 
 
 # -- conjecture probe ---------------------------------------------------------------------
 
 
 def test_probe_empty_to_5():
-    report = probe_conjecture_cochordal_diam2(5)
-    assert report.scanned_per_n == ((1, 0), (2, 0), (3, 1), (4, 3), (5, 9))
-    assert report.hits == ()
-    assert report.all_triple_star  # vacuously
-    assert report.max_toughness is None
-    assert report.to_json()["max_toughness"] is None
+    blob = probe_conjecture_cochordal_diam2(5).to_json()
+    assert [(row["n"], row["class_size"]) for row in blob["scanned_per_n"]] == [
+        (1, 0), (2, 0), (3, 1), (4, 3), (5, 9)]
+    assert blob["hits"] == []
+    assert blob["all_triple_star"] is True  # vacuously
+    assert blob["max_toughness"] is None
 
 
 def test_probe_first_hit_is_the_net():
     report = probe_conjecture_cochordal_diam2(6)
-    assert report.scanned_per_n[-1] == (6, 27)
-    assert len(report.hits) == 1
-    hit = report.hits[0]
-    assert hit.toughness == Fraction(1, 2)
-    assert hit.triple_star_size == 1
-    g = parse_graph6(hit.graph6)
+    blob = report.to_json()
+    assert blob["scanned_per_n"][-1] == {"n": 6, "class_size": 27}
+    assert len(blob["hits"]) == 1
+    hit = blob["hits"][0]
+    assert hit["toughness"] == "1/2"
+    assert hit["triple_star_size"] == 1
+    g = parse_graph6(hit["graph6"])
     net = make_named(parse_family_spec("net"))
     assert ref_are_isomorphic(g.n, g.edges(), net.n, net.edges())
-    assert report.all_triple_star
-    assert report.max_toughness == Fraction(1, 2)
+    assert blob["all_triple_star"] is True
+    assert blob["max_toughness"] == "1/2"
     assert "triplestar:1,1,1" in report.render()
 
 
@@ -450,11 +481,14 @@ def test_probe_rejects():
         probe_conjecture_cochordal_diam2(10)
 
 
-def test_probe_report_logic():
-    odd = ProbeReport(6, ((6, 1),), (ProbeHit("E@UW", Fraction(1, 2), None),))
-    assert not odd.all_triple_star
+def test_probe_report_logic(monkeypatch):
+    # a disconnected graph of co-diameter 2 answered as minimally tough
+    _flip_mintough(monkeypatch, "CJ")
+    odd = probe_conjecture_cochordal_diam2(4)
+    assert not odd.assertive and odd.verified
     assert "NOT a balanced triple star" in odd.render()
     assert odd.to_json()["all_triple_star"] is False
+    assert odd.to_json()["hits"] == [{"graph6": "CJ", "toughness": "0", "triple_star_size": None}]
 
 
 # -- co-diameter exclusions --------------------------------------------------------------
@@ -463,17 +497,59 @@ def test_probe_report_logic():
 def test_codiam_exclusions_to_6():
     report = verify_codiam_exclusions(6)
     assert report.verified
-    assert report.ge4_scanned == 8
-    assert report.diam3_scanned == 28
-    assert report.ge4_violations == () and report.diam3_discrepancies == ()
-    assert "VERIFIED" in report.render()
     blob = report.to_json()
-    assert blob["ge4_scanned"] == 8 and blob["diam3_scanned"] == 28
+    assert blob["ge4_scanned"] == 8
+    assert blob["diam3_scanned"] == 28
+    assert blob["ge4_violations"] == [] and blob["diam3_discrepancies"] == []
+    assert "VERIFIED" in report.render()
     with pytest.raises(ValueError):
         verify_codiam_exclusions(0)
 
 
-def test_codiam_report_logic():
-    bad = CoDiamExclusionReport(5, 1, ("D?{",), 2, ())
+def test_codiam_report_logic(monkeypatch):
+    _flip_mintough(monkeypatch, "DLs")
+    bad = verify_codiam_exclusions(5)
     assert not bad.verified
     assert "co-diameter >= 4" in bad.render()
+    assert bad.to_json()["ge4_violations"] == ["DLs"] and bad.to_json()["diam3_discrepancies"] == []
+
+
+# -- injected failures --------------------------------------------------------------------
+
+
+#: verdicts flipped on a disconnected P4-free graph of co-diameter 2, a
+#: co-chordal graph of co-diameter 4 and one of co-diameter 3
+_FLIPPED = ("CJ", "DLs", "DBk")
+#: toughness answered as 7/2 on P_3 and P_4
+_WRONG_TAU = ("BW", "CL")
+
+
+def test_injected_failures_render_frozen(monkeypatch):
+    """Every scan, fed wrong answers on a few codes with n <= 6, flags them:
+    each kind of flagged line appears, and the rendered tables and JSON
+    fields of all the reports are frozen by one digest."""
+    import toughlab.verify as verify
+
+    mintough, tau_of = verify._mintough, verify._tau_of
+    tough, nontrivial = verify.toughness, verify.is_nontrivially_minimally_tough
+    monkeypatch.setattr(verify, "_mintough", lambda code: mintough(code) != (code in _FLIPPED))
+    monkeypatch.setattr(verify, "_tau_of",
+                        lambda code: Fraction(7, 2) if code in _WRONG_TAU else tau_of(code))
+    monkeypatch.setattr(verify, "toughness",
+                        lambda g: Fraction(7, 2) if canonical_code(g) in _WRONG_TAU else tough(g))
+    monkeypatch.setattr(verify, "is_nontrivially_minimally_tough",
+                        lambda g: canonical_code(g) != "ELrw" and nontrivial(g))  # wheel:5
+    reports = [verify_theorem(tid, 6) for tid in THEOREM_IDS]
+    reports += [verify_table1(3), verify_wheels(6)]
+    reports += [kriesell_scan(klass, 6) for klass in KRIESELL_CLASS_FILTERS]
+    reports += [verify_codiam_exclusions(6), probe_conjecture_cochordal_diam2(6)]
+    text = "\n\n".join(rep.render() + "\n" + json.dumps(rep.to_json()) for rep in reports)
+    for mark in ("!! family-list mismatch: CJ", "!! route disagreement: CJ",
+                 "** no vertex of degree ceil(2t): CL", "!! minimally tough at co-diameter >= 4: DLs",
+                 "!! co-diameter-3 mismatch: DBk", "[FAIL]", "MISMATCH", "NOT-mintough",
+                 "NOT a balanced triple star", "all hits balanced triple stars: NO"):
+        assert mark in text, mark
+    assert [rep.to_json().get("verified") for rep in reports] == [False, True] + [False] * 13 + [None]
+    assert [rep.assertive for rep in reports[8:14]] == [True] * 5 + [False]
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "1d9715cc6023b89ff53f1bd630cda0941449df6611e10713d6cb4db3ac689ae5")
