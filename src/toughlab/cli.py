@@ -90,12 +90,7 @@ def _line_mintough(args: argparse.Namespace, line: str) -> str:
     else:
         verdict, witnesses = is_minimally_tough_by_criterion(g)
         if args.method == "both":
-            ref = is_minimally_tough_by_definition(g)
-            if (ref.status, ref.toughness, ref.failing_edge) != (
-                verdict.status,
-                verdict.toughness,
-                verdict.failing_edge,
-            ):
+            if is_minimally_tough_by_definition(g) != verdict:
                 raise CrossCheckError(f"deciders disagree on {write_graph6(g)}")
     if args.format == "json":
         return json.dumps(verdict_to_json(g, verdict, witnesses))

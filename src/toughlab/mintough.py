@@ -15,8 +15,8 @@ Two independent deciders:
   of G also separates u from v in G-uv and satisfies |S| < t*(c(G-S)+1).
   The graph is minimally tough iff every edge meets cond1 or cond2.
 
-The criterion is written once, as a generator of one EdgeWitness per edge
-in lexicographic order.  Neither c(G-S) nor the cond2 bound depends on the
+The criterion is written once, as one EdgeWitness per edge in
+lexicographic order.  Neither c(G-S) nor the cond2 bound depends on the
 edge: one bounded separator pass (``toughness._tough_pass``, which ends
 before the first size s with s/(n-s) > t) gives t and every S with
 |S| < t*(c(G-S)+1), ascending by (size, bitmask), and each edge takes the
@@ -38,12 +38,13 @@ children of its canonical parent (``toughness._Siblings``).
 The definition decider floods G's sweep once and certifies each verdict by
 direct counts or by a full sweep.  For an edge uv, c(G-uv-S) differs from
 c(G-S), by one, only where S misses u and v and uv is a bridge of G-S, so
-t(G-uv) is read from G's sweep by one bridge flood per edge
-(``toughness._Bridged``).  The flood only proposes: a drop, t(G-uv) < t, is
-certified by recounting its S on G-uv's rows, and is kept as a witness that
-later edges try first, each by one direct count.  An edge with no drop
-fails once ``toughness`` of G-uv, the only ``Graph`` the decider builds,
-confirms t(G-uv) = t.  Neither decider reads the other's kernels: the
+one bridge flood per edge over G's sweep (``toughness._bridge_drop``) asks
+only whether t(G-uv) < t, and returns the S and c(G-uv-S) of the least
+drop.  The flood only proposes: a drop is certified by recounting its S on
+G-uv's rows (S misses u and v, c(G-uv-S) = c and |S| < t*c), and is kept
+as a witness that later edges try first, each by one direct count.  An
+edge with no drop fails once ``toughness`` of G-uv, the only ``Graph`` the
+decider builds, confirms t(G-uv) = t.  Neither decider reads the other's kernels: the
 criterion reads no bridge flood, and the definition no separator listing or
 max-flow.
 
@@ -60,7 +61,7 @@ from typing import Iterable, Iterator
 from .connectivity import _component_count, _flood, local_connectivity
 from .graph6 import write_graph6
 from .graphs import CrossCheckError, Graph, VertexSet, delete_edge
-from .toughness import (Toughness, _Bridged, _Counts, _separator_masks, _tough_pass,
+from .toughness import (Toughness, _Counts, _bridge_drop, _separator_masks, _tough_pass,
                         format_toughness, toughness)
 
 
@@ -98,7 +99,6 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g))
     p, q, sweep, _ = _tough_pass(g)
     t = Fraction(p, q)
-    last = min(g.n - 2, g.n * p // (p + q))  # the last size the pass read
     full = g.full_mask
     drops: list[int] = []  # the S that showed a drop on an earlier edge
     for u, v in g.edges():
@@ -109,10 +109,10 @@ def is_minimally_tough_by_definition(g: Graph) -> MinToughVerdict:
         if any(not s & ends and s.bit_count() * q < p * (c := _component_count(adj, full ^ s))
                and c >= 2 for s in drops):
             continue
-        p_e, q_e, bridged, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
-        if p_e * q < p * q_e:
-            s = bridged.found[p_e][1]
-            if s & ends or s.bit_count() != p_e or _component_count(adj, full ^ s) != q_e:
+        drop = _bridge_drop(sweep, u, v, p, q)
+        if drop is not None:
+            s, c = drop
+            if s & ends or s.bit_count() * q >= p * c or _component_count(adj, full ^ s) != c:
                 raise CrossCheckError(f"the bridge flood's drop at {(u, v)} does not recount")
             drops.append(s)
             continue
@@ -165,31 +165,25 @@ def _cond2_masks(p: int, q: int, sweep: _Counts, tops: list[tuple[int, int]]) ->
     return masks
 
 
-def _edge_witnesses(
-    g: Graph, p: int, q: int, kappa_g: int, separators: list[int]
-) -> Iterator[EdgeWitness]:
-    """The criterion at t = p/q, edge by edge in lexicographic order:
-    kappa(u,v) with cond1, and the first of the cond2 ``separators`` that
-    avoids u and v and separates them in G-uv.  kappa(G) <= 1 + kappa(G-uv)
-    <= kappa(u,v) <= min(deg u, deg v), so kappa(u,v) = ``kappa_g``, kappa(G),
-    with no max-flow where an end's degree is kappa(G)."""
-    degrees = g.degrees()
-    for u, v in g.edges():
-        kappa = kappa_g if min(degrees[u], degrees[v]) == kappa_g else local_connectivity(g, u, v)
-        hit = next(_uv_separators(g, separators, u, v), None)
-        separator = None if hit is None else VertexSet._trusted(hit, g.n)
-        yield EdgeWitness((u, v), kappa, kappa * q < 2 * p + q, hit is not None, separator)
-
-
 def is_minimally_tough_by_criterion(g: Graph) -> tuple[MinToughVerdict, list[EdgeWitness]]:
-    """Decide via the per-edge criterion; returns full per-edge witnesses."""
+    """Decide via the per-edge criterion; returns full per-edge witnesses,
+    edge by edge in lexicographic order: kappa(u,v) with cond1, and the
+    first cond2 separator that avoids u and v and separates them in G-uv."""
     if g.is_complete() or g.is_edgeless():
         return MinToughVerdict(MinToughStatus.TRIVIALLY_MIN_TOUGH, toughness(g)), []
     p, q, sweep, tops = _tough_pass(g)
     t = Fraction(p, q)
     separators = _cond2_masks(p, q, sweep, tops)
     kappa_g = tops[0][0]  # the least size with a separator
-    witnesses = list(_edge_witnesses(g, p, q, kappa_g, separators))
+    degrees = g.degrees()
+    witnesses = []
+    for u, v in g.edges():
+        # kappa(G) <= 1 + kappa(G-uv) <= kappa(u,v) <= min(deg u, deg v), so
+        # kappa(u,v) = kappa(G), with no max-flow, where an end's degree is kappa(G)
+        kappa = kappa_g if min(degrees[u], degrees[v]) == kappa_g else local_connectivity(g, u, v)
+        hit = next(_uv_separators(g, separators, u, v), None)
+        separator = None if hit is None else VertexSet._trusted(hit, g.n)
+        witnesses.append(EdgeWitness((u, v), kappa, kappa * q < 2 * p + q, hit is not None, separator))
     failing = next((w.edge for w in witnesses if not w.cond1 and not w.cond2), None)
     if failing is None:
         return MinToughVerdict(MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, t), witnesses

@@ -44,11 +44,12 @@ Every flood is one grow loop, ``_grow``: it spreads seeded components over
 all positions at once until a pass changes nothing.  ``_peel`` seeds each
 round at every position's least vertex left and removes what grew, and a
 round that leaves some position untouched raises ``CrossCheckError``.  The
-bridge flood (``_Bridged``) grows once, from u over the planes of G's sweep
-with the edge uv left out: where it misses v, uv is a bridge of G - S and
-c(G - uv - S) = c(G - S) + 1, and elsewhere the counts are equal, so the
-definition decider reads each t(G - uv) from G's levels with no sweep of
-its own.
+bridge flood (``_bridge_drop``) grows once, from u over the planes of G's
+sweep with the edge uv left out: where it misses v, uv is a bridge of G - S
+and c(G - uv - S) = c(G - S) + 1, and elsewhere the counts are equal.  So
+only those S can drop the ratio below t(G), and the definition decider
+reads from G's levels whether t(G - uv) < t(G), and by which S, with no
+sweep or pass of its own.
 
 The census floods the children of one canonical parent together
 (``_Siblings``).  Siblings share every edge of the parent and differ only
@@ -199,8 +200,8 @@ class _Counts:
     none separates), and ``separators(size, least)`` the s-sets with
     c >= least, listed from the (high bits, levels, weight class) of each
     block holding s-sets (``_layer``).  A subclass gives ``top`` and
-    ``_layer``: ``_Sweep`` for one graph, ``_Lane`` for one of a parent's
-    children."""
+    ``_layer``, and there are two: ``_Sweep`` for one graph, ``_Lane`` for
+    one of a parent's children."""
 
     n: int
 
@@ -242,8 +243,6 @@ class _Sweep(_Counts):
         self.windows: dict[int, dict[int, list[int]]] = {}
         #: (high bits, levels, weight class) of each block holding s-sets
         self.layers: dict[int, list[tuple[int, list[int], int]]] = {}
-        #: size -> its largest c, once read
-        self.tops: dict[int, int] = {}
 
     def _window(self, size: int) -> tuple[int, int, dict[int, list[int]]]:
         """(lo, hi, {block: levels}) of the window holding ``size``: the
@@ -286,15 +285,12 @@ class _Sweep(_Counts):
 
     def top(self, size: int) -> int:
         """The largest c(G - S) >= 2 over the s-sets, or 0 if none has one."""
-        best = self.tops.get(size)
-        if best is None:
-            best = 0
-            for _, levels, weight in self._layer(size):
-                for k in range(len(levels) - 1, max(best, 1) - 2, -1):
-                    if levels[k] & weight:
-                        best = k + 2
-                        break
-            self.tops[size] = best
+        best = 0
+        for _, levels, weight in self._layer(size):
+            for k in range(len(levels) - 1, max(best, 1) - 2, -1):
+                if levels[k] & weight:
+                    best = k + 2
+                    break
         return best
 
 
@@ -308,59 +304,57 @@ def _bridge_positions(nbrs: list[list[int]], rest: list[int], u: int, v: int) ->
     return ends ^ comp[v]
 
 
-class _Bridged(_Counts):
-    """The component counts of G - uv that a bounded pass reads, from the
-    sweep of G after G's own pass has read the sizes 0..last.
+def _bridge_drop(sweep: _Sweep, u: int, v: int, p: int, q: int) -> tuple[int, int] | None:
+    """A drop of t(G - uv) below t(G) = p/q, read from the sweep of G after
+    G's own pass: (S, c) with c = c(G - uv - S) and |S|/c < p/q, of the
+    least ratio, then the least size, then the least S; None if there is
+    none, that is if t(G - uv) = t(G).
 
     c(G - uv - S) = c(G - S) + 1 where S misses u and v and uv is a bridge
-    of G - S, and c(G - S) elsewhere, so one bridge flood from u over the
-    positions S that miss u and v (``_bridge_positions``), block by block
-    and on the planes of G's sweep, gives each size's largest c: G's top,
-    or 1 + the largest c(G - S) at the size's bridge positions, read from
-    G's levels.  The flood covers the sizes [floor - 2, last] only: G - uv
-    has least degree at least delta - 1, so no separator below floor - 2,
-    and its pass reads no size past G's, since its best ratio is never
-    above G's at any prefix.  Reading a size past ``last`` raises
-    ``CrossCheckError``.  ``found[size]`` holds (the largest
-    c(G - uv - S) at that size's bridge positions, the least such S)."""
-
-    def __init__(self, sweep: _Sweep, u: int, v: int, last: int):
-        if last > sweep.s_max:
-            raise CrossCheckError(f"the pass read size {last}, past s_max = {sweep.s_max}")
-        self.n, self.sweep, self.last = sweep.n, sweep, last
-        low = sweep.low
-        lo = max(sweep.floor - 2, 0)
-        nbrs = list(sweep.nbrs)
-        nbrs[u] = [x for x in nbrs[u] if x != v]
-        nbrs[v] = [x for x in nbrs[v] if x != u]
-        ends = (1 << u) | (1 << v)
-        weights = _subset_planes(low)[1]
-        built = sweep.windows.get(sweep.floor, {})  # G's levels, block by block
-        self.found: dict[int, tuple[int, int]] = {}
-        for block in _blocks(self.n - low, max(lo - low, 0), min(last, self.n - low)):
-            high = block << low
-            if high & ends:
+    of G - S, and c(G - S) elsewhere, so only such an S can drop the ratio.
+    One bridge flood from u over the positions S that miss u and v
+    (``_bridge_positions``), block by block and on the planes of G's sweep,
+    gives each size's largest c(G - uv - S) there, read from G's levels.
+    The flood covers the sizes [floor - 2, last]: G - uv has least degree at
+    least delta - 1, so no separator below floor - 2, and the pass of G read
+    up to last, the greatest s with s*q <= p*(n - s), so no s-set past it
+    has a ratio below p/q."""
+    n, low = sweep.n, sweep.low
+    last = min(n - 2, n * p // (p + q))
+    if last > sweep.s_max:
+        raise CrossCheckError(f"the pass read size {last}, past s_max = {sweep.s_max}")
+    lo = max(sweep.floor - 2, 0)
+    nbrs = list(sweep.nbrs)
+    nbrs[u] = [x for x in nbrs[u] if x != v]
+    nbrs[v] = [x for x in nbrs[v] if x != u]
+    ends = (1 << u) | (1 << v)
+    weights = _subset_planes(low)[1]
+    built = sweep.windows.get(sweep.floor, {})  # G's levels, block by block
+    found: dict[int, tuple[int, int]] = {}  # size -> (largest c, least S with it)
+    for block in _blocks(n - low, max(lo - low, 0), min(last, n - low)):
+        high = block << low
+        if high & ends:
+            continue
+        bridges = _bridge_positions(nbrs, sweep._rest(lo, last, block), u, v)
+        if not bridges:
+            continue
+        levels, weight = built.get(block, ()), block.bit_count()
+        for size in range(max(lo, weight), min(last, weight + low) + 1):
+            x = bridges & weights[size - weight]
+            if not x:
                 continue
-            bridges = _bridge_positions(nbrs, sweep._rest(lo, last, block), u, v)
-            if not bridges:
-                continue
-            levels, weight = built.get(block, ()), block.bit_count()
-            for size in range(max(lo, weight), min(last, weight + low) + 1):
-                x = bridges & weights[size - weight]
-                if not x:
-                    continue
-                k = len(levels)  # c(G - S) = k + 1 at the bridge positions of levels[k - 1]
-                while k and not levels[k - 1] & x:
-                    k -= 1
-                if k:
-                    x &= levels[k - 1]
-                if k + 2 > self.found.get(size, (0,))[0]:
-                    self.found[size] = (k + 2, high | (x & -x).bit_length() - 1)
-
-    def top(self, size: int) -> int:
-        if size > self.last:
-            raise CrossCheckError(f"the pass of G - uv read size {size}, past G's {self.last}")
-        return max(self.sweep.top(size), self.found.get(size, (0,))[0])
+            k = len(levels)  # c(G - S) = k + 1 at the bridge positions of levels[k - 1]
+            while k and not levels[k - 1] & x:
+                k -= 1
+            if k:
+                x &= levels[k - 1]
+            if k + 2 > found.get(size, (0,))[0]:
+                found[size] = (k + 2, high | (x & -x).bit_length() - 1)
+    drop = None
+    for size, (c, s) in sorted(found.items()):
+        if size * q < p * c:
+            p, q, drop = size, c, (s, c)
+    return drop
 
 
 #: entry h: the largest c(G - S) of a lane found at h of the levels of a
@@ -484,15 +478,15 @@ def _tough_pass(
 ) -> tuple[int, int, _Counts, list[tuple[int, int]]]:
     """Toughness p/q of a non-complete graph, and where its separators lie.
 
-    Reads each size's largest c, ``top(size)``, of ``counts`` (a sibling
-    lane, or G - uv read from the sweep of G, ``_Bridged``) or, by default,
-    of the sweep of g.  Keeps the least ratio |S|/c(G-S) as integers p/q,
-    and stops before the first size s with s*q > p*(n-s): it reads s iff
-    s*q <= p*(n-s) at the final p/q, so 0..min(n - 2, n*p // (p + q)).
-    Returns p, q, the counts read and (size, largest c) for each size read
-    that has a separator, ascending.  A reader lists only the S it needs,
-    each size from its own least c (``_Counts.separators``); one that needs
-    only p/q lists nothing.
+    Reads each size's largest c, ``top(size)``, once, of ``counts`` (a
+    sibling lane) or, by default, of the sweep of g.  Keeps the least ratio
+    |S|/c(G-S) as integers p/q, and stops before the first size s with
+    s*q > p*(n-s): it reads s iff s*q <= p*(n-s) at the final p/q, so
+    0..min(n - 2, n*p // (p + q)), whose last ``_bridge_drop`` works out
+    from p/q.  Returns p, q, the counts read and (size, largest c) for each
+    size read that has a separator, ascending.  A reader lists only the S
+    it needs, each size from its own least c (``_Counts.separators``); one
+    that needs only p/q lists nothing.
     """
     n = g.n
     p, q = 1, 0  # no separator yet: an infinite ratio

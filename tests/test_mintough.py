@@ -440,15 +440,18 @@ _CHORDED_C9 = Graph.from_edges(9, _named("cycle:9").edges() + [(0, 2)])
 @pytest.mark.parametrize("text", ["wheel:8", "turan:10,5", "cycle:9", "chorded-c9"])
 def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
     """One sweep of G, read by one bounded pass of ``toughness``: every
-    size in order up to the pass's stop and no further, with no mask
+    size once, in order, up to the pass's stop and no further, with no mask
     listed, and no position below the degree floor 2*delta - n + 2 or past
-    the first window flooded.  Each edge's bridge flood reads G's planes
-    over [floor - 2, the pass's last size], and the pass of G-e reads no
-    size past G's.  No ``Graph`` is built but the failing edge's G-e."""
+    the first window flooded.  Each edge is asked of the bridge flood at
+    most once, in order, and that flood reads G's planes over
+    [floor - 2, the pass's last size] and no pass of its own.  No ``Graph``
+    is built but the failing edge's G-e."""
+    import toughlab.mintough as mintough
+
     g = _CHORDED_C9 if text == "chorded-c9" else _named(text)
     events: list = []
     _record_sweeps(monkeypatch, events)
-    top, rest, bridged = toughness_module._Sweep.top, toughness_module._Sweep._rest, toughness_module._Bridged.top
+    top, rest, drop = toughness_module._Sweep.top, toughness_module._Sweep._rest, mintough._bridge_drop
     built: list = []
 
     def read(self, size):
@@ -459,13 +462,13 @@ def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
         events.append(("rest", lo, hi))
         return rest(self, lo, hi, block)
 
-    def read_e(self, size):
-        events.append(("top-e", size))
-        return bridged(self, size)
+    def asked(sweep, u, v, p, q):
+        events.append(("drop", (u, v)))
+        return drop(sweep, u, v, p, q)
 
     monkeypatch.setattr(toughness_module._Sweep, "top", read)
     monkeypatch.setattr(toughness_module._Sweep, "_rest", planes)
-    monkeypatch.setattr(toughness_module._Bridged, "top", read_e)
+    monkeypatch.setattr(mintough, "_bridge_drop", asked)
     monkeypatch.setattr(Graph, "__post_init__", lambda h: built.append(h))
     verdict = is_minimally_tough_by_definition(g)
     monkeypatch.undo()
@@ -480,19 +483,21 @@ def test_definition_decider_reads_one_bounded_pass_per_edge(monkeypatch, text):
     floor, s_max = max(2 * min(g.degrees()) - g.n + 2, 0), _s_max(g)
     floods = [event[2] for event in events if event[0] == "flood"]
     assert floods and min(floods) >= floor and max(floods) <= s_max, text
-    # G's pass reads G's tops before the first bridged read, which reads
-    # G's top of each size through the same ``top``
-    first_e = next(i for i, event in enumerate(events) if event[0] == "top-e")
-    tops = [event[1] for event in events[:first_e] if event[0] == "top"]
+    # G's pass reads every top before the first edge is asked, and no
+    # top is read after it
+    first_e = next(i for i, event in enumerate(events) if event[0] == "drop")
+    tops = [event[1] for event in events if event[0] == "top"]
     assert tops == _bounded_pass_sizes(g), text
+    assert not [event for event in events[first_e:] if event[0] == "top"], text
     assert not [event for event in events if event[0] == "list"], text
     # G's flood takes the planes of its first window, each bridge flood those
     # of [floor - 2, the pass's last size]
     windows = {event[1:] for event in events if event[0] == "rest"}
     bridge_window = (max(floor - 2, 0), tops[-1])
     assert bridge_window in windows and windows <= {(floor, s_max), bridge_window}, text
-    read_e = [event[1] for event in events if event[0] == "top-e"]
-    assert read_e and max(read_e) <= tops[-1], text
+    asked_edges = [event[1] for event in events if event[0] == "drop"]
+    assert asked_edges and asked_edges == sorted(set(asked_edges)), text
+    assert set(asked_edges) <= set(g.edges()), text
 
 
 def test_universal_vertices():
@@ -597,8 +602,8 @@ def test_criterion_deciders_do_not_read_the_bridge_flood(monkeypatch, capsys):
         raise AssertionError("the criterion route read the bridge flood")
 
     monkeypatch.setattr(toughness_module, "_bridge_positions", broken)
-    monkeypatch.setattr(toughness_module, "_Bridged", broken)
-    monkeypatch.setattr(mintough, "_Bridged", broken)
+    monkeypatch.setattr(toughness_module, "_bridge_drop", broken)
+    monkeypatch.setattr(mintough, "_bridge_drop", broken)
     for n in range(3, 7):
         for g in filter(is_connected, enumerate_graphs(n)):
             verdict, _ = is_minimally_tough_by_criterion(g)

@@ -1,15 +1,16 @@
 """Property-based differential tests on random graphs.
 
 The separator sweep is checked on 0-7, 9-13 and 16-18 vertices; the deciders,
-toughness and local connectivity on 9-11 vertices, and t(G - uv) from the
-bridge flood on 9-12, orders past the enumerated census (n <= 8), so the
-checks here reach graphs no exhaustive test sees; the common-neighbour bound
-on local connectivity on 2-12; the census's sibling lanes on random parents
-with random child masks on 8-10 vertices; chordality on 8-10 and 32
-vertices, canonical codes up to 10 vertices, the enumeration's walk on
-parents of 5-8 vertices and graph6 up to 32.  Examples are derandomized, so
-every run draws the same graphs.
+toughness and local connectivity on 9-11 vertices, the deciders again on
+14-19, and each drop of the bridge flood on 9-12, orders past the
+enumerated census (n <= 8), so the checks here reach graphs no exhaustive
+test sees; the common-neighbour bound on local connectivity on 2-12; the
+census's sibling lanes on random parents with random child masks on 8-10
+vertices; chordality on 8-10 and 32 vertices, canonical codes up to 10
+vertices, the enumeration's walk on parents of 5-8 vertices and graph6 up
+to 32.  Examples are derandomized, so every run draws the same graphs.
 """
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,7 +33,6 @@ from toughlab.mintough import (
     is_nontrivially_minimally_tough,
 )
 from toughlab.toughness import (
-    _Bridged,
     _Siblings,
     _Sweep,
     _tough_pass,
@@ -51,6 +51,7 @@ from oracles import (
     ref_separators,
     ref_toughness,
 )
+from test_toughness import _check_bridge_drops
 
 _SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -115,32 +116,58 @@ graphs_9_to_11 = st.one_of(random_graphs(), family_graphs(), perturbed_graphs(_C
 graphs_9_to_10 = st.one_of(random_graphs(nmax=10), family_graphs(nmax=10))
 
 
+def _check_deciders_agree(g: Graph) -> MinToughStatus:
+    by_criterion, _ = is_minimally_tough_by_criterion(g)
+    by_definition = is_minimally_tough_by_definition(g)
+    assert by_criterion == by_definition, g.edges()
+    nontrivial = by_definition.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
+    assert is_nontrivially_minimally_tough(g) == nontrivial, g.edges()
+    return by_definition.status
+
+
 @_SETTINGS
 @given(graphs_9_to_11)
 def test_criterion_matches_definition(g):
-    by_criterion, _ = is_minimally_tough_by_criterion(g)
-    by_definition = is_minimally_tough_by_definition(g)
-    assert (by_criterion.status, by_criterion.toughness, by_criterion.failing_edge) == (
-        by_definition.status,
-        by_definition.toughness,
-        by_definition.failing_edge,
-    )
-    nontrivial = by_definition.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
-    assert is_nontrivially_minimally_tough(g) == nontrivial
+    _check_deciders_agree(g)
+
+
+#: minimally tough family members on 14-19 vertices
+_FAMILIES_14_TO_19 = (
+    "wheel:13", "wheel:18", "turan:14,7", "turan:18,9", "cycle:14", "cycle:19",
+    "doublestar:6,6", "doublestar:8,9", "triplestar:4,4,4", "triplestar:5,5,5",
+)
+
+
+def test_criterion_matches_definition_on_14_to_19():
+    """Past 16 vertices every sweep and bridge flood runs block by block.
+    Each member of ``_FAMILIES_14_TO_19`` randomly relabelled, as it is and
+    with one seeded edge added or removed, and ten seeded G(n, p)."""
+    rng = random.Random(1419)
+    graphs = []
+    for text in _FAMILIES_14_TO_19:
+        member = make_named(parse_family_spec(text))
+        perm = list(range(member.n))
+        rng.shuffle(perm)
+        g = relabel(member, perm)
+        non_edges = sorted(set(combinations(range(g.n), 2)) - set(g.edges()))
+        graphs += [g, Graph.from_edges(g.n, g.edges() + [rng.choice(non_edges)]),
+                   delete_edge(g, *rng.choice(g.edges()))]
+    for _ in range(10):
+        n, percent = rng.randint(14, 19), rng.choice((30, 50, 70))
+        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.randrange(100) < percent]))
+    statuses = [_check_deciders_agree(g) for g in graphs]
+    assert set(statuses) == {MinToughStatus.NON_TRIVIALLY_MIN_TOUGH, MinToughStatus.NOT_MIN_TOUGH}
 
 
 @_SETTINGS
 @given(st.one_of(random_graphs(9, 12), family_graphs(12), perturbed_graphs(_COND2_GRAPHS)))
 def test_bridge_flood_matches_toughness_of_each_deletion(g):
-    """t(G - uv) read from the sweep of G by one bridge flood per edge is
-    the toughness of the graph G - uv."""
+    """The drop the bridge flood reads from the sweep of G at each edge uv
+    recounts on G - uv to the toughness of the graph G - uv, and no drop
+    means that toughness is t(G)."""
     if g.is_complete() or g.is_edgeless():
         return
-    p, q, sweep, _ = _tough_pass(g)
-    last = min(g.n - 2, g.n * p // (p + q))
-    for u, v in g.edges():
-        p_e, q_e, _, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
-        assert Fraction(p_e, q_e) == toughness(delete_edge(g, u, v)), (g.edges(), (u, v))
+    _check_bridge_drops(g)
 
 
 @pytest.mark.parametrize("text", _FAILS_ONLY_AT_01)

@@ -3,10 +3,11 @@
 Every module-level import of ``src/toughlab`` is read somewhere in its
 module, except the names ``perfbench/traced.py`` patches there, which a
 module imports only so the tracer can time them; the package ``__init__``
-imports nothing, so callers import from the submodules.  Every public top-level function and class is
-read by name elsewhere in the package, or is one of the few primitives in
-``READ_BY_TESTS``, each named with the tier-1 test that reads it.  Every
-source and test file parses as Python 3.10, the oldest version
+imports nothing, so callers import from the submodules.  Every top-level
+function, class and module constant, public or private (dunders aside), is
+read by name elsewhere in the package, or is one of the few public
+primitives in ``READ_BY_TESTS``, each named with the tier-1 test that reads
+it.  Every source and test file parses as Python 3.10, the oldest version
 ``pyproject.toml`` accepts.
 """
 import ast
@@ -62,24 +63,36 @@ READ_BY_TESTS = {
 }
 
 
-def _unread_public(trees: dict[str, ast.Module]) -> list[str]:
-    """The public top-level functions and classes of ``trees`` (module name
-    -> parsed source) that no top-level statement but their own reads by name."""
+def _defined(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function or class, or
+    the targets of an assignment; dunders aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _unread(trees: dict[str, ast.Module]) -> list[str]:
+    """The top-level functions, classes and constants of ``trees`` (module
+    name -> parsed source) that no top-level statement but their own reads
+    by name."""
     defined, read = set(), set()
     for tree in trees.values():
         for node in tree.body:
-            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-                if not node.name.startswith("_"):
-                    defined.add(node.name)
-            read |= names
+            own = _defined(node)
+            defined |= own
+            read |= {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)} - own
     return sorted(defined - read)
 
 
 def test_every_public_name_has_a_reader():
     trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
-    assert _unread_public(trees) == sorted(READ_BY_TESTS)
+    assert _unread(trees) == sorted(READ_BY_TESTS)
     for name, test in READ_BY_TESTS.items():
         path, func = test.split("::")
         body = next(node for node in ast.parse((ROOT / "tests" / path).read_text()).body
@@ -91,8 +104,9 @@ def test_unread_public_scan_finds_one():
     trees = {
         "a": ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\nclass _H:\n    pass\n"),
         "b": ast.parse("from a import g\n\nclass K:\n    x = g()\n"),
+        "c": ast.parse("__all__ = []\n_N: int = 2\nM, _P = 1, _N\n\ndef _q():\n    return M\n"),
     }
-    assert _unread_public(trees) == ["K", "f"]
+    assert _unread(trees) == ["K", "_H", "_P", "_q", "f"]
 
 
 @pytest.mark.parametrize("path", sorted(str(p.relative_to(ROOT)) for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")))

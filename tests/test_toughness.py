@@ -12,7 +12,7 @@ import toughlab.toughness as toughness_module
 from toughlab.graphs import CrossCheckError, Graph, delete_edge
 from toughlab.toughness import (
     INFINITE_TOUGHNESS,
-    _Bridged,
+    _bridge_drop,
     _tough_pass,
     format_toughness,
     iterate_separators,
@@ -21,7 +21,7 @@ from toughlab.toughness import (
     toughness_complete_multipartite,
 )
 
-from oracles import ref_separators, ref_toughness
+from oracles import _component_count_after, normalize_edges, ref_separators, ref_toughness
 
 
 def _named(text: str) -> Graph:
@@ -250,16 +250,30 @@ def test_bounded_pass_on_32_vertices(spec, t, separators):
 # -- t(G - uv) from the sweep of G ------------------------------------------------------
 
 
-def _bridged_toughness(g: Graph) -> dict[tuple[int, int], Fraction]:
-    """t(G - uv) for every edge uv, each read by one bridge flood over the
-    sweep of G after G's own pass."""
+def _check_bridge_drops(g: Graph) -> int:
+    """Asks the bridge flood over the sweep of G, after G's own pass, for a
+    drop at every edge uv: a drop (S, c) has S missing u and v,
+    c(G - uv - S) = c by the oracle, and |S|/c = t(G - uv) < t(G), and it
+    is the first tough separator of G - uv, the least size and then the
+    least mask; no drop means t(G - uv) = t(G).  Returns the number of
+    drops."""
     p, q, sweep, _ = _tough_pass(g)
-    last = min(g.n - 2, g.n * p // (p + q))
-    out = {}
+    t, drops = Fraction(p, q), 0
     for u, v in g.edges():
-        p, q, _, _ = _tough_pass(g, _Bridged(sweep, u, v, last))
-        out[u, v] = Fraction(p, q)
-    return out
+        least = tough_separators(delete_edge(g, u, v))[0]
+        drop = _bridge_drop(sweep, u, v, p, q)
+        if drop is None:
+            assert least.ratio == t, (g.edges(), (u, v))
+            continue
+        s, c = drop
+        removed = {x for x in range(g.n) if s >> x & 1}
+        edges = normalize_edges(set(g.edges()) - {(u, v)})
+        assert u not in removed and v not in removed, (g.edges(), (u, v))
+        assert _component_count_after(g.n, edges, removed) == c, (g.edges(), (u, v))
+        assert Fraction(len(removed), c) == least.ratio < t, (g.edges(), (u, v))
+        assert (s, c) == (least.separator.bits, least.components_after), (g.edges(), (u, v))
+        drops += 1
+    return drops
 
 
 def _read_sizes(g: Graph) -> tuple[int, int, list[int]]:
@@ -280,8 +294,8 @@ def _read_sizes(g: Graph) -> tuple[int, int, list[int]]:
 def test_the_pass_reads_up_to_its_closed_form_stop():
     """The bounded pass reads size s iff s*q <= p*(n - s) at its final p/q,
     so it reads exactly 0..min(n - 2, n*p // (p + q)), the last size the
-    definition decider hands each bridge flood: every non-complete class on
-    at most 7 vertices, and a seeded sample on 9-17."""
+    bridge flood works out from p/q: every non-complete class on at most 7
+    vertices, and a seeded sample on 9-17."""
     rng = random.Random(917)
     graphs = [g for n in range(8) for g in enumerate_graphs(n) if not g.is_complete()]
     assert len(graphs) == 1_245
@@ -292,15 +306,14 @@ def test_the_pass_reads_up_to_its_closed_form_stop():
 
 
 def test_bridge_flood_matches_toughness_of_each_deletion_up_to_7():
-    edges = 0
+    edges = drops = 0
     for n in range(3, 8):
         for g in enumerate_graphs(n):
             if g.is_complete() or g.is_edgeless():
                 continue
-            for (u, v), t in _bridged_toughness(g).items():
-                assert t == toughness(delete_edge(g, u, v)), (g, (u, v))
-                edges += 1
-    assert edges == 12_286
+            drops += _check_bridge_drops(g)
+            edges += len(g.edges())
+    assert edges == 12_286 and 0 < drops < edges, drops
 
 
 def _sparse_17() -> Graph:
@@ -319,17 +332,20 @@ def test_bridge_flood_in_high_blocks(text):
     planes, skipping the blocks whose high vertices hold u or v."""
     g = _sparse_17() if text == "sparse-17" else _named(text)
     assert g.n in (17, 18)
-    for (u, v), t in _bridged_toughness(g).items():
-        assert t == toughness(delete_edge(g, u, v)), (text, (u, v))
+    _check_bridge_drops(g)
 
 
-def test_bridge_flood_refuses_a_size_past_the_pass():
+def test_bridge_flood_refuses_a_pass_past_s_max():
+    """The pass of cycle:9 reads up to s_max; a sweep whose s_max is one
+    less than the pass's last size makes the bridge flood raise."""
     g = _named("cycle:9")
-    p, q, sweep, _ = _tough_pass(g)
-    last = min(g.n - 2, g.n * p // (p + q))
-    bridged = _Bridged(sweep, 0, 1, last)
-    with pytest.raises(CrossCheckError, match="past G's"):
-        bridged.top(last + 1)
+    p, q, sizes = _read_sizes(g)
+    sweep = _tough_pass(g)[2]
+    assert sizes[-1] == sweep.s_max
+    assert _bridge_drop(sweep, 0, 1, p, q) is not None
+    sweep.s_max -= 1
+    with pytest.raises(CrossCheckError, match="past s_max"):
+        _bridge_drop(sweep, 0, 1, p, q)
 
 
 # -- formatting ------------------------------------------------------------------------
