@@ -6,6 +6,19 @@ files or stdin, one output line per input line, in input order even when
 stderr with their source position and flip the exit code to 2; valid lines
 keep flowing.  Harness subcommands (verify, probe) print a report and exit
 1 when an asserted check found a discrepancy.
+
+A command loads only the modules it runs, since a short job is mostly
+start-up.  This module imports ``graph6``, ``graphs`` and ``families``,
+all that ``named`` needs; ``tough`` adds ``toughness`` (with
+``connectivity``), ``mintough`` adds ``mintough`` to that, ``classify``
+adds ``classes`` and ``connectivity``, ``enumerate`` adds ``canon`` and
+``connectivity``, and ``verify`` and ``probe`` load every module.  The
+others are imported inside the functions that read them, and
+``build_parser(command)`` gives options only to the command being run.
+Nine names stay functions of this module, each a forwarder that imports
+its module on its first call: ``toughness``, the two minimal-toughness
+deciders, the five verify scans and the probe.  perfbench/traced.py and
+the tests replace them here to time or fake the work.
 """
 from __future__ import annotations
 
@@ -16,39 +29,17 @@ import sys
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .canon import _MAX_CANON, census_codes, enumerate_graphs
-from .classes import CLASS_PREDICATES
-from .connectivity import is_connected
 from .families import make_named, parse_family_spec
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .mintough import (
-    CrossCheckError,
-    MinToughStatus,
-    is_minimally_tough_by_criterion,
-    is_minimally_tough_by_definition,
-    verdict_to_json,
-)
-from .toughness import format_toughness, toughness
-from .verify import (
-    KRIESELL_CLASS_FILTERS,
-    PROBE_N_MAX,
-    TABLE1_L_MAX,
-    THEOREM_IDS,
-    WHEELS_L_MAX,
-    kriesell_scan,
-    probe_conjecture_cochordal_diam2,
-    verify_codiam_exclusions,
-    verify_table1,
-    verify_theorem,
-    verify_wheels,
-)
+from .graphs import CrossCheckError, Graph
 
 NMAX_OVERRIDE_ENV = "TOUGHLAB_NMAX_OVERRIDE"
 
+#: the table and tsv text of each MinToughStatus, by member name
 _STATUS_TEXT = {
-    MinToughStatus.TRIVIALLY_MIN_TOUGH: "TriviallyMinTough",
-    MinToughStatus.NON_TRIVIALLY_MIN_TOUGH: "NonTriviallyMinTough",
-    MinToughStatus.NOT_MIN_TOUGH: "NotMinTough",
+    "TRIVIALLY_MIN_TOUGH": "TriviallyMinTough",
+    "NON_TRIVIALLY_MIN_TOUGH": "NonTriviallyMinTough",
+    "NOT_MIN_TOUGH": "NotMinTough",
 }
 
 
@@ -57,6 +48,7 @@ class CliError(Exception):
 
 
 def _gate_nmax(n: int, least: int = 1) -> None:
+    from .canon import _MAX_CANON
     if n < least:
         raise CliError(f"n must be >= {least}")
     if n > _MAX_CANON:
@@ -69,10 +61,59 @@ def _gate_nmax(n: int, least: int = 1) -> None:
         print(f"warning: n = {n} may take a long time: {cost}", file=sys.stderr)
 
 
+# -- forwarders: names perfbench/traced.py and the tests replace on this module ----
+
+
+def toughness(g: Graph):
+    from .toughness import toughness
+    return toughness(g)
+
+
+def is_minimally_tough_by_criterion(g: Graph):
+    from .mintough import is_minimally_tough_by_criterion
+    return is_minimally_tough_by_criterion(g)
+
+
+def is_minimally_tough_by_definition(g: Graph):
+    from .mintough import is_minimally_tough_by_definition
+    return is_minimally_tough_by_definition(g)
+
+
+def verify_theorem(theorem_id: str, n_max: int):
+    from .verify import verify_theorem
+    return verify_theorem(theorem_id, n_max)
+
+
+def verify_table1(l_max: int):
+    from .verify import verify_table1
+    return verify_table1(l_max)
+
+
+def verify_wheels(l_max: int):
+    from .verify import verify_wheels
+    return verify_wheels(l_max)
+
+
+def kriesell_scan(class_filter: str, n_max: int):
+    from .verify import kriesell_scan
+    return kriesell_scan(class_filter, n_max)
+
+
+def verify_codiam_exclusions(n_max: int):
+    from .verify import verify_codiam_exclusions
+    return verify_codiam_exclusions(n_max)
+
+
+def probe_conjecture_cochordal_diam2(n_max: int):
+    from .verify import probe_conjecture_cochordal_diam2
+    return probe_conjecture_cochordal_diam2(n_max)
+
+
 # -- per-line workers (top-level so they pickle for --jobs) ------------------------
 
 
 def _line_tough(args: argparse.Namespace, line: str) -> str:
+    from .toughness import format_toughness
     g = parse_graph6(line)
     value = format_toughness(toughness(g))
     if args.format == "table":
@@ -83,6 +124,8 @@ def _line_tough(args: argparse.Namespace, line: str) -> str:
 
 
 def _line_mintough(args: argparse.Namespace, line: str) -> str:
+    from .mintough import verdict_to_json
+    from .toughness import format_toughness
     g = parse_graph6(line)
     witnesses = []
     if args.method == "definition":
@@ -94,7 +137,7 @@ def _line_mintough(args: argparse.Namespace, line: str) -> str:
                 raise CrossCheckError(f"deciders disagree on {write_graph6(g)}")
     if args.format == "json":
         return json.dumps(verdict_to_json(g, verdict, witnesses))
-    status = _STATUS_TEXT[verdict.status]
+    status = _STATUS_TEXT[verdict.status.name]
     value = format_toughness(verdict.toughness)
     edge = "-" if verdict.failing_edge is None else "{}-{}".format(*verdict.failing_edge)
     if args.format == "tsv":
@@ -106,6 +149,7 @@ def _line_mintough(args: argparse.Namespace, line: str) -> str:
 
 
 def _line_classify(args: argparse.Namespace, line: str) -> str:
+    from .classes import CLASS_PREDICATES
     g = parse_graph6(line)
     flags = {name: bool(fn(g)) for name, fn in CLASS_PREDICATES.items()}
     g6 = write_graph6(g)
@@ -189,6 +233,8 @@ def _cmd_named(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .canon import census_codes, enumerate_graphs
+    from .connectivity import is_connected
     _gate_nmax(args.n, least=0)
     for g, code in zip(enumerate_graphs(args.n), census_codes(args.n)):
         if not args.connected or is_connected(g):
@@ -196,13 +242,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the --lmax range of the targets that read it; 0 selects their default
-_LMAX_RANGE = {"table1": (2, TABLE1_L_MAX), "wheels": (5, WHEELS_L_MAX),
-               "all": (5, TABLE1_L_MAX)}
-
-
 def _verify_report(target: str, nmax: int, lmax: int, klass: str | None):
     """The report of one verify target other than all."""
+    from .verify import THEOREM_IDS
     key = target.strip().lower()
     normalized = key.upper().replace("-", "_")
     if normalized in THEOREM_IDS:
@@ -220,12 +262,16 @@ def _verify_report(target: str, nmax: int, lmax: int, klass: str | None):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import KRIESELL_CLASS_FILTERS, TABLE1_L_MAX, THEOREM_IDS, WHEELS_L_MAX
     _gate_nmax(args.nmax)
     target = args.target.strip().lower()
+    # the --lmax range of the targets that read it; 0 selects their default
+    lmax_range = {"table1": (2, TABLE1_L_MAX), "wheels": (5, WHEELS_L_MAX),
+                  "all": (5, TABLE1_L_MAX)}
     if args.lmax:
-        if target not in _LMAX_RANGE:
-            raise CliError(f"--lmax applies only to {', '.join(_LMAX_RANGE)}, not {target}")
-        least, most = _LMAX_RANGE[target]
+        if target not in lmax_range:
+            raise CliError(f"--lmax applies only to {', '.join(lmax_range)}, not {target}")
+        least, most = lmax_range[target]
         if args.lmax < least:
             raise CliError(f"--lmax must be >= {least} for {target}")
         if args.lmax > most:
@@ -248,6 +294,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    from .verify import PROBE_N_MAX
     if args.nmax > PROBE_N_MAX:
         raise CliError(f"probe is limited to n <= {PROBE_N_MAX}")
     _gate_nmax(args.nmax)
@@ -262,19 +309,61 @@ def _cmd_probe(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------------
 
 
-def _add_line_command(sub, name: str, help_text: str,
-                      worker: Callable[[argparse.Namespace, str], str]):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("paths", nargs="*", metavar="FILE",
-                   help="graph6 files; '-' or no argument reads stdin")
-    p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes, at most one per CPU; output order is preserved")
-    p.set_defaults(func=_cmd_lines, line=worker)
-    return p
+#: each command and its help line, in the order --help lists them
+_COMMANDS = {
+    "tough": "exact toughness per input graph",
+    "mintough": "minimal-toughness verdict per input graph",
+    "classify": "graph-class membership vector per input graph",
+    "named": "emit graph6 of named family instances",
+    "verify": "run a verification suite",
+    "probe": "report minimally tough co-chordal graphs of co-diameter 2",
+    "enumerate": "stream graph6 for all graphs on n vertices",
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """Give the subparser of ``command`` its arguments and handler."""
+    worker = {"tough": _line_tough, "mintough": _line_mintough,
+              "classify": _line_classify}.get(command)
+    if worker is not None:
+        p.add_argument("paths", nargs="*", metavar="FILE",
+                       help="graph6 files; '-' or no argument reads stdin")
+        p.add_argument("--format", choices=("table", "tsv", "json"), default="table")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="worker processes, at most one per CPU; output order is preserved")
+        p.set_defaults(func=_cmd_lines, line=worker)
+    if command == "mintough":
+        p.add_argument("--method", choices=("definition", "criterion", "both"), default="both",
+                       help="decider; 'both' asserts agreement")
+    elif command == "named":
+        p.add_argument("specs", nargs="+", metavar="SPEC",
+                       help="family specs like turan:6,3 doublestar:1,1 wheel:5 net")
+        p.set_defaults(func=_cmd_named)
+    elif command == "verify":
+        from .verify import KRIESELL_CLASS_FILTERS, TABLE1_L_MAX, THEOREM_IDS, WHEELS_L_MAX
+        p.add_argument("target",
+                       help="all | table1 | wheels | kriesell | codiam | " + " | ".join(THEOREM_IDS))
+        p.add_argument("--nmax", type=int, default=8, metavar="N")
+        p.add_argument("--lmax", type=int, default=0, metavar="L",
+                       help=f"parameter bound for table1 (default 5, at most {TABLE1_L_MAX}) "
+                            f"and wheels (default 9, at most {WHEELS_L_MAX})")
+        p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS,
+                       help="class filter for the kriesell target (default all)")
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=_cmd_verify)
+    elif command == "probe":
+        p.add_argument("--nmax", type=int, default=8, metavar="N")
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        p.set_defaults(func=_cmd_probe)
+    elif command == "enumerate":
+        p.add_argument("n", type=int)
+        p.add_argument("--connected", action="store_true", help="connected graphs only")
+        p.set_defaults(func=_cmd_enumerate)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command, only its subparser
+    gets options, so the modules the others read stay unloaded."""
     parser = argparse.ArgumentParser(
         prog="toughlab",
         description="Exact graph toughness laboratory: per-graph queries over "
@@ -282,47 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
         "classification results.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_line_command(sub, "tough", "exact toughness per input graph", _line_tough)
-    p = _add_line_command(sub, "mintough", "minimal-toughness verdict per input graph",
-                          _line_mintough)
-    p.add_argument("--method", choices=("definition", "criterion", "both"), default="both",
-                   help="decider; 'both' asserts agreement")
-    _add_line_command(sub, "classify", "graph-class membership vector per input graph",
-                      _line_classify)
-
-    p = sub.add_parser("named", help="emit graph6 of named family instances")
-    p.add_argument("specs", nargs="+", metavar="SPEC",
-                   help="family specs like turan:6,3 doublestar:1,1 wheel:5 net")
-    p.set_defaults(func=_cmd_named)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("target",
-                   help="all | table1 | wheels | kriesell | codiam | " + " | ".join(THEOREM_IDS))
-    p.add_argument("--nmax", type=int, default=8, metavar="N")
-    p.add_argument("--lmax", type=int, default=0, metavar="L",
-                   help=f"parameter bound for table1 (default 5, at most {TABLE1_L_MAX}) "
-                        f"and wheels (default 9, at most {WHEELS_L_MAX})")
-    p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS,
-                   help="class filter for the kriesell target (default all)")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("probe", help="report minimally tough co-chordal graphs of co-diameter 2")
-    p.add_argument("--nmax", type=int, default=8, metavar="N")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("enumerate", help="stream graph6 for all graphs on n vertices")
-    p.add_argument("n", type=int)
-    p.add_argument("--connected", action="store_true", help="connected graphs only")
-    p.set_defaults(func=_cmd_enumerate)
-
+    for name, help_text in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_options(p, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")

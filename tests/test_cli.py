@@ -1,4 +1,5 @@
 """CLI behavior: formats, exit codes, streaming, gating, parallel workers."""
+import argparse
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import toughlab
 from toughlab.canon import canonical_code, enumerate_graphs
-from toughlab.cli import NMAX_OVERRIDE_ENV, CliError, _gate_nmax, main
+from toughlab.cli import NMAX_OVERRIDE_ENV, CliError, _gate_nmax, build_parser, main
 from toughlab.families import make_named, parse_family_spec
 from toughlab.graph6 import parse_graph6, write_graph6
 from toughlab.graphs import Graph
@@ -29,6 +30,16 @@ def _run(capsys, argv, stdin=None, monkeypatch=None):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _child_env() -> dict:
+    """The environment for a child Python that imports the same toughlab
+    tree as this process, whether or not the package is installed and
+    whatever PYTHONPATH holds."""
+    src = Path(toughlab.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
 
 
 # -- the named | tough / named | mintough pipelines -----------------------------------
@@ -237,14 +248,62 @@ def test_jobs_capped_at_cpu_count(capsys, tmp_path, monkeypatch):
 
 def test_cli_import_starts_no_pool_machinery():
     # only --jobs > 1 imports the process pool, so a one-process run skips it
-    src = Path(toughlab.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     probe = ("import sys, toughlab.cli\n"
              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_child_env())
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+_NAMED_MODULES = {"graph6", "graphs", "families"}
+_EVERY_MODULE = {p.stem for p in Path(toughlab.__file__).parent.glob("*.py")} - {"__init__", "cli"}
+
+
+@pytest.mark.parametrize("argv, stdin, loaded", [
+    (["named", "path:3"], None, _NAMED_MODULES),
+    (["tough"], "Bg\n", _NAMED_MODULES | {"toughness", "connectivity"}),
+    (["mintough"], "Bg\n", _NAMED_MODULES | {"toughness", "connectivity", "mintough"}),
+    (["classify"], "Bg\n", _NAMED_MODULES | {"classes", "connectivity"}),
+    (["enumerate", "3"], None, _NAMED_MODULES | {"canon", "connectivity"}),
+    (["verify", "table1", "--lmax", "3"], None, _EVERY_MODULE),
+    (["probe", "--nmax", "3"], None, _EVERY_MODULE),
+])
+def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded):
+    # main() with no argument reads the command from sys.argv, as the console
+    # script does; the last output line lists the toughlab modules loaded
+    probe = ("import sys\nfrom toughlab.cli import main\n"
+             f"sys.argv = ['toughlab'] + {argv!r}\n"
+             "code = main()\n"
+             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'toughlab'))\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], input=stdin, capture_output=True,
+                          text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    *out, modules = proc.stdout.splitlines()
+    assert out, "the command printed nothing"
+    assert modules == str(sorted({"toughlab", "toughlab.cli"} | {f"toughlab.{m}" for m in loaded}))
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_parser_of_one_command_matches_the_full_parser():
+    full = build_parser()
+    assert build_parser("named").format_help() == full.format_help()
+    for name, sub in _subparsers(full).items():
+        assert _subparsers(build_parser(name))[name].format_help() == sub.format_help(), name
+
+
+@pytest.mark.parametrize("argv", [["verify", "kriesell", "--class", "nope"], ["nope"], []])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    assert (lazy.value.code, capsys.readouterr()) == (full.value.code, want)
+    assert full.value.code == 2 and want.err
 
 
 def test_jobs_must_be_positive(capsys):
@@ -584,11 +643,7 @@ def _declared_console_script(name: str = "toughlab") -> str:
 
 
 def test_console_script_smoke():
-    # Children import the same toughlab tree as this process, whether or not
-    # the package is installed and whatever PYTHONPATH holds.
-    src = Path(toughlab.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = _child_env()
 
     # Call the declared entry point the way a console-script wrapper does.
     module, _, attr = _declared_console_script().partition(":")

@@ -7,7 +7,8 @@ imports nothing, so callers import from the submodules.  Every top-level
 function, class and module constant, public or private (dunders aside), is
 read by name elsewhere in the package, or is one of the few public
 primitives in ``READ_BY_TESTS``, each named with the tier-1 test that reads
-it.  Every source and test file parses as Python 3.10, the oldest version
+it.  A read counts for the module its name resolves to, so a name defined
+in two modules needs a reader for each.  Every source and test file parses as Python 3.10, the oldest version
 ``pyproject.toml`` accepts.
 """
 import ast
@@ -45,21 +46,21 @@ def test_unused_import_scan_finds_one():
     assert _unused_imports(tree, {"path"}) == ["sys (line 2)"]
 
 
-#: public names no other module reads, each with the tier-1 test that reads it
+#: public names no other module reads, by module, each with the tier-1 test that reads it
 READ_BY_TESTS = {
-    "are_isomorphic": "test_canon.py::test_are_isomorphic_positive",
-    "components": "test_classes.py::test_cograph_partition_properties",
-    "cond2_candidates": "test_acceptance.py::test_criterion_07_structural_suites",
-    "delete_vertex": "test_graphs.py::test_delete_vertex_matches_induced",
-    "diameter": "test_connectivity.py::test_diameter_matches_reference",
-    "identify_family": "test_verify.py::test_identify_family_round_trip",
-    "iter_graph6": "test_graph6.py::test_iter_graph6_skips_blank_lines",
-    "iterate_separators": "test_acceptance.py::test_criterion_07_structural_suites",
-    "simplicial_pair_decomposition": "test_acceptance.py::test_criterion_07_structural_suites",
-    "tough_separators": "test_toughness.py::test_tough_separators_attain_the_minimum",
-    "toughness_complete_multipartite": "test_acceptance.py::test_criterion_02_multipartite_formula",
-    "universal_vertices": "test_acceptance.py::test_criterion_07_structural_suites",
-    "uv_extension": "test_acceptance.py::test_criterion_07_structural_suites",
+    "canon.are_isomorphic": "test_canon.py::test_are_isomorphic_positive",
+    "classes.simplicial_pair_decomposition": "test_acceptance.py::test_criterion_07_structural_suites",
+    "connectivity.components": "test_classes.py::test_cograph_partition_properties",
+    "connectivity.diameter": "test_connectivity.py::test_diameter_matches_reference",
+    "connectivity.uv_extension": "test_acceptance.py::test_criterion_07_structural_suites",
+    "graph6.iter_graph6": "test_graph6.py::test_iter_graph6_skips_blank_lines",
+    "graphs.delete_vertex": "test_graphs.py::test_delete_vertex_matches_induced",
+    "mintough.cond2_candidates": "test_acceptance.py::test_criterion_07_structural_suites",
+    "mintough.universal_vertices": "test_acceptance.py::test_criterion_07_structural_suites",
+    "toughness.iterate_separators": "test_acceptance.py::test_criterion_07_structural_suites",
+    "toughness.tough_separators": "test_toughness.py::test_tough_separators_attain_the_minimum",
+    "toughness.toughness_complete_multipartite": "test_acceptance.py::test_criterion_02_multipartite_formula",
+    "verify.identify_family": "test_verify.py::test_identify_family_round_trip",
 }
 
 
@@ -76,18 +77,32 @@ def _defined(node: ast.stmt) -> set[str]:
     return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
 
 
+def _from_imports(nodes) -> dict[str, tuple[str, str]]:
+    """The names the ``from`` imports in ``nodes`` and their subtrees bind,
+    each to (module, name imported), the module by its last dotted part."""
+    return {alias.asname or alias.name: (sub.module.rpartition(".")[2], alias.name)
+            for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.ImportFrom) and sub.module for alias in sub.names}
+
+
 def _unread(trees: dict[str, ast.Module]) -> list[str]:
     """The top-level functions, classes and constants of ``trees`` (module
-    name -> parsed source) that no top-level statement but their own reads
-    by name."""
+    name -> parsed source), as ``module.name``, that no top-level statement
+    but their own reads by name.  A read counts for the module its name
+    resolves to in the reading statement: its own module's definition, or
+    the module it was imported from, at module level or inside that
+    statement."""
     defined, read = set(), set()
-    for tree in trees.values():
+    for mod, tree in trees.items():
+        module_scope = _from_imports(node for node in tree.body if isinstance(node, ast.ImportFrom))
+        module_scope |= {name: (mod, name) for node in tree.body for name in _defined(node)}
         for node in tree.body:
-            own = _defined(node)
+            own = {(mod, name) for name in _defined(node)}
             defined |= own
-            read |= {sub.id for sub in ast.walk(node)
-                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)} - own
-    return sorted(defined - read)
+            scope = module_scope | _from_imports([node])
+            read |= {scope[sub.id] for sub in ast.walk(node) if isinstance(sub, ast.Name)
+                     and isinstance(sub.ctx, ast.Load) and sub.id in scope} - own
+    return sorted(f"{mod}.{name}" for mod, name in defined - read)
 
 
 def test_every_public_name_has_a_reader():
@@ -97,7 +112,8 @@ def test_every_public_name_has_a_reader():
         path, func = test.split("::")
         body = next(node for node in ast.parse((ROOT / "tests" / path).read_text()).body
                     if isinstance(node, ast.FunctionDef) and node.name == func)
-        assert name in {sub.id for sub in ast.walk(body) if isinstance(sub, ast.Name)}, test
+        assert name.rpartition(".")[2] in {sub.id for sub in ast.walk(body)
+                                           if isinstance(sub, ast.Name)}, test
 
 
 def test_unread_public_scan_finds_one():
@@ -105,8 +121,11 @@ def test_unread_public_scan_finds_one():
         "a": ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\nclass _H:\n    pass\n"),
         "b": ast.parse("from a import g\n\nclass K:\n    x = g()\n"),
         "c": ast.parse("__all__ = []\n_N: int = 2\nM, _P = 1, _N\n\ndef _q():\n    return M\n"),
+        # _r in two modules, read only in d: by d itself and by e's function-level import
+        "d": ast.parse("def _r():\n    return 0\n\nY = _r()\n"),
+        "e": ast.parse("def _r():\n    return 1\n\ndef s():\n    from d import _r\n    return _r()\n"),
     }
-    assert _unread(trees) == ["K", "_H", "_P", "_q", "f"]
+    assert _unread(trees) == ["a._H", "a.f", "b.K", "c._P", "c._q", "d.Y", "e._r", "e.s"]
 
 
 @pytest.mark.parametrize("path", sorted(str(p.relative_to(ROOT)) for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")))
