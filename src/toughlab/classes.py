@@ -18,9 +18,8 @@ code with the search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .connectivity import (
     _component_count,
@@ -303,8 +302,7 @@ def has_co_cycle_through(g: Graph, v: int) -> bool:
 # -- multipartite structure --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultipartiteParts:
+class MultipartiteParts(NamedTuple):
     """Parts of a complete multipartite graph, ascending by (size, least vertex)."""
 
     parts: tuple[VertexSet, ...]
@@ -332,8 +330,7 @@ def is_complete_multipartite(g: Graph) -> bool:
 # -- simplicial-pair decomposition ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicialPairDecomposition:
+class SimplicialPairDecomposition(NamedTuple):
     """For co-chordal g with finite co-diameter d >= 3: a pair (u, w) of
     complement-simplicial vertices at complement-distance d, their complement
     neighbourhoods U and W, the rest X, and the maximum matching size m of

@@ -8,13 +8,14 @@ keep flowing.  Harness subcommands (verify, probe) print a report and exit
 1 when an asserted check found a discrepancy.
 
 A command loads only the modules it runs, since a short job is mostly
-start-up.  This module imports ``graph6``, ``graphs`` and ``families``,
-all that ``named`` needs; ``tough`` adds ``toughness`` (with
-``connectivity``), ``mintough`` adds ``mintough`` to that, ``classify``
-adds ``classes`` and ``connectivity``, ``enumerate`` adds ``canon`` and
+start-up.  This module imports ``graph6`` and ``graphs``; ``named`` adds
+``families``, ``tough`` adds ``toughness`` (with ``connectivity``),
+``mintough`` adds ``mintough`` to that, ``classify`` adds ``classes`` (with
+``connectivity`` and ``families``), ``enumerate`` adds ``canon`` and
 ``connectivity``, and ``verify`` and ``probe`` load every module.  The
-others are imported inside the functions that read them, and
-``build_parser(command)`` gives options only to the command being run.
+others are imported inside the functions that read them, ``json`` only
+where JSON is written, and ``build_parser(command)`` gives options only to
+the command being run.
 Nine names stay functions of this module, each a forwarder that imports
 its module on its first call: ``toughness``, the two minimal-toughness
 deciders, the five verify scans and the probe.  perfbench/traced.py and
@@ -23,13 +24,11 @@ the tests replace them here to time or fake the work.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .families import make_named, parse_family_spec
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import CrossCheckError, Graph
 
@@ -120,6 +119,7 @@ def _line_tough(args: argparse.Namespace, line: str) -> str:
         return value
     if args.format == "tsv":
         return f"{write_graph6(g)}\t{value}"
+    import json
     return json.dumps({"graph6": write_graph6(g), "toughness": value})
 
 
@@ -136,6 +136,7 @@ def _line_mintough(args: argparse.Namespace, line: str) -> str:
             if is_minimally_tough_by_definition(g) != verdict:
                 raise CrossCheckError(f"deciders disagree on {write_graph6(g)}")
     if args.format == "json":
+        import json
         return json.dumps(verdict_to_json(g, verdict, witnesses))
     status = _STATUS_TEXT[verdict.status.name]
     value = format_toughness(verdict.toughness)
@@ -157,6 +158,7 @@ def _line_classify(args: argparse.Namespace, line: str) -> str:
         return f"{g6}: " + ",".join(name for name, hit in flags.items() if hit)
     if args.format == "tsv":
         return "\t".join([g6] + ["1" if flags[name] else "0" for name in CLASS_PREDICATES])
+    import json
     return json.dumps({"graph6": g6, "classes": flags})
 
 
@@ -222,6 +224,7 @@ def _cmd_lines(args: argparse.Namespace) -> int:
 
 
 def _cmd_named(args: argparse.Namespace) -> int:
+    from .families import make_named, parse_family_spec
     for text in args.specs:
         try:
             spec = parse_family_spec(text)
@@ -284,6 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         steps += [("kriesell", k) for k in KRIESELL_CLASS_FILTERS] + [("codiam", None)]
     reports = [_verify_report(t, args.nmax, args.lmax, k) for t, k in steps]
     if args.format == "json":
+        import json
         payload = [rep.to_json() for rep in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
     else:
@@ -300,6 +304,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     _gate_nmax(args.nmax)
     report = probe_conjecture_cochordal_diam2(args.nmax)
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json(), indent=2))
     else:
         print(report.render())
@@ -346,7 +351,8 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--nmax", type=int, default=8, metavar="N")
         p.add_argument("--lmax", type=int, default=0, metavar="L",
                        help=f"parameter bound for table1 (default 5, at most {TABLE1_L_MAX}) "
-                            f"and wheels (default 9, at most {WHEELS_L_MAX})")
+                            f"and wheels (default 9, at most {WHEELS_L_MAX}; the time grows 2-2.5x "
+                            f"per step: wheels took 12 s at 27 and 71 s at 29)")
         p.add_argument("--class", dest="klass", choices=KRIESELL_CLASS_FILTERS,
                        help="class filter for the kriesell target (default all)")
         p.add_argument("--format", choices=("table", "json"), default="table")

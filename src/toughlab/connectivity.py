@@ -17,8 +17,7 @@ min(deg(u), deg(v)) in G-uv; both shortcuts are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, VertexSet, _as_mask, _bits, _complement_rows
 
@@ -64,8 +63,7 @@ def is_connected(g: Graph) -> bool:
 # -- distances ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceTable:
+class DistanceTable(NamedTuple):
     """All-pairs hop distances; entries are ints or math.inf."""
 
     rows: tuple[tuple[int | float, ...], ...]
@@ -183,8 +181,7 @@ def local_connectivity(g: Graph, u: int, v: int) -> int:
 # -- bipartite matching --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of vertex-disjoint edges, each stored as (u, v) with u < v."""
 
     pairs: tuple[tuple[int, int], ...]

@@ -25,11 +25,10 @@ make_named checks against MAX_VERTICES first.  Parameter conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .graphs import MAX_VERTICES, Graph, complement, join
+from .graphs import MAX_VERTICES, Graph, _frozen, complement, join
 
 
 class Family(Enum):
@@ -126,21 +125,38 @@ _ROWS: dict[Family, _Row] = {
 }
 
 
-@dataclass(frozen=True)
 class FamilySpec:
-    family: Family
-    params: tuple[int, ...] = ()
+    """A family and its parameters, checked against the family's row."""
 
-    def __post_init__(self) -> None:
-        row = _ROWS.get(self.family)
+    __slots__ = ("family", "params")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, family: Family, params: tuple[int, ...] = ()) -> None:
+        row = _ROWS.get(family)
         if row is None:
-            raise ValueError(f"unknown family {self.family}")
-        if row.arity is not None and len(self.params) != row.arity:
-            raise ValueError(f"{self.family.value} takes {row.arity} parameter(s), "
-                             f"got {len(self.params)}")
+            raise ValueError(f"unknown family {family}")
+        if row.arity is not None and len(params) != row.arity:
+            raise ValueError(f"{family.value} takes {row.arity} parameter(s), got {len(params)}")
         for ok, message in row.rules:
-            if not ok(*self.params):
+            if not ok(*params):
                 raise ValueError(message)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.params == other.params
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.params))
+
+    def __reduce__(self) -> tuple:
+        # unpickled parameters are outside input: they go through the row's rules
+        return self.__class__, (self.family, self.params)
+
+    def __repr__(self) -> str:
+        return f"FamilySpec(family={self.family!r}, params={self.params!r})"
 
     def __str__(self) -> str:
         if self.params:

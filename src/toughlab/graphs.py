@@ -2,13 +2,15 @@
 
 Vertices are the integers 0..n-1.  Every neighbourhood is a Python int used
 as a bitmask, which keeps the hot kernels (component flooding, subset sweeps)
-allocation-free.  Graphs and vertex sets are frozen, slotted dataclasses:
-structural equality, hashable, safe to memoise, and no per-instance
-``__dict__``, since the census keeps one ``Graph`` per class.
+allocation-free.  Graphs and vertex sets are immutable, slotted classes:
+validated on construction, structural equality, hashable, safe to memoise,
+pickled by constructing again, and no per-instance ``__dict__``, since the
+census keeps one ``Graph`` per class.  Their methods are written out by
+hand: generating them costs every process an import of about 1 MB and a few
+milliseconds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 #: Hard cap on the vertex count.  Bitset kernels assume masks fit comfortably
@@ -28,29 +30,48 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self: object, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable classes."""
+    raise AttributeError(f"cannot assign to or delete field {name!r} of an immutable "
+                         f"{type(self).__name__}")
+
+
 class VertexSet:
     """A subset of the vertices 0..universe-1, stored as a bitmask."""
 
-    bits: int
-    universe: int
+    __slots__ = ("bits", "universe")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.universe <= MAX_VERTICES:
-            raise ValueError(f"universe {self.universe} out of range 0..{MAX_VERTICES}")
-        if not 0 <= self.bits < (1 << self.universe) or (self.universe == 0 and self.bits):
+    def __init__(self, bits: int, universe: int) -> None:
+        if not 0 <= universe <= MAX_VERTICES:
+            raise ValueError(f"universe {universe} out of range 0..{MAX_VERTICES}")
+        if not 0 <= bits < (1 << universe) or (universe == 0 and bits):
             raise ValueError("vertex-set bits outside universe")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "universe", universe)
 
     @classmethod
     def _trusted(cls, bits: int, universe: int) -> "VertexSet":
         """The set with ``bits``, unchecked.  Only for bits the program built
         from a valid graph's own masks on ``universe`` vertices (a separator,
         a component, a row); bits from anywhere else go through the checks
-        of ``__post_init__``."""
+        of ``__init__``."""
         s = object.__new__(cls)
         object.__setattr__(s, "bits", bits)
         object.__setattr__(s, "universe", universe)
         return s
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.universe == other.universe
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.universe))
+
+    def __reduce__(self) -> tuple:
+        # unpickled bits are outside input: they go through __init__'s checks
+        return self.__class__, (self.bits, self.universe)
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[int], universe: int) -> "VertexSet":
@@ -77,12 +98,16 @@ class VertexSet:
         return f"VertexSet({{{', '.join(map(str, self))}}}, universe={self.universe})"
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph; ``adj[v]`` is the neighbourhood bitmask of v."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()  # perfbench/traced.py counts validations here
 
     def __post_init__(self) -> None:
         if not 0 <= self.n <= MAX_VERTICES:
@@ -99,6 +124,21 @@ class Graph:
             for u in _bits(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"asymmetric edge ({v}, {u})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __reduce__(self) -> tuple:
+        # unpickled rows are outside input: they go through __post_init__'s checks
+        return self.__class__, (self.n, self.adj)
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, adj={self.adj!r})"
 
     # -- constructors ------------------------------------------------------
 

@@ -53,10 +53,9 @@ t = 0, both conditions fail on every edge, and the verdict is NOT_MIN_TOUGH.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .connectivity import _component_count, _flood, local_connectivity
 from .graph6 import write_graph6
@@ -71,8 +70,7 @@ class MinToughStatus(Enum):
     NOT_MIN_TOUGH = "not-minimally-tough"
 
 
-@dataclass(frozen=True)
-class MinToughVerdict:
+class MinToughVerdict(NamedTuple):
     status: MinToughStatus
     toughness: Toughness
     #: lexicographically least edge whose deletion keeps toughness unchanged
@@ -80,8 +78,7 @@ class MinToughVerdict:
     failing_edge: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class EdgeWitness:
+class EdgeWitness(NamedTuple):
     """Per-edge record from the criterion decider."""
 
     edge: tuple[int, int]

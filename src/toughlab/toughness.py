@@ -66,14 +66,12 @@ flood build is a non-negative int: a complement is an XOR.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .connectivity import _component_count
-from .families import Family, FamilySpec
 from .graphs import CrossCheckError, Graph, VertexSet, _bits
 
 Toughness = Union[Fraction, float]
@@ -530,8 +528,7 @@ def toughness(g: Graph) -> Toughness:
     return Fraction(p, q)
 
 
-@dataclass(frozen=True)
-class ToughWitness:
+class ToughWitness(NamedTuple):
     """A separator attaining the toughness minimum."""
 
     separator: VertexSet
@@ -561,6 +558,7 @@ def toughness_complete_multipartite(parts: Sequence[int]) -> Toughness:
     is a single part of size > 1 (edgeless, disconnected); otherwise
     n/n_k - 1 where n_k is the largest part.
     """
+    from .families import Family, FamilySpec  # not at the top: tough and mintough never load it
     parts = tuple(parts)
     FamilySpec(Family.COMPLETE_MULTIPARTITE, parts)  # raises on parts the row refuses
     n = sum(parts)

@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .canon import canonical_code, census_codes, census_parents, enumerate_graphs
 from .classes import (
@@ -314,8 +313,7 @@ def _condition3(code: str) -> bool:
     return g.n - sizes[1] < Fraction(2 * g.n, sizes[-1]) - 1
 
 
-@dataclass(frozen=True)
-class _Class:
+class _Class(NamedTuple):
     theorem: str
     #: membership by code and the code's census flags (see ``_flags``)
     member: Callable[[str, int], bool]
@@ -372,8 +370,7 @@ def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:
 # -- reports -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """One scan's result: its JSON fields in output order and its table lines.
 
     A scan that only reports evidence is not ``assertive``: a failed check

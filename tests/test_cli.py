@@ -1,5 +1,7 @@
 """CLI behavior: formats, exit codes, streaming, gating, parallel workers."""
 import argparse
+import ast
+import functools
 import hashlib
 import io
 import json
@@ -255,33 +257,56 @@ def test_cli_import_starts_no_pool_machinery():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-_NAMED_MODULES = {"graph6", "graphs", "families"}
+#: the modules every command loads: cli's own imports
+_CLI_MODULES = {"graph6", "graphs"}
 _EVERY_MODULE = {p.stem for p in Path(toughlab.__file__).parent.glob("*.py")} - {"__init__", "cli"}
+#: stdlib modules no command needs at start-up: dataclasses (which loads
+#: inspect) never, json only where a command writes JSON
+_WATCHED = ("dataclasses", "inspect", "json")
+_PRINT_WATCHED = f"print(sorted(m for m in {_WATCHED!r} if m in sys.modules))\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _watched_at_start() -> frozenset:
+    """The watched modules a bare interpreter already holds: site may load some."""
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + _PRINT_WATCHED],
+                          capture_output=True, text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(ast.literal_eval(proc.stdout))
 
 
 @pytest.mark.parametrize("argv, stdin, loaded", [
-    (["named", "path:3"], None, _NAMED_MODULES),
-    (["tough"], "Bg\n", _NAMED_MODULES | {"toughness", "connectivity"}),
-    (["mintough"], "Bg\n", _NAMED_MODULES | {"toughness", "connectivity", "mintough"}),
-    (["classify"], "Bg\n", _NAMED_MODULES | {"classes", "connectivity"}),
-    (["enumerate", "3"], None, _NAMED_MODULES | {"canon", "connectivity"}),
+    (["named", "path:3"], None, _CLI_MODULES | {"families"}),
+    (["tough"], "Bg\n", _CLI_MODULES | {"toughness", "connectivity"}),
+    (["mintough"], "Bg\n", _CLI_MODULES | {"toughness", "connectivity", "mintough"}),
+    (["classify"], "Bg\n", _CLI_MODULES | {"classes", "connectivity", "families"}),
+    (["enumerate", "3"], None, _CLI_MODULES | {"canon", "connectivity"}),
     (["verify", "table1", "--lmax", "3"], None, _EVERY_MODULE),
     (["probe", "--nmax", "3"], None, _EVERY_MODULE),
+    (["tough", "--format", "tsv"], "Bg\n", _CLI_MODULES | {"toughness", "connectivity"}),
+    (["mintough", "--format", "tsv"], "Bg\n",
+     _CLI_MODULES | {"toughness", "connectivity", "mintough"}),
+    (["mintough", "--format", "json"], "Bg\n",
+     _CLI_MODULES | {"toughness", "connectivity", "mintough"}),
 ])
 def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded):
     # main() with no argument reads the command from sys.argv, as the console
-    # script does; the last output line lists the toughlab modules loaded
+    # script does; the last two output lines list the toughlab modules and
+    # the watched stdlib modules loaded
     probe = ("import sys\nfrom toughlab.cli import main\n"
              f"sys.argv = ['toughlab'] + {argv!r}\n"
              "code = main()\n"
              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'toughlab'))\n"
-             "sys.exit(code)\n")
+             + _PRINT_WATCHED + "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", probe], input=stdin, capture_output=True,
                           text=True, timeout=60, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    *out, modules = proc.stdout.splitlines()
+    *out, modules, watched = proc.stdout.splitlines()
     assert out, "the command printed nothing"
     assert modules == str(sorted({"toughlab", "toughlab.cli"} | {f"toughlab.{m}" for m in loaded}))
+    at_start = _watched_at_start()
+    added = set(ast.literal_eval(watched)) - at_start
+    assert added == ({"json"} if "json" in argv else set()) - at_start
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:

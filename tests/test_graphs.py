@@ -17,7 +17,10 @@ from toughlab.graphs import (
     relabel,
 )
 from toughlab.canon import enumerate_graphs
+from toughlab.families import FamilySpec, parse_family_spec
 from toughlab.graph6 import parse_graph6
+from toughlab.mintough import is_minimally_tough_by_criterion, is_minimally_tough_by_definition
+from toughlab.toughness import tough_separators
 
 from oracles import normalize_edges
 
@@ -271,11 +274,33 @@ def test_graph_equality_and_hash():
 
 
 def test_graph_and_vertex_set_are_slotted():
-    # one Graph per census class: no per-instance __dict__
-    g = Graph.from_edges(9, [(0, 1), (1, 8), (3, 4)])
-    s = VertexSet.from_vertices([0, 4], 9)
-    for x in (g, s):
-        assert not hasattr(x, "__dict__")
-        y = pickle.loads(pickle.dumps(x))
-        assert y == x and hash(y) == hash(x) and y is not x
-        assert copy.deepcopy(x) == x
+    # values that copy and pickle to equal values and refuse assignment; the
+    # three validated classes are slotted (one Graph per census class: no
+    # per-instance __dict__) and are not tuples, as the decider records are
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    _, witnesses = is_minimally_tough_by_criterion(g)
+    values = [g, VertexSet.from_vertices([1, 3], 5), parse_family_spec("turan:8,3"),
+              is_minimally_tough_by_definition(g),
+              next(w for w in witnesses if w.separator is not None), tough_separators(g)[0]]
+    assert [type(x).__name__ for x in values] == [
+        "Graph", "VertexSet", "FamilySpec", "MinToughVerdict", "EdgeWitness", "ToughWitness"]
+    for x in values:
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x), x
+        fields = getattr(type(x), "_fields", None) or type(x).__slots__
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(x, field, getattr(x, field))
+            with pytest.raises(AttributeError):
+                delattr(x, field)
+        if type(x) in (Graph, VertexSet, FamilySpec):
+            assert not isinstance(x, tuple) and x != tuple(getattr(x, f) for f in fields), x
+            assert not hasattr(x, "__dict__") and repr(x).startswith(f"{type(x).__name__}("), x
+
+
+def test_unpickling_checks_again():
+    # pickled bytes are outside input: a bad graph or set does not come back
+    bad = [Graph._trusted(2, (0b10, 0)), VertexSet._trusted(0b1000, 3)]
+    for x in bad:
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(x))

@@ -95,8 +95,6 @@ def _flip_mintough(monkeypatch, *codes):
 
 
 def test_theorem_report_logic(monkeypatch):
-    import dataclasses
-
     import toughlab.verify as verify
 
     clean = verify_theorem("P4FREE", 1)
@@ -106,7 +104,7 @@ def test_theorem_report_logic(monkeypatch):
     ]
     # a route that never says minimally tough disagrees only on the hits
     klass = verify._CLASSES["p4-free"]
-    monkeypatch.setitem(verify._CLASSES, "p4-free", dataclasses.replace(klass, route=lambda code: False))
+    monkeypatch.setitem(verify._CLASSES, "p4-free", klass._replace(route=lambda code: False))
     routes = verify_theorem("P4FREE", 4)
     assert not routes.verified
     assert routes.to_json()["discrepancies"] == [] and routes.to_json()["condition_discrepancies"]
