@@ -19,8 +19,9 @@ keeps, as the one record of its class, each child whose own labelling is
 already minimal: each class is accepted once, from its parent, with no
 seen-set and no canonical search.  ``canonical_form`` and ``canonical_code``
 stay independent of enumeration; the tests check each against the other.
-The pass that builds a level also keeps each record's code, which orders
-the level, and the index of its parent (``census_codes``, ``census_parents``).
+A level is flat: its records' rows, n per record in one ``array('H')``,
+codes, which order it, and parents' indices (``census_rows``,
+``census_codes``, ``census_parents``); ``census_graphs`` builds graphs.
 
 The 2**k children of one canonical parent P on k vertices are decided in one
 walk of their common tie tree (``_canonical_children``), not in 2**k searches
@@ -72,13 +73,13 @@ taken in it: the masks that miss v are ``N[v]``, cached per k next to
 ``L``, and the non-neighbours of p in P are ``nrows[p]``, per parent.  A
 level's pass writes each record's rows from its parent's, the new vertex's
 bit set on the rows of its mask, and its code as the parent's whole
-characters and a tail looked up per k (``_code_tails``).
+characters and a tail looked up per k (``_code_tails``), then sorts them.
 """
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graph6 import parse_graph6, write_graph6  # parse_graph6: read by perfbench/traced.py
 from .graphs import Graph, _bits, relabel
@@ -288,23 +289,6 @@ def _canonical_children(k: int, prows: tuple[int, ...]) -> int:
     return alive
 
 
-class _Level(tuple):
-    """The records on n vertices: a tuple of ``Graph``, ascending by code.
-
-    ``codes[i]`` is the graph6 code of record i, and ``parents[i]`` the index
-    on n - 1 vertices of its canonical parent, which is record i minus its
-    last vertex.
-    """
-
-    codes: tuple[str, ...]
-    parents: array
-
-    def __new__(cls, graphs: tuple[Graph, ...], codes: tuple[str, ...], parents: array) -> "_Level":
-        level = super().__new__(cls, graphs)
-        level.codes, level.parents = codes, parents
-        return level
-
-
 @lru_cache(maxsize=None)
 def _code_tails(k: int) -> tuple[str, ...]:
     """The closing characters of a child's graph6 code on k + 1 vertices.
@@ -325,41 +309,56 @@ def _code_tails(k: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _census(n: int) -> _Level:
+def _census(n: int) -> tuple[array, tuple[str, ...], array]:
+    """The rows, codes and parent indices of the records on n vertices."""
     if n == 0:
-        empty = Graph.empty(0)
-        return _Level((empty,), (write_graph6(empty),), array("I"))
-    graphs, codes, parents = [], [], array("I")
-    k, up = n - 1, _census(n - 1)
+        return array("H"), ("?",), array("I")  # "?": the graph6 code of the null graph
+    k, (up_rows, up_codes, _) = n - 1, _census(n - 1)
+    rows, codes, parents = array("H"), [], array("I")
     filled, tails = k * (k - 1) // 2 % 6, _code_tails(k)
-    for i, parent in enumerate(up):
-        prows, code = parent.adj, up.codes[i]
+    for i, code in enumerate(up_codes):
+        prows = tuple(up_rows[i * k:i * k + k])
         # the child's code: its order, the parent's whole characters, a tail
         head = chr(63 + n) + code[1:-1] if filled else chr(63 + n) + code[1:]
         base = ord(code[-1]) - 63 >> 6 - filled << k if filled else 0
         for m in _bits(_canonical_children(k, prows)):
-            graphs.append(Graph._trusted(n, _child_rows(prows, m)))
+            rows.extend(_child_rows(prows, m))
             codes.append(head + tails[base | m])
             parents.append(i)
     order = sorted(range(len(codes)), key=codes.__getitem__)
-    return _Level(tuple([graphs[j] for j in order]), tuple([codes[j] for j in order]),
-                  array("I", [parents[j] for j in order]))
+    out = array("H")
+    for j in order:
+        out += rows[j * n:j * n + n]
+    return out, tuple(map(codes.__getitem__, order)), array("I", map(parents.__getitem__, order))
 
 
 def census_codes(n: int) -> tuple[str, ...]:
     """The graph6 codes of ``enumerate_graphs(n)``, in its order."""
-    return _census(n).codes
+    return _census(n)[1]
 
 
 def census_parents(n: int) -> array:
     """Entry i is the index in ``enumerate_graphs(n - 1)`` of the canonical
     parent of record i of ``enumerate_graphs(n)``: that record minus its
     last vertex, with its labelling."""
-    return _census(n).parents
+    return _census(n)[2]
+
+
+def census_rows(n: int) -> array:
+    """The rows of ``enumerate_graphs(n)``, n per record, in its order."""
+    return _census(n)[0]
+
+
+def census_graphs(n: int, indices: Iterable[int]) -> Iterator[Graph]:
+    """The records ``indices`` of ``enumerate_graphs(n)``, each built from its rows."""
+    rows, trusted = _census(n)[0], Graph._trusted
+    for i in indices:
+        i *= n
+        yield trusted(n, tuple(rows[i:i + n]))
 
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class, ascending canonical code."""
     if not 0 <= n <= _MAX_CANON:
         raise ValueError(f"enumeration supported for 0 <= n <= {_MAX_CANON}")
-    yield from _census(n)
+    yield from census_graphs(n, range(len(census_codes(n))))

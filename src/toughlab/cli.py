@@ -4,8 +4,9 @@ Per-graph subcommands (tough, mintough, classify) stream graph6 lines from
 files or stdin, one output line per input line, in input order even when
 --jobs spreads the work over worker processes.  Bad graph6 lines go to
 stderr with their source position and flip the exit code to 2; valid lines
-keep flowing.  Harness subcommands (verify, probe) print a report and exit
-1 when an asserted check found a discrepancy.
+keep flowing.  Files and stdin are read alike, as bytes, and a FILE that
+cannot be opened is a usage error.  Harness subcommands (verify, probe)
+print a report and exit 1 when an asserted check found a discrepancy.
 
 A command loads only the modules it runs, since a short job is mostly
 start-up.  This module imports ``graph6`` and ``graphs``; ``named`` adds
@@ -27,7 +28,7 @@ import argparse
 import os
 import sys
 from functools import partial
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import CrossCheckError, Graph
@@ -175,9 +176,9 @@ def _process_record(
 # -- input plumbing -----------------------------------------------------------------
 
 
-def _read_lines(fh: TextIO, src: str) -> Iterator[tuple[str, int, str]]:
+def _read_lines(fh: BinaryIO, src: str) -> Iterator[tuple[str, int, str]]:
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
+        line = raw.decode("ascii", "surrogateescape").strip()
         if line:
             yield src, lineno, line
 
@@ -185,10 +186,14 @@ def _read_lines(fh: TextIO, src: str) -> Iterator[tuple[str, int, str]]:
 def _input_records(paths: list[str]) -> Iterator[tuple[str, int, str]]:
     for path in paths or ["-"]:
         if path == "-":
-            yield from _read_lines(sys.stdin, "<stdin>")
-        else:
-            with open(path, "r", encoding="ascii") as fh:
-                yield from _read_lines(fh, path)
+            yield from _read_lines(sys.stdin.buffer, "<stdin>")
+            continue
+        try:
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+        with fh:
+            yield from _read_lines(fh, path)
 
 
 def _drive(
@@ -239,9 +244,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .canon import census_codes, enumerate_graphs
     from .connectivity import is_connected
     _gate_nmax(args.n, least=0)
-    for g, code in zip(enumerate_graphs(args.n), census_codes(args.n)):
-        if not args.connected or is_connected(g):
-            print(code)
+    codes = census_codes(args.n)
+    if args.connected:  # the one filter that reads the records' graphs
+        codes = [code for g, code in zip(enumerate_graphs(args.n), codes) if is_connected(g)]
+    print(*codes, sep="\n")
     return 0
 
 

@@ -30,6 +30,8 @@ def _check_printable(data: str, start: int) -> None:
     for i in range(start, len(data)):
         code = ord(data[i])
         if not 63 <= code <= 126:
+            if 0xDC80 <= code <= 0xDCFF:  # a byte past ASCII, read as a surrogate escape
+                code -= 0xDC00
             raise Graph6Error(f"non-printable byte {code}", i)
 
 

@@ -4,8 +4,8 @@ Vertices are the integers 0..n-1.  Every neighbourhood is a Python int used
 as a bitmask, which keeps the hot kernels (component flooding, subset sweeps)
 allocation-free.  Graphs and vertex sets are immutable, slotted classes:
 validated on construction, structural equality, hashable, safe to memoise,
-pickled by constructing again, and no per-instance ``__dict__``, since the
-census keeps one ``Graph`` per class.  Their methods are written out by
+pickled by constructing again, and no per-instance ``__dict__``, since a
+census scan builds one per record it reads.  Their methods are written out by
 hand: generating them costs every process an import of about 1 MB and a few
 milliseconds.
 """
@@ -105,8 +105,8 @@ class Graph:
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
+        _set_n(self, n)
+        _set_adj(self, adj)
         self.__post_init__()  # perfbench/traced.py counts validations here
 
     def __post_init__(self) -> None:
@@ -159,8 +159,8 @@ class Graph:
         both directions to the vertices of a mask below 2**(n-1).  Rows from
         anywhere else go through the checks of ``__post_init__``."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
+        _set_n(g, n)
+        _set_adj(g, adj)
         return g
 
     @classmethod
@@ -208,6 +208,10 @@ class Graph:
 
     def is_edgeless(self) -> bool:
         return self.edge_count == 0
+
+
+#: the slots' own setters, which the frozen ``__setattr__`` does not reach
+_set_n, _set_adj = Graph.n.__set__, Graph.adj.__set__
 
 
 # -- structural operations ---------------------------------------------------

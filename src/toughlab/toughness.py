@@ -361,9 +361,9 @@ _HITS_TO_TOP = bytes([0, *range(2, 256), 255])
 
 
 class _Siblings:
-    """The component counts of the children of one parent on k vertices,
-    each child the parent plus a vertex k joined to its own mask, flooded
-    together over the sizes [least floor, greatest s_max] of their passes.
+    """The component counts of the children of a parent on k vertices, rows
+    ``prows``, child i the parent plus a vertex k joined to ``masks[i]``,
+    flooded together over the sizes [least floor, greatest s_max] of their passes.
 
     Child i is lane i: the 2^n positions from bit i*2^n, n = k + 1, every
     vertex a bit of the position (no high blocks), whose planes are
@@ -375,22 +375,21 @@ class _Siblings:
     bytes.
     """
 
-    def __init__(self, parent: Graph, children: Sequence[Graph]):
-        k = parent.n
+    def __init__(self, prows: Sequence[int], masks: Sequence[int]):
+        k = len(prows)
         n = self.n = k + 1
         span = 1 << n
         stride = span >> 3  # bytes per lane
-        masks = [child.adj[k] for child in children]
         # a child's least degree: its new vertex's, or the parent's, plus one
         # if the mask holds every vertex of the parent's least degree
-        degrees = [row.bit_count() for row in parent.adj]
+        degrees = [row.bit_count() for row in prows]
         least = min(degrees)
         lows = sum(1 << x for x, d in enumerate(degrees) if d == least)
         deltas = [min(m.bit_count(), least + (m & lows == lows)) for m in masks]
         floor = _window_bounds(n, min(deltas), 2)[0]  # c0 >= 2: no child is complete
         self.most = _window_bounds(n, max(deltas), 2)[1]
         #: bit i*2^n for each lane i: multiplying by it replicates a lane
-        self.ones = ones = int.from_bytes((1).to_bytes(stride, "little") * len(children), "little")
+        self.ones = ones = int.from_bytes((1).to_bytes(stride, "little") * len(masks), "little")
         planes, weights = _subset_planes(n)
         window = 0
         for j in range(floor, self.most + 1):
@@ -408,7 +407,7 @@ class _Siblings:
         masked = [[] for _ in range(k)] + [lanes]
         for v, mask in lanes:
             masked[v].append((k, mask))
-        self.levels = _peel([list(_bits(row)) for row in parent.adj] + [[]], rest, masked)
+        self.levels = _peel([list(_bits(row)) for row in prows] + [[]], rest, masked)
         #: size -> byte i the largest c of lane i, once read
         self.folds: dict[int, bytes] = {}
 

@@ -14,8 +14,9 @@ computed verdict and the predicted family codes disagree.
 
 Everything is driven off canonical codes, kept as graph6 text, so that
 reports are byte-identical across runs and print the code itself.  The
-census keeps one graph per class, in the order of canon's sorted codes,
-and a code's record is found by bisecting them.  Membership in every
+census keeps each order as rows, in the order of canon's sorted codes, and
+a code's record is found by bisecting them; a record's ``Graph`` is built
+only where a kernel reads one.  Membership in every
 classified class comes from one table of six flag bits per order (P4-free,
 co-chordal, net-free co-chordal, co-forest, complete multipartite, has a
 universal vertex), each record's flags from its canonical parent's plus
@@ -36,22 +37,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
-from .canon import canonical_code, census_codes, census_parents, enumerate_graphs
-from .classes import (
-    complete_multipartite_parts,
-    has_co_cycle_through,
-    has_co_hole_through,
-    has_co_p3_through,
-    has_net_through,
-    has_p4_through,
-)
-from .classes import (  # read by perfbench/traced.py
-    is_co_chordal,
-    is_complement_of_forest,
-    is_complete_multipartite,
-    is_net_free,
-    is_p4_free,
-)
+from .canon import canonical_code, census_codes, census_graphs, census_parents, census_rows
+from .canon import enumerate_graphs  # replaced by perfbench/traced.py
+from .classes import (complete_multipartite_parts, has_co_cycle_through, has_co_hole_through,
+                      has_co_p3_through, has_net_through, has_p4_through)
+from .classes import (is_co_chordal, is_complement_of_forest,  # read by perfbench/traced.py
+                      is_complete_multipartite, is_net_free, is_p4_free)
 from .connectivity import _component_masks, co_diameter
 from .families import Family, FamilySpec, make_named
 from .graph6 import parse_graph6, write_graph6  # read by perfbench/traced.py
@@ -70,11 +61,6 @@ PROBE_N_MAX = 9
 
 
 # -- memoized per-code facts --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _census(n: int) -> tuple[Graph, ...]:
-    return tuple(enumerate_graphs(n))  # in census_codes(n) order
 
 
 #: the class flags of a census record, one bit per class
@@ -111,8 +97,8 @@ def _flags(n: int) -> bytes:
     up = _flags(n - 1)
     v = n - 1
     out = bytearray()
-    for g, parent in zip(_census(n), census_parents(n)):
-        have, flags = up[parent], 0
+    for i, g in enumerate(enumerate_graphs(n)):  # the one draw of the records builds them
+        have, flags = up[census_parents(n)[i]], 0
         if have & _P4_FREE and not has_p4_through(g, v):
             flags |= _P4_FREE
         if have & _CO_CHORDAL and not has_co_hole_through(g, v):
@@ -148,14 +134,14 @@ def _verdicts(n: int) -> tuple[bytearray, dict[int, array]]:
     thus floods only its members' parents, and a parent's lanes are dropped
     once its children are decided.
     """
-    table = bytearray(len(_census(n)))
+    k, up, parents = n - 1, census_rows(n - 1), census_parents(n)
+    full = (1 << k) - 1
+    complete = array("H", [full ^ 1 << v for v in range(k)])  # the rows of K_k
+    parts = [_component_masks(up[p * k:p * k + k], full) for p in range(len(census_codes(k)))]
+    table = bytearray(len(parents))
     undecided: dict[int, array] = {}
-    up = _census(n - 1)
-    parts = [_component_masks(p.adj, p.full_mask) for p in up]
-    full = (1 << n - 1) - 1
-    for i, (g, parent) in enumerate(zip(_census(n), census_parents(n))):
-        mask = g.adj[-1]
-        if mask == full and up[parent].is_complete():
+    for i, (mask, parent) in enumerate(zip(census_rows(n)[k::n], parents)):  # the last rows
+        if mask == full and up[parent * k:parent * k + k] == complete:
             continue
         for part in parts[parent]:
             if not part & mask:
@@ -172,15 +158,18 @@ def _record(code: str) -> tuple[int, int]:
     return n, bisect_left(census_codes(n), code)
 
 
-@lru_cache(maxsize=None)
-def _graph_of(code: str) -> Graph:
+def _built(code: str) -> Graph:
+    """The census record of code, built anew from its rows."""
     n, i = _record(code)
-    return _census(n)[i]
+    return next(census_graphs(n, (i,)))
+
+
+_graph_of = lru_cache(maxsize=None)(_built)  # the records the scans read more than once
 
 
 @lru_cache(maxsize=None)
 def _tau_of(code: str) -> Toughness:
-    return toughness(_graph_of(code))
+    return toughness(_built(code))
 
 
 @lru_cache(maxsize=None)
@@ -188,11 +177,12 @@ def _mintough(code: str) -> bool:
     n, i = _record(code)
     table, undecided = _verdicts(n)
     if table[i] == _UNDECIDED:
-        parent, records = census_parents(n)[i], _census(n)
+        k, parent, rows = n - 1, census_parents(n)[i], census_rows(n)
         kids = undecided.pop(parent)
-        siblings = _Siblings(_census(n - 1)[parent], [records[k] for k in kids])
-        for lane, k in enumerate(kids):
-            table[k] = _criterion_holds(records[k], siblings.lane(lane))
+        siblings = _Siblings(census_rows(k)[parent * k:parent * k + k],
+                             [rows[j * n + k] for j in kids])
+        for lane, g in enumerate(census_graphs(n, kids)):
+            table[kids[lane]] = _criterion_holds(g, siblings.lane(lane))
     return bool(table[i])
 
 
@@ -204,7 +194,7 @@ def _is_cochordal(code: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _codiam_of(code: str) -> int | float:
-    return co_diameter(_graph_of(code))
+    return co_diameter(_built(code))
 
 
 @lru_cache(maxsize=None)
@@ -352,11 +342,11 @@ KRIESELL_CLASS_FILTERS = tuple(key for key, klass in _CLASSES.items() if klass.k
 @lru_cache(maxsize=None)
 def _members(klass: str, n: int) -> tuple[str, ...]:
     """The census codes on n vertices in a class of _CLASSES, or all for "all"."""
-    _census(n)  # the records before canon's codes: perfbench/traced.py times this draw
+    flags = _flags(n)  # draws the records before canon's codes: perfbench/traced.py times it
     if klass == "all":
         return census_codes(n)
     member = _CLASSES[klass].member
-    return tuple(code for code, flags in zip(census_codes(n), _flags(n)) if member(code, flags))
+    return tuple(code for code, have in zip(census_codes(n), flags) if member(code, have))
 
 
 def _orders(klass: str, n_max: int) -> Iterator[tuple[int, tuple[str, ...]]]:

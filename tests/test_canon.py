@@ -2,9 +2,12 @@
 
 Set ``TOUGHLAB_SLOW=1`` to also check the frozen n = 9 census.
 """
+import gc
 import hashlib
 import os
 import random
+import tracemalloc
+from array import array
 from itertools import combinations, permutations
 
 import pytest
@@ -142,36 +145,66 @@ def test_enumeration_does_not_canonize(monkeypatch):
 
     for name in ("_canonical_placement", "canonical_form", "canonical_code", "relabel"):
         monkeypatch.setattr(canon, name, refuse)
-    assert len(canon._census.__wrapped__(7)) == ALL_COUNTS[7]
+    canon._census.cache_clear()
+    assert len(canon.census_codes(7)) == ALL_COUNTS[7]
 
 
-def test_census_builds_one_graph_per_class(monkeypatch):
-    # children extend their parent's rows through the trusted constructor,
-    # unvalidated; no code is parsed back into a Graph, and no record's code
-    # is written: each is its parent's code with the new column appended
+def test_census_level_is_rows_not_graphs(monkeypatch):
+    # a level extends its parents' rows in one array('H'), n entries per
+    # record, and builds no Graph; no record's code is written either: each
+    # is its parent's code with the new column appended
     import toughlab.canon as canon
 
     canon._census(5)  # level 5 comes from the cache below
-    built, validated, written = [], [], []
-    trusted = Graph._trusted.__func__
+    built, written = [], []
 
-    def counting(cls, n, adj):
-        built.append(trusted(cls, n, adj))
-        return built[-1]
+    def building(*args):
+        built.append(args)
 
     def writing(g):
         written.append(g)
         return write_graph6(g)
 
-    monkeypatch.setattr(Graph, "_trusted", classmethod(counting))
-    monkeypatch.setattr(Graph, "__post_init__", lambda g: validated.append(g))
+    monkeypatch.setattr(Graph, "_trusted", classmethod(building))
+    monkeypatch.setattr(Graph, "__init__", building)
     monkeypatch.setattr(canon, "write_graph6", writing)
-    level = canon._census.__wrapped__(6)
-    assert len(level) == len(built) == ALL_COUNTS[6]
-    assert {id(g) for g in level} == {id(g) for g in built}
-    assert not validated and not written
+    rows, codes, _ = canon._census.__wrapped__(6)
+    assert not built and not written
+    assert type(rows) is array and rows.typecode == "H"
+    assert len(codes) == ALL_COUNTS[6] and len(rows) == 6 * ALL_COUNTS[6]
     monkeypatch.undo()
-    assert all(Graph(g.n, g.adj) == g for g in level)  # the rows pass the checks
+    for n in range(9):  # each record the builder yields passes the checks
+        assert all(Graph(g.n, g.adj) == g for g in enumerate_graphs(n))
+
+
+def _retained_per_record(n_max: int) -> float:
+    """The bytes that building census levels 0..n_max from cleared caches
+    leaves allocated, per record, the walk's cached tables included."""
+    import toughlab.canon as canon
+
+    for cache in (canon._census, canon._masks_containing, canon._masks_missing, canon._code_tails):
+        cache.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = sum(len(canon.census_codes(n)) for n in range(n_max + 1))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / records
+
+
+def test_census_retains_at_most_120_bytes_per_record():
+    # at n = 8: 16 bytes of rows, a 6-character code (55 bytes) and its
+    # pointer, a 4-byte parent index, and the walk's tables; a Graph and a
+    # row tuple per record would add about 140
+    assert _retained_per_record(8) <= 120
+
+
+@pytest.mark.skipif(not os.environ.get("TOUGHLAB_SLOW"), reason="set TOUGHLAB_SLOW=1 (n = 9 census)")
+def test_census_9_retains_at_most_120_bytes_per_record():
+    assert _retained_per_record(9) <= 120
 
 
 def test_each_record_extends_its_parent():

@@ -28,7 +28,7 @@ DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
 def _run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
@@ -192,6 +192,38 @@ def test_multiple_input_files(capsys, tmp_path):
     b.write_text("Cq\n")
     rc, out, _ = _run(capsys, ["tough", str(a), str(b)])
     assert rc == 0 and out == "inf\n1/2\n"
+
+
+def _cli(argv, stdin=None):
+    """``python -m toughlab.cli argv`` in a child process, stdin as bytes."""
+    return subprocess.run([sys.executable, "-m", "toughlab.cli", *argv], input=stdin,
+                          capture_output=True, timeout=60, env=_child_env())
+
+
+def test_missing_file_is_a_usage_error(tmp_path):
+    proc = _cli(["mintough", str(tmp_path / "missing.g6")])
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.decode() == (f"toughlab: error: cannot read {tmp_path / 'missing.g6'}: "
+                                    "No such file or directory\n")
+
+
+#: a byte past ASCII between two good lines, and the line the parser reports
+_NON_ASCII = b"Bw\n\xff\nCq\n"
+_NON_ASCII_OUT = b"TriviallyMinTough, tau=inf\nNonTriviallyMinTough, tau=1/2\n"
+
+
+def test_non_ascii_byte_in_a_file_is_a_bad_line(tmp_path):
+    path = tmp_path / "in.g6"
+    path.write_bytes(_NON_ASCII)
+    proc = _cli(["mintough", str(path)])
+    assert (proc.returncode, proc.stdout) == (2, _NON_ASCII_OUT)
+    assert proc.stderr.decode() == f"{path}:2: bad graph6: non-printable byte 255 (byte offset 0)\n"
+
+
+def test_non_ascii_byte_on_stdin_is_a_bad_line():
+    proc = _cli(["mintough"], stdin=_NON_ASCII)
+    assert (proc.returncode, proc.stdout) == (2, _NON_ASCII_OUT)
+    assert proc.stderr == b"<stdin>:2: bad graph6: non-printable byte 255 (byte offset 0)\n"
 
 
 def test_jobs_output_is_identical(capsys, tmp_path):

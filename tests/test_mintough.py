@@ -117,7 +117,7 @@ def _census_lanes(n: int):
         if not (g.is_complete() or g.is_edgeless()):
             children.setdefault(parent, []).append(g)
     for parent, kids in children.items():
-        siblings = _Siblings(up[parent], kids)
+        siblings = _Siblings(up[parent].adj, [g.adj[n - 1] for g in kids])
         yield from ((g, siblings.lane(i)) for i, g in enumerate(kids))
 
 

@@ -357,7 +357,7 @@ def test_sibling_lanes_of_random_parents_match_oracle(family):
     parent, children = family
     if not children:
         return
-    siblings = _Siblings(parent, children)
+    siblings = _Siblings(parent.adj, [g.adj[parent.n] for g in children])
     for i, g in enumerate(children):
         lane, edges = siblings.lane(i), normalize_edges(g.edges())
         for size in range(siblings.most + 1):

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from toughlab.canon import canonical_code, census_codes, enumerate_graphs
+from toughlab.canon import canonical_code, census_codes, census_graphs, enumerate_graphs
 from toughlab.classes import (
     find_induced_cycle,
     is_complement_of_forest,
@@ -186,7 +186,7 @@ def test_census_record_is_the_enumerated_graph():
         assert len(codes) == len(graphs)
         for code, g in zip(codes, graphs):
             assert write_graph6(g) == code
-            assert verify._graph_of(code) is g
+            assert verify._graph_of(code) == g
 
 
 def test_census_keys_are_canonical_codes():
@@ -194,7 +194,7 @@ def test_census_keys_are_canonical_codes():
     import toughlab.verify as verify
 
     for n in range(7):
-        for code, g in zip(census_codes(n), verify._census(n)):
+        for code, g in zip(census_codes(n), enumerate_graphs(n)):
             assert canonical_code(g) == code
             assert isinstance(canonical_code(g), str)
 
@@ -207,10 +207,10 @@ def test_census_writes_no_code_of_its_own(monkeypatch):
         raise AssertionError("verify wrote a census code")
 
     monkeypatch.setattr(verify, "write_graph6", refuse)
-    verify._census.cache_clear()
+    verify._flags.cache_clear()
     verify._members.cache_clear()
     for n in range(7):
-        assert verify._members("all", n) == tuple(write_graph6(g) for g in verify._census(n))
+        assert verify._members("all", n) == tuple(write_graph6(g) for g in enumerate_graphs(n))
 
 
 @lru_cache(maxsize=1)  # both co-chordal flags ask it of one record in turn
@@ -238,8 +238,8 @@ def _flag_counts(n: int) -> dict[str, int]:
 
     counts = dict.fromkeys(_FLAG_TESTS, 0)
     flags = verify._flags(n)
-    assert len(flags) == len(verify._census(n))
-    for g, have in zip(verify._census(n), flags):
+    assert len(flags) == len(census_codes(n))
+    for g, have in zip(enumerate_graphs(n), flags):
         for name, (bit, member) in _FLAG_TESTS.items():
             want = member(g)
             assert bool(have & bit) == want, (name, write_graph6(g))
@@ -278,7 +278,7 @@ def _verdict_hits(n: int) -> int:
     import toughlab.verify as verify
 
     hits = 0
-    for code, g in zip(census_codes(n), verify._census(n)):
+    for code, g in zip(census_codes(n), enumerate_graphs(n)):
         got = verify._mintough(code)
         assert got == is_nontrivially_minimally_tough(g), code
         hits += got
@@ -307,9 +307,9 @@ def test_census_9_sample_against_the_criterion_decider():
     other n = 9 tests have built them."""
     import toughlab.verify as verify
 
-    codes, graphs = census_codes(9), verify._census(9)
-    for i in sorted(random.Random(9).sample(range(len(codes)), 20_000)):
-        g = graphs[i]
+    codes = census_codes(9)
+    sample = sorted(random.Random(9).sample(range(len(codes)), 20_000))
+    for i, g in zip(sample, census_graphs(9, sample)):
         assert codes[i] == write_graph6(g), i
         verdict, _ = is_minimally_tough_by_criterion(g)
         want = verdict.status is MinToughStatus.NON_TRIVIALLY_MIN_TOUGH
